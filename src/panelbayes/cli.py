@@ -8,8 +8,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -19,7 +17,7 @@ from .datagen import SimConfig, gen_panel
 from .errors import ConfigError, SamplerError
 from .experiment import RUNS, run_study, write_tables
 from .kvconfig import get_float, get_int, read_kv_file, write_kv_file
-from .model import PanelDataset
+from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize
 from .seeding import derive_seed
@@ -136,17 +134,8 @@ def cmd_gen(args) -> int:
 
 
 def _write_summary(stats, out_path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["parameter", "mean", "sd", "lcl", "ucl", "ess"])
-    for name in ("beta0", "beta1", "beta2", "sigma"):
-        s = stats[name]
-        w.writerow([name] + [repr(float(v)) for v in (s.mean, s.sd, s.lower, s.upper, s.ess)])
-    if out_path is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+    write_csv(out_path, ["parameter", "mean", "sd", "lcl", "ucl", "ess"],
+              ([name, s.mean, s.sd, s.lower, s.upper, s.ess] for name, s in stats.items()))
 
 
 def _optional_kv(config_path):
@@ -197,14 +186,7 @@ def cmd_spindex(args) -> int:
     cfg = _chain_config_from(*_optional_kv(args.config), args)
     rows = two_stage_fit(series, cfg, split_year=args.split_year,
                          threshold=args.threshold, baseline=args.baseline)
-    if args.out is None:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["run", "parameter", "mean", "sd", "lcl", "ucl"])
-        for row in rows:
-            w.writerow([row["run"], row["parameter"]] +
-                       [repr(float(row[k])) for k in ("mean", "sd", "lcl", "ucl")])
-    else:
-        write_comparison_csv(rows, args.out)
+    write_comparison_csv(rows, args.out)
     return 0
 
 

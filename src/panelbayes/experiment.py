@@ -20,17 +20,17 @@ MSE = (Mean - truth)^2 + Var. Replicates run on independent RNG streams
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
 
 from .datagen import Quadrants, SimConfig, gen_panel, partition
-from .model import PanelDataset, concat_panels
+from .errors import ConfigError
+from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, run_chain
 from .seeding import derive_seed
@@ -113,10 +113,10 @@ def execute_run(run_id: str, quadrants: Quadrants, chain_config: ChainConfig) ->
     run_index = list(RUNS).index(run_id)
     priors = default_uninformative()
     if spec.stage1 is not None:
-        cfg1 = _reseed(chain_config, derive_seed(chain_config.seed, run_index, 1))
+        cfg1 = replace(chain_config, seed=derive_seed(chain_config.seed, run_index, 1))
         stage1 = run_chain(stage_dataset(spec.stage1, quadrants), priors, cfg1)
         priors = posterior_to_priorset(stage1)
-    cfg2 = _reseed(chain_config, derive_seed(chain_config.seed, run_index, 2))
+    cfg2 = replace(chain_config, seed=derive_seed(chain_config.seed, run_index, 2))
     stage2 = run_chain(stage_dataset(spec.stage2, quadrants), priors, cfg2)
     return {
         "beta0": float(stage2.beta[:, 0].mean()),
@@ -126,21 +126,13 @@ def execute_run(run_id: str, quadrants: Quadrants, chain_config: ChainConfig) ->
     }
 
 
-def _reseed(cfg: ChainConfig, seed: int) -> ChainConfig:
-    return ChainConfig(burn_in=cfg.burn_in, samples=cfg.samples, thin=cfg.thin,
-                       seed=seed, target_accept_block=cfg.target_accept_block,
-                       target_accept_scalar=cfg.target_accept_scalar,
-                       adapt_window=cfg.adapt_window, store_epsilon=cfg.store_epsilon)
-
-
 def _replicate_worker(args) -> tuple[int, dict[str, dict[str, float]]]:
     sim_config, run_ids, chain_config, rep = args
     try:
         rng = np.random.default_rng(derive_seed(sim_config.seed, rep, 0))
         panel, _ = gen_panel(sim_config, rng)
         quadrants = partition(panel)
-        chain_seed = derive_seed(sim_config.seed, rep, 1)
-        cfg = _reseed(chain_config, chain_seed)
+        cfg = replace(chain_config, seed=derive_seed(sim_config.seed, rep, 1))
         return rep, {rid: execute_run(rid, quadrants, cfg) for rid in run_ids}
     except Exception as exc:
         raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
@@ -165,8 +157,11 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
     for rid in run_ids:
         if rid not in RUNS:
             raise ValueError(f"unknown run id {rid!r}")
+    if sim_config.replicates < 2:
+        raise ConfigError(f"replicates must be >= 2 for the across-replicate table, "
+                          f"got {sim_config.replicates}")
     tasks = [(sim_config, run_ids, chain_config, rep) for rep in range(sim_config.replicates)]
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(_replicate_worker, tasks))
     else:
@@ -198,19 +193,12 @@ def write_tables(result: StudyResult, outdir: str) -> list[str]:
     n_ind = result.sim_config.individuals
     for param in PARAMETERS:
         path = os.path.join(outdir, f"table_{param}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["run", "N", "mean", "sd", "lcl", "ucl", "mse"])
-            for rid in result.run_ids:
-                row = next(r for r in result.rows if r.run_id == rid and r.parameter == param)
-                w.writerow([rid, n_ind] + [repr(v) for v in
-                                           (row.mean, row.sd, row.lcl, row.ucl, row.mse)])
+        by_run = {r.run_id: r for r in result.rows if r.parameter == param}
+        rows = (by_run[rid] for rid in result.run_ids)
+        write_csv(path, ["run", "N", "mean", "sd", "lcl", "ucl", "mse"],
+                  ([r.run_id, n_ind, r.mean, r.sd, r.lcl, r.ucl, r.mse] for r in rows))
         written.append(path)
     est_path = os.path.join(outdir, "estimates.csv")
-    with open(est_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["replicate", "run", "parameter", "estimate"])
-        for rep, rid, param, value in result.estimates:
-            w.writerow([rep, rid, param, repr(value)])
+    write_csv(est_path, ["replicate", "run", "parameter", "estimate"], result.estimates)
     written.append(est_path)
     return written

@@ -14,10 +14,13 @@ processes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +28,44 @@ from .errors import ConfigError
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
 PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
+
+
+def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` then `rows` as UTF-8 CSV with "\\n" line ends; None means stdout.
+
+    Cells are written with str(), so Python floats come out as their shortest
+    round-trip repr: pass Python floats (`float(x)`, `.tolist()`), not numpy
+    scalars.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each non-blank data row of a CSV file.
+
+    The first row, with its cells stripped, must equal `header`, and every
+    data row must have as many cells; otherwise, or when the file cannot be
+    opened, ConfigError is raised with a `path:line` anchor.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
+    with fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != list(header):
+            raise ConfigError(f"{path}:1: expected header {','.join(header)}")
+        for rowno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(f"{path}:{rowno}: expected {len(header)} columns, got {len(row)}")
+            yield rowno, row
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -130,43 +171,27 @@ class PanelDataset:
         return h.hexdigest()
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(PANEL_CSV_HEADER)
-            for i in range(self.n_obs):
-                w.writerow([int(self.individual[i]), int(self.time[i]), int(self.y[i]),
-                            repr(float(self.x1[i])), repr(float(self.x2[i]))])
+        write_csv(path, PANEL_CSV_HEADER,
+                  zip(self.individual.tolist(), self.time.tolist(), self.y.tolist(),
+                      self.x1.tolist(), self.x2.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "PanelDataset":
         ind, tim, y, x1, x2 = [], [], [], [], []
-        try:
-            fh = open(path, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != PANEL_CSV_HEADER:
-                raise ConfigError(f"{path}:1: expected header {','.join(PANEL_CSV_HEADER)}")
-            for rowno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise ConfigError(f"{path}:{rowno}: expected 5 columns, got {len(row)}")
+        for rowno, row in read_csv(path, PANEL_CSV_HEADER):
+            try:
+                ind.append(int(row[0]))
+                tim.append(int(row[1]))
+            except ValueError:
+                raise ConfigError(f"{path}:{rowno}: individual/time must be integers") from None
+            if row[2] not in ("0", "1"):
+                raise ConfigError(f"{path}:{rowno}: column 'y' must be 0 or 1, got {row[2]!r}")
+            y.append(int(row[2]))
+            for col, name, dest in [(3, "x1", x1), (4, "x2", x2)]:
                 try:
-                    ind.append(int(row[0]))
-                    tim.append(int(row[1]))
+                    dest.append(float(row[col]))
                 except ValueError:
-                    raise ConfigError(f"{path}:{rowno}: individual/time must be integers") from None
-                if row[2] not in ("0", "1"):
-                    raise ConfigError(f"{path}:{rowno}: column 'y' must be 0 or 1, got {row[2]!r}")
-                y.append(int(row[2]))
-                for col, name, dest in [(3, "x1", x1), (4, "x2", x2)]:
-                    try:
-                        dest.append(float(row[col]))
-                    except ValueError:
-                        raise ConfigError(f"{path}:{rowno}: column {name!r} is not a number: {row[col]!r}") from None
+                    raise ConfigError(f"{path}:{rowno}: column {name!r} is not a number: {row[col]!r}") from None
         try:
             return cls(np.array(ind, dtype=np.int64), np.array(tim, dtype=np.int64),
                        np.array(y, dtype=np.int64), np.array(x1), np.array(x2))
@@ -205,25 +230,6 @@ class ParameterState:
         object.__setattr__(self, "beta", _frozen(beta))
         object.__setattr__(self, "epsilon", _frozen(eps))
         object.__setattr__(self, "sigma2", float(self.sigma2))
-
-
-def linear_predictor(state: ParameterState, i: int, x1: float, x2: float) -> float:
-    """mu = beta0 + beta1*x1 + beta2*x2 + eps_i for the i-th individual (1-based)."""
-    if not 1 <= i <= state.epsilon.size:
-        raise IndexError(f"individual index {i} out of range 1..{state.epsilon.size}")
-    b = state.beta
-    return float(b[0] + b[1] * x1 + b[2] * x2 + state.epsilon[i - 1])
-
-
-def success_probability(mu: float) -> float:
-    """Logistic map exp(mu)/(1+exp(mu)), branch-stable for large |mu|."""
-    if not math.isfinite(mu):
-        raise ValueError("linear predictor must be finite")
-    if mu >= 0.0:
-        z = math.exp(-mu)
-        return 1.0 / (1.0 + z)
-    z = math.exp(mu)
-    return z / (1.0 + z)
 
 
 def _mu_vector(data: PanelDataset, state: ParameterState) -> np.ndarray:

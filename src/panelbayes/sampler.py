@@ -12,6 +12,10 @@ One sweep updates, in order:
   (c) sigma2 exactly, from its inverse-gamma full conditional
       IG(shape + I/2, scale + sum(eps^2)/2).
 
+`run_chain` and `metropolis_sweep` share one sweep kernel, built once per
+(dataset, priors): it holds y, the design matrix, the individual codes and
+the prior arrays.
+
 Proposal scales are tuned only during burn-in: acceptance rates are averaged
 over `adapt_window` iterations and the log scales nudged toward the 0.234
 (block) / 0.44 (scalar) targets with a diminishing step 0.1/sqrt(window).
@@ -28,7 +32,6 @@ seeds give bit-identical output.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,8 +39,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import SamplerError
-from .model import PanelDataset, ParameterState, log_posterior
+from .model import PanelDataset, ParameterState, log_posterior, write_csv
 from .priors import InverseGammaPrior, PriorSet
+from .seeding import derive_seed
 
 _COV_START = 500      # burn-in iterations before the empirical-covariance proposal
 _COV_JITTER = 1e-6
@@ -94,15 +98,6 @@ class PosteriorSamples:
     def sigma(self) -> np.ndarray:
         """Per-draw square root of sigma2 (the scale the report tables use)."""
         return np.sqrt(self.sigma2)
-
-    def chain(self, name: str) -> np.ndarray:
-        if name in ("beta0", "beta1", "beta2"):
-            return self.beta[:, int(name[-1])]
-        if name == "sigma2":
-            return self.sigma2
-        if name == "sigma":
-            return self.sigma
-        raise KeyError(f"no chain named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -169,56 +164,61 @@ def summarize(samples: PosteriorSamples) -> dict[str, SummaryStats]:
     return out
 
 
-def mcse(chain) -> float:
-    """Monte Carlo standard error of the chain mean: sd / sqrt(ESS)."""
-    x = np.asarray(chain, dtype=np.float64)
-    return float(x.std(ddof=1) / math.sqrt(effective_sample_size(x)))
-
-
 # ---------------------------------------------------------------------------
 # core updates
 
 
-def _beta_step(y, X, mu, beta, prior_means, prior_vars, chol, log_scale, rng):
-    z = rng.standard_normal(3)
-    d = (chol @ z) * math.exp(log_scale)
-    beta_p = beta + d
-    if y.size:
-        mu_p = mu + X @ d
+class _Kernel:
+    """The sweep's fixed arrays for one (dataset, priors), built once per chain."""
+
+    def __init__(self, data: PanelDataset, priors: PriorSet):
+        self.n_ind = data.n_individuals
+        self.y = data.y.astype(np.float64)
+        self.X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
+        self.codes = data.codes
+        self.prior_means = np.array([p.mean for p in priors.beta_priors])
+        self.prior_vars = np.array([p.variance for p in priors.beta_priors])
+        self.sigma2_prior = priors.sigma2_prior
+
+    def mu(self, beta, eps) -> np.ndarray:
+        return self.X @ beta + eps[self.codes]
+
+    def sweep(self, beta, eps, sigma2, mu, chol, log_scale, eps_scales, rng):
+        """Beta block, eps scalars, sigma2 Gibbs, in that order.
+
+        Returns (beta, eps, sigma2, mu, beta accepted, eps accepted per individual).
+        """
+        y, codes, n_ind = self.y, self.codes, self.n_ind
+        d = (chol @ rng.standard_normal(3)) * math.exp(log_scale)
+        beta_p = beta + d
+        mu_p = mu + self.X @ d
         dll = float(y @ (mu_p - mu)
                     - (np.logaddexp(0.0, mu_p).sum() - np.logaddexp(0.0, mu).sum()))
-    else:
-        mu_p = mu
-        dll = 0.0
-    dpr = float((((beta - prior_means) ** 2 - (beta_p - prior_means) ** 2)
-                 / (2.0 * prior_vars)).sum())
-    u = rng.random()
-    if u > 0.0 and math.log(u) < dll + dpr:
-        return beta_p, mu_p, True
-    return beta, mu, False
+        m, v = self.prior_means, self.prior_vars
+        dpr = float((((beta - m) ** 2 - (beta_p - m) ** 2) / (2.0 * v)).sum())
+        u = rng.random()
+        acc_b = u > 0.0 and math.log(u) < dll + dpr
+        if acc_b:
+            beta, mu = beta_p, mu_p
 
+        d = eps_scales * rng.standard_normal(n_ind)
+        dmu = d[codes]
+        mu_p = mu + dmu
+        obs_delta = y * dmu - (np.logaddexp(0.0, mu_p) - np.logaddexp(0.0, mu))
+        dll = np.bincount(codes, weights=obs_delta, minlength=n_ind)
+        eps_p = eps + d
+        dpr = (eps * eps - eps_p * eps_p) / (2.0 * sigma2)
+        with np.errstate(divide="ignore"):
+            acc_e = np.log(rng.random(n_ind)) < dll + dpr
+        eps = np.where(acc_e, eps_p, eps)
+        mu = mu + np.where(acc_e[codes], dmu, 0.0)
+        return beta, eps, gibbs_sigma2(eps, self.sigma2_prior, rng), mu, acc_b, acc_e
 
-def _eps_step(y, codes, n_ind, mu, eps, scales, sigma2, rng):
-    z = rng.standard_normal(n_ind)
-    d = scales * z
-    dmu = d[codes]
-    mu_p = mu + dmu
-    obs_delta = y * dmu - (np.logaddexp(0.0, mu_p) - np.logaddexp(0.0, mu))
-    dll = np.bincount(codes, weights=obs_delta, minlength=n_ind)
-    eps_p = eps + d
-    dpr = (eps * eps - eps_p * eps_p) / (2.0 * sigma2)
-    with np.errstate(divide="ignore"):
-        accept = np.log(rng.random(n_ind)) < dll + dpr
-    eps = np.where(accept, eps_p, eps)
-    mu = mu + np.where(accept[codes], dmu, 0.0)
-    return eps, mu, accept
-
-
-def _eps_conditional_scales(mu, codes, n_ind, sigma2):
-    # approximate conditional sd of eps_i: 1/sqrt(prior precision + Fisher info)
-    p = expit(mu)
-    fisher = np.bincount(codes, weights=p * (1.0 - p), minlength=n_ind)
-    return 1.0 / np.sqrt(1.0 / sigma2 + fisher)
+    def eps_scales(self, mu, sigma2) -> np.ndarray:
+        """Approximate conditional sd of each eps_i: 1/sqrt(prior precision + Fisher info)."""
+        p = expit(mu)
+        fisher = np.bincount(self.codes, weights=p * (1.0 - p), minlength=self.n_ind)
+        return 1.0 / np.sqrt(1.0 / sigma2 + fisher)
 
 
 def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet,
@@ -230,22 +230,13 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     leaves the posterior invariant -- the building block for kernel
     validation harnesses.
     """
-    n_ind = data.n_individuals
-    y = data.y.astype(np.float64)
-    X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
-    prior_means = np.array([p.mean for p in priors.beta_priors])
-    prior_vars = np.array([p.variance for p in priors.beta_priors])
-    beta = np.array(state.beta, dtype=np.float64)
-    eps = np.array(state.epsilon, dtype=np.float64)
-    mu = X @ beta + (eps[data.codes] if n_ind else 0.0) if data.n_obs else np.zeros(0)
+    kernel = _Kernel(data, priors)
     chol = np.eye(3) if beta_chol is None else np.asarray(beta_chol, dtype=np.float64)
-    scales = np.ones(n_ind) if eps_scales is None else np.asarray(eps_scales, dtype=np.float64)
-
-    beta, mu, _ = _beta_step(y, X, mu, beta, prior_means, prior_vars, chol,
-                             beta_log_scale, rng)
-    if n_ind:
-        eps, mu, _ = _eps_step(y, data.codes, n_ind, mu, eps, scales, state.sigma2, rng)
-    sigma2 = gibbs_sigma2(eps, priors.sigma2_prior, rng)
+    scales = (np.ones(data.n_individuals) if eps_scales is None
+              else np.asarray(eps_scales, dtype=np.float64))
+    beta, eps, sigma2, *_ = kernel.sweep(state.beta, state.epsilon, state.sigma2,
+                                         kernel.mu(state.beta, state.epsilon),
+                                         chol, beta_log_scale, scales, rng)
     return ParameterState(beta=beta, epsilon=eps, sigma2=sigma2)
 
 
@@ -261,22 +252,16 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
 
 def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> PosteriorSamples:
     """Run burn_in + samples*thin iterations and keep every thin-th draw."""
-    rng = np.random.default_rng(config.seed)
+    seed = derive_seed(config.seed)
+    rng = np.random.default_rng(seed)
+    kernel = _Kernel(data, priors)
     n_ind = data.n_individuals
-    y = data.y.astype(np.float64)
-    X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
-    codes = data.codes
-    prior_means = np.array([p.mean for p in priors.beta_priors])
-    prior_vars = np.array([p.variance for p in priors.beta_priors])
-
     state = initial_state(data, priors)
-    beta = np.array(state.beta)
-    eps = np.array(state.epsilon)
-    sigma2 = state.sigma2
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise SamplerError("log posterior is not finite at the initial state")
-    mu = X @ beta + (eps[codes] if n_ind else 0.0) if data.n_obs else np.zeros(0)
+    beta, eps, sigma2 = state.beta, state.epsilon, state.sigma2
+    mu = kernel.mu(beta, eps)
 
     burn, thin = config.burn_in, config.thin
     total = burn + config.samples * thin
@@ -301,20 +286,14 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     kept = 0
 
     for t in range(total):
-        beta, mu, acc_b = _beta_step(y, X, mu, beta, prior_means, prior_vars,
-                                     beta_chol, log_scale_beta, rng)
-        if n_ind:
-            eps, mu, acc_e = _eps_step(y, codes, n_ind, mu, eps, eps_scales, sigma2, rng)
-        else:
-            acc_e = None
-        sigma2 = gibbs_sigma2(eps, priors.sigma2_prior, rng)
+        beta, eps, sigma2, mu, acc_b, acc_e = kernel.sweep(
+            beta, eps, sigma2, mu, beta_chol, log_scale_beta, eps_scales, rng)
 
         if t < burn:
             beta_hist[t] = beta
             win_len += 1
             win_beta_acc += acc_b
-            if acc_e is not None:
-                win_eps_acc += acc_e
+            win_eps_acc += acc_e
             if win_len == config.adapt_window:
                 win_index += 1
                 step = 0.1 / math.sqrt(win_index)
@@ -329,18 +308,15 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
                     if not cov_active:
                         cov_active = True
                         log_scale_beta = math.log(2.38 / math.sqrt(3.0))
-                if n_ind:
-                    eps_log_mult = eps_log_mult + step * (win_eps_acc / win_len
-                                                          - config.target_accept_scalar)
-                    eps_scales = np.exp(eps_log_mult) * _eps_conditional_scales(
-                        mu, codes, n_ind, sigma2)
+                eps_log_mult = eps_log_mult + step * (win_eps_acc / win_len
+                                                      - config.target_accept_scalar)
+                eps_scales = np.exp(eps_log_mult) * kernel.eps_scales(mu, sigma2)
                 win_len = 0
                 win_beta_acc = 0
                 win_eps_acc = np.zeros(n_ind)
         else:
             post_beta_acc += acc_b
-            if acc_e is not None:
-                post_eps_acc += acc_e
+            post_eps_acc += acc_e
             k = t - burn
             if (k + 1) % thin == 0:
                 kept_beta[kept] = beta
@@ -355,21 +331,20 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
         sigma2=kept_sigma2,
         epsilon=kept_eps,
         accept_beta=post_beta_acc / n_post,
-        accept_epsilon=post_eps_acc / n_post if n_ind else np.zeros(0),
+        accept_epsilon=post_eps_acc / n_post,
         config=config,
-        seed=config.seed,
+        seed=seed,
     )
 
 
 def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
     """Write kept draws as long-form rows `iteration,parameter,value`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "parameter", "value"])
-        for it in range(samples.n_kept):
-            for k in range(3):
-                w.writerow([it + 1, f"beta{k}", repr(float(samples.beta[it, k]))])
-            w.writerow([it + 1, "sigma2", repr(float(samples.sigma2[it]))])
-            if samples.epsilon is not None:
-                for j in range(samples.epsilon.shape[1]):
-                    w.writerow([it + 1, f"epsilon{j + 1}", repr(float(samples.epsilon[it, j]))])
+    names = ["beta0", "beta1", "beta2", "sigma2"]
+    columns = [samples.beta, samples.sigma2]
+    if samples.epsilon is not None:
+        names += [f"epsilon{j + 1}" for j in range(samples.epsilon.shape[1])]
+        columns.append(samples.epsilon)
+    draws = np.column_stack(columns)
+    write_csv(path, ["iteration", "parameter", "value"],
+              ([it + 1, name, value] for it in range(samples.n_kept)
+               for name, value in zip(names, draws[it].tolist())))

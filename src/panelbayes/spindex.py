@@ -17,17 +17,16 @@ instead.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import PanelDataset
+from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
-from .sampler import ChainConfig, PosteriorSamples, run_chain, summarize
+from .sampler import ChainConfig, run_chain, summarize
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -79,28 +78,15 @@ def series_to_panel(series: ReturnSeries, threshold: float = DEFAULT_THRESHOLD,
 
 def load_returns(path: str) -> ReturnSeries:
     years, rets = [], []
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["year", "return"]:
-            raise ConfigError(f"{path}:1: expected header year,return")
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConfigError(f"{path}:{rowno}: expected 2 columns, got {len(row)}")
-            try:
-                years.append(int(row[0]))
-            except ValueError:
-                raise ConfigError(f"{path}:{rowno}: column 'year' must be an integer") from None
-            try:
-                rets.append(float(row[1]))
-            except ValueError:
-                raise ConfigError(f"{path}:{rowno}: column 'return' is not a number") from None
+    for rowno, row in read_csv(path, ["year", "return"]):
+        try:
+            years.append(int(row[0]))
+        except ValueError:
+            raise ConfigError(f"{path}:{rowno}: column 'year' must be an integer") from None
+        try:
+            rets.append(float(row[1]))
+        except ValueError:
+            raise ConfigError(f"{path}:{rowno}: column 'return' is not a number") from None
     try:
         return ReturnSeries(np.array(years, dtype=np.int64), np.array(rets))
     except ValueError as exc:
@@ -118,12 +104,6 @@ def make_surrogate(seed: int = 20180614) -> ReturnSeries:
     years = np.arange(1960, 2019)
     rets = rng.normal(0.5 + 0.025 * (years - 1960), 1.2)
     return ReturnSeries(years, np.round(rets, 4))
-
-
-@dataclass(frozen=True, eq=False)
-class StageFit:
-    run: str  # "uninformative" or "informative"
-    samples: PosteriorSamples
 
 
 def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
@@ -152,39 +132,28 @@ def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
             log.warning("%s responses are all %d after thresholding at %s; "
                         "the prior keeps the posterior proper", name, panel.y[0], threshold)
 
-    base_seed = chain_config.seed
-    stage1 = run_chain(panels["stage 1"], default_uninformative(),
-                       _with_seed(chain_config, derive_seed(base_seed, 1)))
-    informative_priors = posterior_to_priorset(stage1)
+    def seeded(k: int) -> ChainConfig:
+        return replace(chain_config, seed=derive_seed(chain_config.seed, k))
 
-    fits = [
-        StageFit("uninformative", run_chain(panels["stage 2"], default_uninformative(),
-                                            _with_seed(chain_config, derive_seed(base_seed, 2)))),
-        StageFit("informative", run_chain(panels["stage 2"], informative_priors,
-                                          _with_seed(chain_config, derive_seed(base_seed, 3)))),
-    ]
+    stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
+    informative_priors = posterior_to_priorset(stage1)
+    fits = {
+        "uninformative": run_chain(panels["stage 2"], default_uninformative(), seeded(2)),
+        "informative": run_chain(panels["stage 2"], informative_priors, seeded(3)),
+    }
 
     rows = []
-    for fit in fits:
-        stats = summarize(fit.samples)
+    for run, samples in fits.items():
+        stats = summarize(samples)
         for param in TABLE_PARAMETERS:
             s = stats[param]
-            rows.append({"run": fit.run, "parameter": param, "mean": s.mean,
+            rows.append({"run": run, "parameter": param, "mean": s.mean,
                          "sd": s.sd, "lcl": s.lower, "ucl": s.upper})
     return rows
 
 
-def _with_seed(cfg: ChainConfig, seed: int) -> ChainConfig:
-    return ChainConfig(burn_in=cfg.burn_in, samples=cfg.samples, thin=cfg.thin,
-                       seed=seed, target_accept_block=cfg.target_accept_block,
-                       target_accept_scalar=cfg.target_accept_scalar,
-                       adapt_window=cfg.adapt_window, store_epsilon=cfg.store_epsilon)
-
-
-def write_comparison_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["run", "parameter", "mean", "sd", "lcl", "ucl"])
-        for row in rows:
-            w.writerow([row["run"], row["parameter"]] +
-                       [repr(float(row[k])) for k in ("mean", "sd", "lcl", "ucl")])
+def write_comparison_csv(rows: list[dict], path: str | None) -> None:
+    """Write the comparison rows of `two_stage_fit`; a None path writes to stdout."""
+    cols = ("mean", "sd", "lcl", "ucl")
+    write_csv(path, ["run", "parameter", *cols],
+              ([row["run"], row["parameter"]] + [float(row[k]) for k in cols] for row in rows))

@@ -114,6 +114,21 @@ class TestFit:
         assert rows[0] == ["iteration", "parameter", "value"]
         assert len(rows) - 1 == 400 * 4
 
+    def test_stdout_matches_out_file(self, tmp_path, panel_csv, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["fit", "--data", str(panel_csv), "--out", str(out)] + FIT_FLAGS) == 0
+        capsys.readouterr()
+        assert main(["fit", "--data", str(panel_csv)] + FIT_FLAGS) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_negative_seed_is_masked_to_64_bits(self, tmp_path, panel_csv):
+        # like gen/study/spindex: -1 and 2**64 - 1 name the same stream
+        flags = ["--data", str(panel_csv), "--burn-in", "200", "--samples", "400"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["fit", "--out", str(a), "--seed", "-1"] + flags) == 0
+        assert main(["fit", "--out", str(b), "--seed", str(2**64 - 1)] + flags) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_priors_file_exit_code(self, tmp_path, panel_csv, capsys):
         bad = tmp_path / "bad.kv"
         bad.write_text("beta0.mean 0\n")
@@ -176,6 +191,15 @@ class TestStudy:
         assert main(["study", "--config", cfg]) == 1
         assert "R7" in capsys.readouterr().err
 
+    def test_single_replicate_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), replicates=1)
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert "replicates" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_line_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.kv"
         bad.write_text("individuals = 4\nperiods four\n")
@@ -203,10 +227,13 @@ class TestSpindex:
         assert main(["spindex", "--out", str(b), "--threshold", "0.0"] + FIT_FLAGS) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    def test_stdout_mode(self, capsys):
+    def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0
         out = capsys.readouterr().out
         assert out.startswith("run,parameter,mean,sd,lcl,ucl")
+        path = tmp_path / "sp.csv"
+        assert main(["spindex", "--out", str(path)] + FIT_FLAGS) == 0
+        assert out.encode("utf-8") == path.read_bytes()
 
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

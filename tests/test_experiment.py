@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from panelbayes import (RUNS, ChainConfig, SimConfig, derive_seed, execute_run,
                         gen_panel, mse, partition, replicate_ci, run_chain,
                         run_study, stage_dataset, write_tables)
-from panelbayes.experiment import _reseed
 from panelbayes.priors import default_uninformative
 
 
@@ -115,7 +116,7 @@ class TestRunTopology:
         got = execute_run("R4", q, cfg)
         run_index = list(RUNS).index("R4")
         direct = run_chain(stage_dataset("m22", q), default_uninformative(),
-                           _reseed(cfg, derive_seed(cfg.seed, run_index, 2)))
+                           replace(cfg, seed=derive_seed(cfg.seed, run_index, 2)))
         assert got["beta0"] == pytest.approx(float(direct.beta[:, 0].mean()), abs=0)
         assert got["sigma"] == pytest.approx(float(np.sqrt(direct.sigma2).mean()), abs=0)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from panelbayes import (ConfigError, InverseGammaPrior, NormalPrior, PanelDataset,
-                        ParameterState, PriorSet, concat_panels, linear_predictor,
-                        log_likelihood, log_posterior, success_probability)
+                        ParameterState, PriorSet, concat_panels, log_likelihood,
+                        log_posterior)
 from panelbayes.priors import log_density_invgamma, log_density_normal
 
 
@@ -23,50 +23,6 @@ def small_panel():
 def diffuse_priors():
     return PriorSet(beta_priors=tuple(NormalPrior(0.0, 100.0) for _ in range(3)),
                     sigma2_prior=InverseGammaPrior(2.0, 1.0))
-
-
-class TestLinearPredictor:
-    def test_terms_cancel(self):
-        st = ParameterState(beta=[-1.0, 1.0, 1.0], epsilon=[0.0], sigma2=1.0)
-        assert linear_predictor(st, 1, 1.0, 0.0) == 0.0
-
-    def test_intercept_only(self):
-        st = ParameterState(beta=[-1.0, 1.0, 1.0], epsilon=[0.0], sigma2=1.0)
-        assert linear_predictor(st, 1, 0.0, 0.0) == -1.0
-
-    def test_hand_arithmetic(self):
-        st = ParameterState(beta=[-1.0, 1.0, 1.0], epsilon=[0.25], sigma2=1.0)
-        assert linear_predictor(st, 1, 1.0, 0.5) == pytest.approx(0.75, abs=0)
-
-    def test_index_out_of_range(self):
-        st = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
-        with pytest.raises(IndexError):
-            linear_predictor(st, 0, 0.0, 0.0)
-        with pytest.raises(IndexError):
-            linear_predictor(st, 3, 0.0, 0.0)
-
-
-class TestSuccessProbability:
-    def test_symmetry_point(self):
-        assert success_probability(0.0) == 0.5
-
-    def test_log3(self):
-        assert success_probability(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
-        assert success_probability(-math.log(3.0)) == pytest.approx(0.25, abs=1e-15)
-
-    def test_complement_identity(self):
-        for mu in np.linspace(-36.0, 36.0, 181):
-            assert success_probability(mu) + success_probability(-mu) == pytest.approx(1.0, abs=1e-12)
-
-    def test_no_saturation_within_36(self):
-        assert 0.0 < success_probability(-36.0)
-        assert success_probability(36.0) < 1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            success_probability(float("nan"))
-        with pytest.raises(ValueError):
-            success_probability(float("inf"))
 
 
 class TestLogLikelihood:

@@ -16,7 +16,7 @@ import numpy as np
 from .datagen import SimConfig, gen_panel
 from .errors import ConfigError, SamplerError
 from .experiment import RUNS, run_study, write_tables
-from .kvconfig import get_float, get_int, read_kv_file, write_kv_file
+from .kvconfig import get_value, read_kv_file, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize
@@ -34,7 +34,6 @@ def _add_chain_flags(p: argparse.ArgumentParser, with_seed: bool = True) -> None
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--adapt-window", type=int, default=None)
     if with_seed:
         p.add_argument("--seed", type=int, default=None)
 
@@ -81,44 +80,59 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _chain_config_from(kv: dict[str, str], source: str, args) -> ChainConfig:
-    def pick(flag, key, default, getter):
-        if flag is not None:
-            return flag
-        return getter(kv, key, source, default)
+class _Config:
+    """A command's `key = value` file, or only flags when there is none.
 
+    Each `get` notes its key; `check_all_read` then rejects every other key
+    in the file, so a typo or a key the command does not read is an error.
+    """
+
+    def __init__(self, path: str | None):
+        self.path = path if path is not None else "<flags>"
+        self.kv = read_kv_file(path) if path is not None else {}
+        self.read: set[str] = set()
+
+    def get(self, key: str, parse, default=None, flag=None):
+        """`flag` when given, else the file's value (see `kvconfig.get_value`)."""
+        self.read.add(key)
+        return flag if flag is not None else get_value(self.kv, key, self.path, parse, default)
+
+    def check_all_read(self) -> None:
+        unread = [key for key in self.kv if key not in self.read]
+        if unread:
+            raise ConfigError(f"{self.path}: unknown key {unread[0]!r} for this command")
+
+
+def _chain_config_from(cfg: _Config, args) -> ChainConfig:
     try:
         return ChainConfig(
-            burn_in=pick(args.burn_in, "burn_in", 2000, get_int),
-            samples=pick(args.samples, "samples", 10000, get_int),
-            thin=pick(args.thin, "thin", 1, get_int),
-            seed=pick(args.seed, "seed", 0, get_int),
-            target_accept_block=get_float(kv, "target_accept_block", source, 0.234),
-            target_accept_scalar=get_float(kv, "target_accept_scalar", source, 0.44),
-            adapt_window=pick(args.adapt_window, "adapt_window", 50, get_int),
+            burn_in=cfg.get("burn_in", int, 2000, args.burn_in),
+            samples=cfg.get("samples", int, 10000, args.samples),
+            thin=cfg.get("thin", int, 1, args.thin),
+            seed=cfg.get("seed", int, 0, args.seed),
         )
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+        raise ConfigError(f"{cfg.path}: {exc}") from None
 
 
-def _sim_config_from(kv: dict[str, str], source: str, seed_override=None) -> SimConfig:
-    seed = seed_override if seed_override is not None else get_int(kv, "seed", source, 0)
+def _sim_config_from(cfg: _Config, args) -> SimConfig:
     return SimConfig(
-        individuals=get_int(kv, "individuals", source),
-        periods=get_int(kv, "periods", source),
-        sigma=get_float(kv, "sigma", source),
-        beta_true=(get_float(kv, "beta0", source, -1.0),
-                   get_float(kv, "beta1", source, 1.0),
-                   get_float(kv, "beta2", source, 1.0)),
-        replicates=get_int(kv, "replicates", source, 30),
-        seed=seed,
+        individuals=cfg.get("individuals", int),
+        periods=cfg.get("periods", int),
+        sigma=cfg.get("sigma", float),
+        beta_true=(cfg.get("beta0", float, -1.0),
+                   cfg.get("beta1", float, 1.0),
+                   cfg.get("beta2", float, 1.0)),
+        replicates=cfg.get("replicates", int, 30),
+        seed=cfg.get("seed", int, 0, args.seed),
     )
 
 
 def cmd_gen(args) -> int:
-    kv = read_kv_file(args.config)
-    sim = _sim_config_from(kv, args.config, seed_override=args.seed)
-    rep = args.replicate if args.replicate is not None else get_int(kv, "replicate", args.config, 0)
+    cfg = _Config(args.config)
+    sim = _sim_config_from(cfg, args)
+    rep = cfg.get("replicate", int, 0, args.replicate)
+    cfg.check_all_read()
     rng = np.random.default_rng(derive_seed(sim.seed, rep, 0))
     panel, true_eps = gen_panel(sim, rng)
     panel.to_csv(args.out)
@@ -138,10 +152,12 @@ def _write_summary(stats, out_path) -> None:
               ([name, s.mean, s.sd, s.lower, s.upper, s.ess] for name, s in stats.items()))
 
 
-def _optional_kv(config_path):
-    if config_path is None:
-        return {}, "<flags>"
-    return read_kv_file(config_path), config_path
+def _chain_config(args) -> ChainConfig:
+    """The chain settings of `fit` and `spindex`, whose config files hold only those."""
+    cfg = _Config(args.config)
+    chain = _chain_config_from(cfg, args)
+    cfg.check_all_read()
+    return chain
 
 
 def cmd_fit(args) -> int:
@@ -150,8 +166,7 @@ def cmd_fit(args) -> int:
         priors = default_uninformative()
     else:
         priors = load_priors(args.priors_in)
-    cfg = _chain_config_from(*_optional_kv(args.config), args)
-    samples = run_chain(data, priors, cfg)
+    samples = run_chain(data, priors, _chain_config(args))
     _write_summary(summarize(samples), args.out)
     if args.priors_out:
         save_priors(posterior_to_priorset(samples), args.priors_out)
@@ -161,20 +176,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
-    kv = read_kv_file(args.config)
-    sim = _sim_config_from(kv, args.config, seed_override=args.seed)
-    cfg = _chain_config_from(kv, args.config, args)
-    run_ids = [r.strip() for r in kv.get("runs", ",".join(RUNS)).split(",") if r.strip()]
-    for rid in run_ids:
-        if rid not in RUNS:
-            raise ConfigError(f"{args.config}: unknown run id {rid!r} in 'runs'")
-    outdir = args.out if args.out is not None else kv.get("out")
-    if not outdir:
-        raise ConfigError(f"{args.config}: no output directory (set 'out' or pass --out)")
+    cfg = _Config(args.config)
+    sim = _sim_config_from(cfg, args)
+    chain = _chain_config_from(cfg, args)
+    run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
+    outdir = cfg.get("out", str, "", args.out)
     hardware = os.cpu_count() or 1
-    jobs = args.jobs if args.jobs is not None else get_int(kv, "jobs", args.config, hardware)
-    jobs = max(1, min(jobs, hardware))
-    result = run_study(sim, run_ids, cfg, jobs=jobs)
+    jobs = max(1, min(cfg.get("jobs", int, hardware, args.jobs), hardware))
+    cfg.check_all_read()
+    if not outdir:
+        raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
+    result = run_study(sim, run_ids, chain, jobs=jobs)
     for path in write_tables(result, outdir):
         print(path)
     return 0
@@ -183,8 +195,7 @@ def cmd_study(args) -> int:
 def cmd_spindex(args) -> int:
     path = args.data if args.data is not None else surrogate_path()
     series = load_returns(path)
-    cfg = _chain_config_from(*_optional_kv(args.config), args)
-    rows = two_stage_fit(series, cfg, split_year=args.split_year,
+    rows = two_stage_fit(series, _chain_config(args), split_year=args.split_year,
                          threshold=args.threshold, baseline=args.baseline)
     write_comparison_csv(rows, args.out)
     return 0

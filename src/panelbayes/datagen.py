@@ -58,17 +58,6 @@ class Quadrants:
     m22: PanelDataset
 
 
-def gen_x2_path(periods: int, rng: np.random.Generator) -> np.ndarray:
-    """One trajectory of the trending AR covariate, indices j = 1..periods."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    x = np.empty(periods)
-    x[0] = rng.uniform(-0.5, 0.5)
-    for j in range(2, periods + 1):
-        x[j - 1] = 0.1 * j + 0.5 * x[j - 2] + rng.uniform(-0.5, 0.5)
-    return x
-
-
 def gen_panel(config: SimConfig, rng: np.random.Generator) -> tuple[PanelDataset, np.ndarray]:
     """Generate one replicate; returns the panel and the true eps draws.
 

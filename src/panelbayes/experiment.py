@@ -150,13 +150,14 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
               jobs: int = 1) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
-    A failure in any replicate aborts the study (silently dropped replicates
-    would bias the MSE column).
+    Unknown run ids and fewer than 2 replicates raise ConfigError before any
+    chain runs. A failure in any replicate aborts the study (silently dropped
+    replicates would bias the MSE column).
     """
     run_ids = tuple(run_ids)
     for rid in run_ids:
         if rid not in RUNS:
-            raise ValueError(f"unknown run id {rid!r}")
+            raise ConfigError(f"unknown run id {rid!r} (known: {', '.join(RUNS)})")
     if sim_config.replicates < 2:
         raise ConfigError(f"replicates must be >= 2 for the across-replicate table, "
                           f"got {sim_config.replicates}")

@@ -53,23 +53,17 @@ def write_kv_file(path: str, entries: dict[str, object], header: str | None = No
         fh.write("\n".join(lines) + "\n")
 
 
-def get_float(kv: dict[str, str], key: str, source: str, default: float | None = None) -> float:
+_KINDS = {float: "a number", int: "an integer"}
+
+
+def get_value(kv: dict[str, str], key: str, source: str, parse=float, default=None):
+    """`parse(kv[key])` for parse in (float, int, str); `default` when the key
+    is absent, which makes the key required when it is None."""
     if key not in kv:
         if default is None:
             raise ConfigError(f"{source}: missing required key {key!r}")
         return default
     try:
-        return float(kv[key])
+        return parse(kv[key])
     except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not a number: {kv[key]!r}") from None
-
-
-def get_int(kv: dict[str, str], key: str, source: str, default: int | None = None) -> int:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not an integer: {kv[key]!r}") from None
+        raise ConfigError(f"{source}: key {key!r} is not {_KINDS[parse]}: {kv[key]!r}") from None

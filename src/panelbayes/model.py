@@ -232,14 +232,6 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-def _mu_vector(data: PanelDataset, state: ParameterState) -> np.ndarray:
-    b = state.beta
-    mu = b[0] + b[1] * data.x1 + b[2] * data.x2
-    if data.n_individuals:
-        mu = mu + state.epsilon[data.codes]
-    return mu
-
-
 def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
     """Sum over observations of y*mu - log(1 + exp(mu)).
 
@@ -250,9 +242,8 @@ def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
         raise ValueError(
             f"epsilon has {state.epsilon.size} entries but the panel has "
             f"{data.n_individuals} individuals")
-    if data.n_obs == 0:
-        return 0.0
-    mu = _mu_vector(data, state)
+    b = state.beta
+    mu = b[0] + b[1] * data.x1 + b[2] * data.x2 + state.epsilon[data.codes]
     return float(data.y @ mu - np.logaddexp(0.0, mu).sum())
 
 
@@ -270,8 +261,7 @@ def log_posterior(data: PanelDataset, state: ParameterState, priors: PriorSet) -
     for b, p in zip(state.beta, priors.beta_priors):
         total += log_density_normal(p, float(b))
     eps = state.epsilon
-    if eps.size:
-        total += float(-0.5 * eps.size * math.log(2.0 * math.pi * state.sigma2)
-                       - (eps @ eps) / (2.0 * state.sigma2))
+    total += float(-0.5 * eps.size * math.log(2.0 * math.pi * state.sigma2)
+                   - (eps @ eps) / (2.0 * state.sigma2))
     total += log_density_invgamma(priors.sigma2_prior, state.sigma2)
     return float(total)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError
-from .kvconfig import get_float, read_kv_file, write_kv_file
+from .kvconfig import get_value, read_kv_file, write_kv_file
 
 VARIANCE_FLOOR = 1e-8
 
@@ -143,12 +143,12 @@ def load_priors(path: str) -> PriorSet:
     kv = read_kv_file(path)
     try:
         betas = tuple(
-            NormalPrior(get_float(kv, f"beta{k}.mean", path),
-                        get_float(kv, f"beta{k}.variance", path))
+            NormalPrior(get_value(kv, f"beta{k}.mean", path),
+                        get_value(kv, f"beta{k}.variance", path))
             for k in range(3)
         )
-        sig = InverseGammaPrior(get_float(kv, "sigma2.shape", path),
-                                get_float(kv, "sigma2.scale", path))
+        sig = InverseGammaPrior(get_value(kv, "sigma2.shape", path),
+                                get_value(kv, "sigma2.scale", path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return PriorSet(beta_priors=betas, sigma2_prior=sig)

@@ -17,17 +17,17 @@ One sweep updates, in order:
 the prior arrays.
 
 Proposal scales are tuned only during burn-in: acceptance rates are averaged
-over `adapt_window` iterations and the log scales nudged toward the 0.234
-(block) / 0.44 (scalar) targets with a diminishing step 0.1/sqrt(window).
-The beta proposal starts as identity*scale and switches to the Cholesky
-factor of the empirical covariance of the burn-in draws (plus diagonal
-jitter) once 500 burn-in iterations have accumulated. Scalar proposals are
-expressed relative to a per-individual conditional-scale estimate
-1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), refreshed each adaptation window, so
-they stay usable whether sigma2 is diffuse or pinned near zero. Everything
-is frozen when burn-in ends, so the kept draws come from a fixed Markov
-kernel. A chain is a pure function of (data, priors, config): identical
-seeds give bit-identical output.
+over fixed windows of 50 iterations and the log scales nudged toward the
+optimal-scaling targets 0.234 (block) and 0.44 (scalar) with a diminishing
+step 0.1/sqrt(window). The beta proposal starts as identity*scale and
+switches to the Cholesky factor of the empirical covariance of the burn-in
+draws (plus diagonal jitter) once 500 burn-in iterations have accumulated.
+Scalar proposals are expressed relative to a per-individual
+conditional-scale estimate 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), refreshed
+each adaptation window, so they stay usable whether sigma2 is diffuse or
+pinned near zero. Everything is frozen when burn-in ends, so the kept draws
+come from a fixed Markov kernel. A chain is a pure function of (data,
+priors, config): identical seeds give bit-identical output.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ from .model import PanelDataset, ParameterState, log_posterior, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 
-_COV_START = 500      # burn-in iterations before the empirical-covariance proposal
+_ADAPT_WINDOW = 50            # burn-in iterations per adaptation step
+_TARGET_ACCEPT_BLOCK = 0.234  # optimal-scaling acceptance targets (Roberts, Gelman
+_TARGET_ACCEPT_SCALAR = 0.44  # & Gilks 1997; Roberts & Rosenthal 2001)
+_COV_START = 500              # burn-in iterations before the empirical-covariance
+                              # proposal; a multiple of _ADAPT_WINDOW
 _COV_JITTER = 1e-6
 _TINY = np.finfo(np.float64).tiny
 
@@ -54,10 +58,6 @@ class ChainConfig:
     samples: int = 10000
     thin: int = 1
     seed: int = 0
-    target_accept_block: float = 0.234
-    target_accept_scalar: float = 0.44
-    adapt_window: int = 50
-    store_epsilon: bool = False
 
     def __post_init__(self):
         if self.burn_in < 0:
@@ -66,10 +66,6 @@ class ChainConfig:
             raise ValueError("samples must be >= 1")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not (0.0 < self.target_accept_block < 1.0 and 0.0 < self.target_accept_scalar < 1.0):
-            raise ValueError("acceptance targets must lie in (0, 1)")
-        if self.adapt_window < 1:
-            raise ValueError("adapt_window must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +74,8 @@ class PosteriorSamples:
 
     beta: np.ndarray              # (n_kept, 3)
     sigma2: np.ndarray            # (n_kept,)
-    epsilon: np.ndarray | None    # (n_kept, I) when stored, else None
     accept_beta: float
     accept_epsilon: np.ndarray    # per-individual acceptance rates
-    config: ChainConfig
-    seed: int
 
     def __post_init__(self):
         if np.any(self.sigma2 <= 0.0):
@@ -251,9 +244,9 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
 
 
 def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> PosteriorSamples:
-    """Run burn_in + samples*thin iterations and keep every thin-th draw."""
-    seed = derive_seed(config.seed)
-    rng = np.random.default_rng(seed)
+    """Adapt the proposals over burn_in iterations, then freeze them and run
+    samples*thin iterations, keeping every thin-th draw."""
+    rng = np.random.default_rng(derive_seed(config.seed))
     kernel = _Kernel(data, priors)
     n_ind = data.n_individuals
     state = initial_state(data, priors)
@@ -263,88 +256,64 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     beta, eps, sigma2 = state.beta, state.epsilon, state.sigma2
     mu = kernel.mu(beta, eps)
 
-    burn, thin = config.burn_in, config.thin
-    total = burn + config.samples * thin
-    kept_beta = np.empty((config.samples, 3))
-    kept_sigma2 = np.empty(config.samples)
-    kept_eps = np.empty((config.samples, n_ind)) if config.store_epsilon else None
-
     beta_chol = np.eye(3)
     log_scale_beta = math.log(0.1)
-    cov_active = False
     # scalar proposals start at 2.4x the conditional-sd estimate (1-d optimum)
     eps_log_mult = np.full(n_ind, math.log(2.4))
     eps_scales = np.full(n_ind, 2.4)
-    beta_hist = np.empty((burn, 3))
-
-    win_len = 0
+    beta_hist = np.empty((config.burn_in, 3))
     win_beta_acc = 0
     win_eps_acc = np.zeros(n_ind)
-    win_index = 0
-    post_beta_acc = 0
-    post_eps_acc = np.zeros(n_ind)
-    kept = 0
-
-    for t in range(total):
+    for t in range(config.burn_in):
         beta, eps, sigma2, mu, acc_b, acc_e = kernel.sweep(
             beta, eps, sigma2, mu, beta_chol, log_scale_beta, eps_scales, rng)
+        beta_hist[t] = beta
+        win_beta_acc += acc_b
+        win_eps_acc += acc_e
+        if (t + 1) % _ADAPT_WINDOW:
+            continue
+        step = 0.1 / math.sqrt((t + 1) // _ADAPT_WINDOW)
+        log_scale_beta = adapt_scale(log_scale_beta, win_beta_acc / _ADAPT_WINDOW,
+                                     _TARGET_ACCEPT_BLOCK, step)
+        if t + 1 >= _COV_START:
+            # trailing half of the burn-in draws, so the frozen early
+            # phase stops pinning the covariance down
+            hist = beta_hist[(t + 1) // 2: t + 1]
+            beta_chol = np.linalg.cholesky(np.cov(hist.T) + _COV_JITTER * np.eye(3))
+            if t + 1 == _COV_START:
+                log_scale_beta = math.log(2.38 / math.sqrt(3.0))
+        eps_log_mult = eps_log_mult + step * (win_eps_acc / _ADAPT_WINDOW
+                                              - _TARGET_ACCEPT_SCALAR)
+        eps_scales = np.exp(eps_log_mult) * kernel.eps_scales(mu, sigma2)
+        win_beta_acc = 0
+        win_eps_acc = np.zeros(n_ind)
 
-        if t < burn:
-            beta_hist[t] = beta
-            win_len += 1
-            win_beta_acc += acc_b
-            win_eps_acc += acc_e
-            if win_len == config.adapt_window:
-                win_index += 1
-                step = 0.1 / math.sqrt(win_index)
-                log_scale_beta = adapt_scale(log_scale_beta, win_beta_acc / win_len,
-                                             config.target_accept_block, step)
-                if t + 1 >= _COV_START:
-                    # trailing half of the burn-in draws, so the frozen early
-                    # phase stops pinning the covariance down
-                    hist = beta_hist[(t + 1) // 2: t + 1]
-                    cov = np.cov(hist.T) + _COV_JITTER * np.eye(3)
-                    beta_chol = np.linalg.cholesky(cov)
-                    if not cov_active:
-                        cov_active = True
-                        log_scale_beta = math.log(2.38 / math.sqrt(3.0))
-                eps_log_mult = eps_log_mult + step * (win_eps_acc / win_len
-                                                      - config.target_accept_scalar)
-                eps_scales = np.exp(eps_log_mult) * kernel.eps_scales(mu, sigma2)
-                win_len = 0
-                win_beta_acc = 0
-                win_eps_acc = np.zeros(n_ind)
-        else:
+    n_post = config.samples * config.thin
+    kept_beta = np.empty((config.samples, 3))
+    kept_sigma2 = np.empty(config.samples)
+    post_beta_acc = 0
+    post_eps_acc = np.zeros(n_ind)
+    for k in range(config.samples):
+        for _ in range(config.thin):
+            beta, eps, sigma2, mu, acc_b, acc_e = kernel.sweep(
+                beta, eps, sigma2, mu, beta_chol, log_scale_beta, eps_scales, rng)
             post_beta_acc += acc_b
             post_eps_acc += acc_e
-            k = t - burn
-            if (k + 1) % thin == 0:
-                kept_beta[kept] = beta
-                kept_sigma2[kept] = sigma2
-                if kept_eps is not None:
-                    kept_eps[kept] = eps
-                kept += 1
+        kept_beta[k] = beta
+        kept_sigma2[k] = sigma2
 
-    n_post = total - burn
     return PosteriorSamples(
         beta=kept_beta,
         sigma2=kept_sigma2,
-        epsilon=kept_eps,
         accept_beta=post_beta_acc / n_post,
         accept_epsilon=post_eps_acc / n_post,
-        config=config,
-        seed=seed,
     )
 
 
 def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
     """Write kept draws as long-form rows `iteration,parameter,value`."""
     names = ["beta0", "beta1", "beta2", "sigma2"]
-    columns = [samples.beta, samples.sigma2]
-    if samples.epsilon is not None:
-        names += [f"epsilon{j + 1}" for j in range(samples.epsilon.shape[1])]
-        columns.append(samples.epsilon)
-    draws = np.column_stack(columns)
+    draws = np.column_stack([samples.beta, samples.sigma2])
     write_csv(path, ["iteration", "parameter", "value"],
               ([it + 1, name, value] for it in range(samples.n_kept)
                for name, value in zip(names, draws[it].tolist())))

@@ -35,6 +35,7 @@ DEFAULT_THRESHOLD = 1.4
 DEFAULT_SPLIT_YEAR = 2004
 DEFAULT_BASELINE = 1960
 TABLE_PARAMETERS = ("beta0", "beta1", "sigma")
+ESS_FLOOR = 100   # fewer effective draws than this and a fit is reported as unmixed
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +116,8 @@ def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
     The later window is fitted twice -- once with diffuse priors, once with
     the carried-over priors -- and both fits are reported in the comparison
     layout (run, parameter, mean, sd, lcl, ucl) for beta0, beta1 and sigma.
+    Each of the three fits logs a warning for every one of those parameters
+    whose ESS falls below ESS_FLOOR.
     """
     early_mask = series.years <= split_year
     late_mask = ~early_mask
@@ -136,10 +139,10 @@ def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
         return replace(chain_config, seed=derive_seed(chain_config.seed, k))
 
     stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
-    informative_priors = posterior_to_priorset(stage1)
     fits = {
+        "stage 1": stage1,
         "uninformative": run_chain(panels["stage 2"], default_uninformative(), seeded(2)),
-        "informative": run_chain(panels["stage 2"], informative_priors, seeded(3)),
+        "informative": run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3)),
     }
 
     rows = []
@@ -147,8 +150,13 @@ def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
         stats = summarize(samples)
         for param in TABLE_PARAMETERS:
             s = stats[param]
-            rows.append({"run": run, "parameter": param, "mean": s.mean,
-                         "sd": s.sd, "lcl": s.lower, "ucl": s.upper})
+            if s.ess < ESS_FLOOR:
+                log.warning("%s fit: ESS of %s is %.1f of %d draws, below %d; "
+                            "the chain has not mixed", run, param, s.ess, samples.n_kept,
+                            ESS_FLOOR)
+            if run != "stage 1":
+                rows.append({"run": run, "parameter": param, "mean": s.mean,
+                             "sd": s.sd, "lcl": s.lower, "ucl": s.upper})
     return rows
 
 

@@ -11,11 +11,13 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import expit
 
-from panelbayes import (ChainConfig, InverseGammaPrior, NormalPrior, PanelDataset,
-                        ParameterState, PriorSet, SimConfig, effective_sample_size,
-                        fit_invgamma, fit_normal, gibbs_sigma2, metropolis_sweep,
-                        mse, replicate_ci, run_chain, run_study)
 from panelbayes.cli import main
+from panelbayes.datagen import SimConfig
+from panelbayes.experiment import mse, replicate_ci, run_study
+from panelbayes.model import PanelDataset, ParameterState
+from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, fit_invgamma, fit_normal
+from panelbayes.sampler import (ChainConfig, effective_sample_size, gibbs_sigma2, metropolis_sweep,
+                                run_chain)
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
 

@@ -37,6 +37,12 @@ class TestGen:
         assert "sigma = 1.0" in truth
         assert "epsilon.4 = " in truth
 
+    def test_chain_key_rejected(self, tmp_path, capsys):
+        cfg = write_gen_config(tmp_path / "gen.kv", burn_in=100)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
+        assert f"{cfg}: unknown key 'burn_in'" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_odd_individuals_is_config_error(self, tmp_path, capsys):
         cfg = write_gen_config(tmp_path / "bad.kv", individuals=5)
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
@@ -105,6 +111,18 @@ class TestFit:
         assert main(["fit", "--data", str(panel_csv), "--config", str(chain_cfg),
                      "--seed", "8", "--out", str(c)]) == 0
         assert a.read_bytes() != c.read_bytes()
+
+    def test_tuning_constants_are_not_settable(self, tmp_path, panel_csv, capsys):
+        flags = ["--data", str(panel_csv), "--out", str(tmp_path / "s.csv")]
+        assert main(["fit", "--adapt-window", "10"] + flags + FIT_FLAGS) == 1
+        assert "--adapt-window" in capsys.readouterr().err
+        chain_cfg = tmp_path / "chain.kv"
+        for key, value in (("adapt_window", "10"), ("target_accept_block", "0.3"),
+                           ("target_accept_scalar", "0.5"), ("individuals", "4")):
+            chain_cfg.write_text(f"burn_in = 200\nsamples = 400\n{key} = {value}\n")
+            assert main(["fit", "--config", str(chain_cfg)] + flags) == 1
+            assert f"{chain_cfg}: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_draws_out(self, tmp_path, panel_csv):
         draws = tmp_path / "draws.csv"
@@ -200,6 +218,16 @@ class TestStudy:
         assert "replicates" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_key_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        for key in ("burnin", "adapt_window", "replicate"):
+            cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), **{key: 100})
+            assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+            assert f"{cfg}: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_line_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.kv"
         bad.write_text("individuals = 4\nperiods four\n")
@@ -216,6 +244,12 @@ class TestSpindex:
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("uninformative", "beta0"), ("uninformative", "beta1"), ("uninformative", "sigma"),
             ("informative", "beta0"), ("informative", "beta1"), ("informative", "sigma")]
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        chain_cfg = tmp_path / "chain.kv"
+        chain_cfg.write_text("samples = 400\nthreshold = 0.0\n")
+        assert main(["spindex", "--config", str(chain_cfg)]) == 1
+        assert f"{chain_cfg}: unknown key 'threshold'" in capsys.readouterr().err
 
     def test_split_beyond_data_fails(self, capsys):
         assert main(["spindex", "--split-year", "3000"] + FIT_FLAGS) == 1

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from panelbayes import (ConfigError, PanelDataset, SimConfig, concat_panels,
-                        derive_seed, gen_panel, gen_x2_path, partition)
-
-
-class _ZeroNoise:
-    """Stands in for a Generator; every uniform draw is 0."""
-
-    def uniform(self, low, high, size=None):
-        return 0.0 if size is None else np.zeros(size)
+from panelbayes.datagen import SimConfig, gen_panel, partition
+from panelbayes.errors import ConfigError
+from panelbayes.model import PanelDataset, concat_panels
+from panelbayes.seeding import derive_seed
 
 
 class TestSimConfig:
@@ -33,13 +28,26 @@ class TestSimConfig:
 
 
 class TestX2Path:
-    def test_recursion_with_zero_noise(self):
-        x = gen_x2_path(4, _ZeroNoise())
-        assert x == pytest.approx([0.0, 0.2, 0.4, 0.6], abs=1e-15)
+    """The trending covariate of `gen_panel`:
+    x2[1] ~ U(-0.5, 0.5), x2[j] = 0.1*j + 0.5*x2[j-1] + U(-0.5, 0.5)."""
+
+    @staticmethod
+    def x2_paths(individuals, periods, seed):
+        cfg = SimConfig(individuals=individuals, periods=periods, sigma=1.0)
+        panel, _ = gen_panel(cfg, np.random.default_rng(seed))
+        return panel.x2.reshape(individuals, periods)  # rows sorted by (individual, time)
+
+    def test_recursion_residuals_are_the_uniform_noise(self):
+        x2 = self.x2_paths(500, 12, 3)
+        j = np.arange(2, 13)
+        resid = x2[:, 1:] - 0.1 * j - 0.5 * x2[:, :-1]
+        assert resid.min() > -0.5
+        assert resid.max() < 0.5
+        # the noise fills its interval rather than a narrower one
+        assert resid.min() < -0.49 and resid.max() > 0.49
 
     def test_first_value_support(self):
-        rng = np.random.default_rng(3)
-        firsts = np.array([gen_x2_path(1, rng)[0] for _ in range(10 ** 4)])
+        firsts = self.x2_paths(10 ** 4, 2, 3)[:, 0]
         assert firsts.min() > -0.5
         assert firsts.max() < 0.5
 
@@ -50,8 +58,7 @@ class TestX2Path:
             e = 0.1 * j + 0.5 * e
         assert e == pytest.approx(2.2, abs=1e-12)
 
-        rng = np.random.default_rng(44)
-        vals = np.array([gen_x2_path(12, rng)[-1] for _ in range(10 ** 4)])
+        vals = self.x2_paths(10 ** 4, 12, 44)[:, -1]
         assert abs(vals.mean() - e) < 0.02
 
 

@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from panelbayes import (RUNS, ChainConfig, SimConfig, derive_seed, execute_run,
-                        gen_panel, mse, partition, replicate_ci, run_chain,
-                        run_study, stage_dataset, write_tables)
+from panelbayes.datagen import SimConfig, gen_panel, partition
+from panelbayes.errors import ConfigError
+from panelbayes.experiment import (RUNS, execute_run, mse, replicate_ci, run_study, stage_dataset,
+                                   write_tables)
 from panelbayes.priors import default_uninformative
+from panelbayes.sampler import ChainConfig, run_chain
+from panelbayes.seeding import derive_seed
 
 
 def with_moments(mean, sd, n):
@@ -121,7 +124,7 @@ class TestRunTopology:
         assert got["sigma"] == pytest.approx(float(np.sqrt(direct.sigma2).mean()), abs=0)
 
     def test_unknown_run_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="R9"):
             run_study(SMOKE_SIM, ("R9",), SMOKE_CHAIN)
 
 

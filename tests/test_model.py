@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from panelbayes import (ConfigError, InverseGammaPrior, NormalPrior, PanelDataset,
-                        ParameterState, PriorSet, concat_panels, log_likelihood,
-                        log_posterior)
-from panelbayes.priors import log_density_invgamma, log_density_normal
+from panelbayes.errors import ConfigError
+from panelbayes.model import (PanelDataset, ParameterState, concat_panels, log_likelihood,
+                              log_posterior)
+from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, log_density_invgamma,
+                               log_density_normal)
 
 
 def small_panel():

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from panelbayes import (ChainConfig, InverseGammaPrior, NormalPrior, PriorSet,
-                        default_uninformative, fit_invgamma, fit_normal,
-                        load_priors, posterior_to_priorset, save_priors)
-from panelbayes.priors import log_density_invgamma, log_density_normal
+from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, default_uninformative,
+                               fit_invgamma, fit_normal, load_priors, log_density_invgamma,
+                               log_density_normal, posterior_to_priorset, save_priors)
 from panelbayes.sampler import PosteriorSamples
 
 
 def fake_samples(beta, sigma2):
     beta = np.asarray(beta, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
-    return PosteriorSamples(beta=beta, sigma2=sigma2, epsilon=None,
-                            accept_beta=0.3, accept_epsilon=np.zeros(0),
-                            config=ChainConfig(), seed=0)
+    return PosteriorSamples(beta=beta, sigma2=sigma2,
+                            accept_beta=0.3, accept_epsilon=np.zeros(0))
 
 
 def test_default_uninformative():
@@ -182,7 +180,7 @@ def test_priorset_file_round_trip(tmp_path):
 
 
 def test_priors_file_errors(tmp_path):
-    from panelbayes import ConfigError
+    from panelbayes.errors import ConfigError
     bad = tmp_path / "bad.kv"
     bad.write_text("beta0.mean = 0.0\nbogus line without equals\n")
     with pytest.raises(ConfigError, match="bad.kv:2"):

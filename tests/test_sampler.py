@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from panelbayes import (ChainConfig, InverseGammaPrior, NormalPrior, PanelDataset,
-                        ParameterState, PriorSet, SamplerError, adapt_scale,
-                        default_uninformative, draws_to_csv, effective_sample_size,
-                        gibbs_sigma2, metropolis_sweep, run_chain, summarize)
-from panelbayes.sampler import PosteriorSamples, _chain_stats
+from panelbayes.errors import SamplerError
+from panelbayes.model import PanelDataset, ParameterState
+from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
+from panelbayes.sampler import (ChainConfig, PosteriorSamples, _chain_stats, adapt_scale,
+                                draws_to_csv, effective_sample_size, gibbs_sigma2,
+                                metropolis_sweep, run_chain, summarize)
 
 
 def empty_panel():
@@ -25,9 +26,8 @@ def tiny_panel():
 def synthetic_samples(beta0_chain):
     n = len(beta0_chain)
     beta = np.column_stack([np.asarray(beta0_chain, float), np.zeros(n), np.ones(n)])
-    return PosteriorSamples(beta=beta, sigma2=np.ones(n), epsilon=None,
-                            accept_beta=0.25, accept_epsilon=np.zeros(0),
-                            config=ChainConfig(), seed=0)
+    return PosteriorSamples(beta=beta, sigma2=np.ones(n),
+                            accept_beta=0.25, accept_epsilon=np.zeros(0))
 
 
 class TestAdaptScale:
@@ -145,15 +145,6 @@ class TestRunChain:
         assert 0.0 <= s.accept_beta <= 1.0
         assert ((s.accept_epsilon >= 0) & (s.accept_epsilon <= 1)).all()
 
-    def test_epsilon_storage_flag(self):
-        cfg = ChainConfig(burn_in=50, samples=60, seed=2, store_epsilon=True)
-        s = run_chain(tiny_panel(), default_uninformative(), cfg)
-        assert s.epsilon is not None
-        assert s.epsilon.shape == (60, 2)
-        s2 = run_chain(tiny_panel(), default_uninformative(),
-                       ChainConfig(burn_in=50, samples=60, seed=2))
-        assert s2.epsilon is None
-
     def test_non_finite_start_raises(self):
         bad = PriorSet(beta_priors=(NormalPrior(float("inf"), 1.0), NormalPrior(0, 1), NormalPrior(0, 1)),
                        sigma2_prior=InverseGammaPrior(2.0, 1.0))
@@ -165,8 +156,6 @@ class TestRunChain:
             ChainConfig(samples=0)
         with pytest.raises(ValueError):
             ChainConfig(thin=0)
-        with pytest.raises(ValueError):
-            ChainConfig(target_accept_block=1.0)
 
     def test_no_data_samples_the_prior(self):
         # beta marginal must reproduce N(0,1) when there is no likelihood term
@@ -206,10 +195,11 @@ class TestMetropolisSweep:
 
 def test_draws_csv_layout(tmp_path):
     s = run_chain(tiny_panel(), default_uninformative(),
-                  ChainConfig(burn_in=20, samples=30, seed=1, store_epsilon=True))
+                  ChainConfig(burn_in=20, samples=30, seed=1))
     path = tmp_path / "draws.csv"
     draws_to_csv(s, str(path))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,parameter,value"
-    # 3 beta + 1 sigma2 + 2 epsilon rows per kept draw
-    assert len(lines) - 1 == 30 * 6
+    # 3 beta + 1 sigma2 rows per kept draw
+    assert len(lines) - 1 == 30 * 4
+    assert [line.split(",")[1] for line in lines[1:5]] == ["beta0", "beta1", "beta2", "sigma2"]

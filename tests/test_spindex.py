@@ -1,13 +1,15 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from panelbayes import (ChainConfig, ConfigError, ReturnSeries, binarize,
-                        build_design, load_returns, make_surrogate,
-                        series_to_panel, surrogate_path, two_stage_fit)
+from panelbayes.errors import ConfigError
+from panelbayes.sampler import ChainConfig
+from panelbayes.spindex import (ReturnSeries, binarize, build_design, load_returns, make_surrogate,
+                                series_to_panel, surrogate_path, two_stage_fit)
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
 
@@ -129,6 +131,23 @@ class TestTwoStageFit:
         assert len(rows) == 6
         assert any("stage 2" in r.message for r in caplog.records)
 
+    def test_unmixed_fits_warn(self, caplog, monkeypatch):
+        # at 800 draws every fit of the surrogate stays far below 100 effective
+        # draws for each reported parameter
+        series = load_returns(surrogate_path())
+        with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
+            rows = two_stage_fit(series, FAST_CHAIN)
+        named = {re.match(r"(.+) fit: ESS of (\w+) is", r.message).groups()
+                 for r in caplog.records}
+        assert named == {(fit, param) for fit in ("stage 1", "uninformative", "informative")
+                         for param in ("beta0", "beta1", "sigma")}
+        assert all("of 800 draws, below 100" in r.message for r in caplog.records)
+        caplog.clear()
+        monkeypatch.setattr("panelbayes.spindex.ESS_FLOOR", 0)
+        with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
+            assert two_stage_fit(series, FAST_CHAIN) == rows
+        assert not caplog.records
+
     def test_stage1_recovers_known_parameters(self):
         # self-generated series: binarize(returns) reproduces y drawn from
         # the model with known coefficients
@@ -147,11 +166,12 @@ class TestTwoStageFit:
         rows = two_stage_fit(series, cfg)
         # the informative stage-2 run carries the stage-1 posterior; check
         # stage-1 recovery through a direct fit of the early window instead
-        from panelbayes import default_uninformative, run_chain
+        from panelbayes.priors import default_uninformative
+        from panelbayes.sampler import run_chain
         early = series_to_panel(ReturnSeries(years, rets))
         s1 = run_chain(early, default_uninformative(),
                        ChainConfig(burn_in=2000, samples=6000, seed=9))
-        from panelbayes import summarize
+        from panelbayes.sampler import summarize
         stats = summarize(s1)
         for name, truth in (("beta0", b0), ("beta1", b1), ("sigma", sigma)):
             st = stats[name]

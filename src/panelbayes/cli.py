@@ -13,16 +13,16 @@ import sys
 
 import numpy as np
 
-from .datagen import SimConfig, gen_panel
+from .datagen import DEFAULT_BETA, SimConfig, gen_panel
 from .errors import ConfigError, SamplerError
 from .experiment import RUNS, run_study, write_tables
-from .kvconfig import get_value, read_kv_file, write_kv_file
+from .kvconfig import KVFile, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize
 from .seeding import derive_seed
-from .spindex import (DEFAULT_BASELINE, DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD,
-                      load_returns, surrogate_path, two_stage_fit, write_comparison_csv)
+from .spindex import (DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD, load_returns, surrogate_path,
+                      two_stage_fit, write_comparison_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,63 +73,37 @@ def build_parser() -> _Parser:
     p_sp.add_argument("--config", default=None, help="optional key=value file with chain settings")
     p_sp.add_argument("--split-year", type=int, default=DEFAULT_SPLIT_YEAR)
     p_sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p_sp.add_argument("--baseline", type=int, default=DEFAULT_BASELINE)
     p_sp.add_argument("--out", default=None, help="comparison CSV path (default: stdout)")
     _add_chain_flags(p_sp)
 
     return parser
 
 
-class _Config:
-    """A command's `key = value` file, or only flags when there is none.
-
-    Each `get` notes its key; `check_all_read` then rejects every other key
-    in the file, so a typo or a key the command does not read is an error.
-    """
-
-    def __init__(self, path: str | None):
-        self.path = path if path is not None else "<flags>"
-        self.kv = read_kv_file(path) if path is not None else {}
-        self.read: set[str] = set()
-
-    def get(self, key: str, parse, default=None, flag=None):
-        """`flag` when given, else the file's value (see `kvconfig.get_value`)."""
-        self.read.add(key)
-        return flag if flag is not None else get_value(self.kv, key, self.path, parse, default)
-
-    def check_all_read(self) -> None:
-        unread = [key for key in self.kv if key not in self.read]
-        if unread:
-            raise ConfigError(f"{self.path}: unknown key {unread[0]!r} for this command")
-
-
-def _chain_config_from(cfg: _Config, args) -> ChainConfig:
+def _chain_config_from(cfg: KVFile, args) -> ChainConfig:
     try:
         return ChainConfig(
-            burn_in=cfg.get("burn_in", int, 2000, args.burn_in),
-            samples=cfg.get("samples", int, 10000, args.samples),
-            thin=cfg.get("thin", int, 1, args.thin),
-            seed=cfg.get("seed", int, 0, args.seed),
+            burn_in=cfg.get("burn_in", int, ChainConfig.burn_in, args.burn_in),
+            samples=cfg.get("samples", int, ChainConfig.samples, args.samples),
+            thin=cfg.get("thin", int, ChainConfig.thin, args.thin),
+            seed=cfg.get("seed", int, ChainConfig.seed, args.seed),
         )
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}: {exc}") from None
 
 
-def _sim_config_from(cfg: _Config, args) -> SimConfig:
+def _sim_config_from(cfg: KVFile, args) -> SimConfig:
     return SimConfig(
         individuals=cfg.get("individuals", int),
         periods=cfg.get("periods", int),
         sigma=cfg.get("sigma", float),
-        beta_true=(cfg.get("beta0", float, -1.0),
-                   cfg.get("beta1", float, 1.0),
-                   cfg.get("beta2", float, 1.0)),
-        replicates=cfg.get("replicates", int, 30),
-        seed=cfg.get("seed", int, 0, args.seed),
+        beta_true=tuple(cfg.get(f"beta{k}", float, DEFAULT_BETA[k]) for k in range(3)),
+        replicates=cfg.get("replicates", int, SimConfig.replicates),
+        seed=cfg.get("seed", int, SimConfig.seed, args.seed),
     )
 
 
 def cmd_gen(args) -> int:
-    cfg = _Config(args.config)
+    cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     rep = cfg.get("replicate", int, 0, args.replicate)
     cfg.check_all_read()
@@ -154,7 +128,7 @@ def _write_summary(stats, out_path) -> None:
 
 def _chain_config(args) -> ChainConfig:
     """The chain settings of `fit` and `spindex`, whose config files hold only those."""
-    cfg = _Config(args.config)
+    cfg = KVFile(args.config)
     chain = _chain_config_from(cfg, args)
     cfg.check_all_read()
     return chain
@@ -176,7 +150,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = _Config(args.config)
+    cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     chain = _chain_config_from(cfg, args)
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
@@ -194,9 +168,9 @@ def cmd_study(args) -> int:
 
 def cmd_spindex(args) -> int:
     path = args.data if args.data is not None else surrogate_path()
-    series = load_returns(path)
-    rows = two_stage_fit(series, _chain_config(args), split_year=args.split_year,
-                         threshold=args.threshold, baseline=args.baseline)
+    years, returns = load_returns(path)
+    rows = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,
+                         threshold=args.threshold)
     write_comparison_csv(rows, args.out)
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .datagen import Quadrants, SimConfig, gen_panel, partition
 from .errors import ConfigError
@@ -96,7 +96,7 @@ def replicate_ci(estimates: Sequence[float]) -> tuple[float, float]:
     e = np.asarray(estimates, dtype=np.float64)
     if e.size < 2:
         raise ValueError("need at least 2 estimates")
-    half = float(sps.t.ppf(0.975, e.size - 1) * e.std(ddof=1) / np.sqrt(e.size))
+    half = float(stdtrit(e.size - 1, 0.975) * e.std(ddof=1) / np.sqrt(e.size))
     m = float(e.mean())
     return m - half, m + half
 

@@ -6,8 +6,9 @@ Grammar (one entry per line):
     some.key = value          <- key: dotted lowercase identifiers
                                  value: everything after '=', stripped
 
-Parse errors carry ``path:line:`` anchors so a bad study config points at the
-offending line.
+`KVFile` reads configs and priors files alike. Parse errors carry
+``path:line:`` anchors, and `check_all_read` rejects every key the reader
+did not ask for, so a typo'd key is an error, not a dropped setting.
 """
 
 from __future__ import annotations
@@ -16,31 +17,60 @@ import os
 
 from .errors import ConfigError
 
-
-def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
-        if key in out:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+_KINDS = {float: "a number", int: "an integer"}
 
 
-def read_kv_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise ConfigError(f"{path}: file not found")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_text(fh.read(), source=path)
+class KVFile:
+    """A parsed `key = value` file, or no entries at all when the path is None.
+
+    Each `get` notes its key; `check_all_read` then rejects every other key
+    in the file.
+    """
+
+    def __init__(self, path: str | None):
+        self.path = path if path is not None else "<flags>"
+        self.kv: dict[str, str] = {}
+        self.read: set[str] = set()
+        if path is None:
+            return
+        if not os.path.exists(path):
+            raise ConfigError(f"{path}: file not found")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise ConfigError(f"{path}:{lineno}: empty key")
+            if key in self.kv:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            self.kv[key] = value.strip()
+
+    def get(self, key: str, parse=float, default=None, flag=None):
+        """`flag` when given, else `parse` (float, int or str) of the file's
+        value, else `default`; the key is required when `default` is None."""
+        self.read.add(key)
+        if flag is not None:
+            return flag
+        if key not in self.kv:
+            if default is None:
+                raise ConfigError(f"{self.path}: missing required key {key!r}")
+            return default
+        try:
+            return parse(self.kv[key])
+        except ValueError:
+            raise ConfigError(f"{self.path}: key {key!r} is not {_KINDS[parse]}: "
+                              f"{self.kv[key]!r}") from None
+
+    def check_all_read(self) -> None:
+        unread = [key for key in self.kv if key not in self.read]
+        if unread:
+            raise ConfigError(f"{self.path}: unknown key {unread[0]!r}")
 
 
 def write_kv_file(path: str, entries: dict[str, object], header: str | None = None) -> None:
@@ -51,19 +81,3 @@ def write_kv_file(path: str, entries: dict[str, object], header: str | None = No
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_KINDS = {float: "a number", int: "an integer"}
-
-
-def get_value(kv: dict[str, str], key: str, source: str, parse=float, default=None):
-    """`parse(kv[key])` for parse in (float, int, str); `default` when the key
-    is absent, which makes the key required when it is None."""
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-        return default
-    try:
-        return parse(kv[key])
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not {_KINDS[parse]}: {kv[key]!r}") from None

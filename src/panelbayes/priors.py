@@ -9,6 +9,7 @@ for the fixed effects and a method-of-moments inverse gamma for sigma2.
 A PriorSet round-trips through the plain-text grammar of `kvconfig` (keys
 ``beta{0,1,2}.mean``, ``beta{0,1,2}.variance``, ``sigma2.shape``,
 ``sigma2.scale``) so one CLI invocation can hand its posterior to the next.
+A priors file holding any other key is rejected, as a config file is.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError
-from .kvconfig import get_value, read_kv_file, write_kv_file
+from .kvconfig import KVFile, write_kv_file
 
 VARIANCE_FLOOR = 1e-8
 
@@ -140,15 +141,13 @@ def save_priors(priors: PriorSet, path: str) -> None:
 
 
 def load_priors(path: str) -> PriorSet:
-    kv = read_kv_file(path)
+    """Read a priors file; a missing, malformed or unknown key is a ConfigError."""
+    kv = KVFile(path)
     try:
-        betas = tuple(
-            NormalPrior(get_value(kv, f"beta{k}.mean", path),
-                        get_value(kv, f"beta{k}.variance", path))
-            for k in range(3)
-        )
-        sig = InverseGammaPrior(get_value(kv, "sigma2.shape", path),
-                                get_value(kv, "sigma2.scale", path))
+        betas = tuple(NormalPrior(kv.get(f"beta{k}.mean"), kv.get(f"beta{k}.variance"))
+                      for k in range(3))
+        sig = InverseGammaPrior(kv.get("sigma2.shape"), kv.get("sigma2.scale"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    kv.check_all_read()
     return PriorSet(beta_priors=betas, sigma2_prior=sig)

@@ -215,8 +215,8 @@ class _Kernel:
 
 
 def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet,
-                     rng: np.random.Generator, *, beta_chol=None,
-                     beta_log_scale: float = 0.0, eps_scales=None) -> ParameterState:
+                     rng: np.random.Generator, *, beta_log_scale: float = 0.0,
+                     eps_scales=None) -> ParameterState:
     """One fixed-scale sweep (beta block, eps scalars, sigma2 Gibbs).
 
     No adaptation happens here, so the sweep is a fixed Markov kernel that
@@ -224,12 +224,11 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     validation harnesses.
     """
     kernel = _Kernel(data, priors)
-    chol = np.eye(3) if beta_chol is None else np.asarray(beta_chol, dtype=np.float64)
     scales = (np.ones(data.n_individuals) if eps_scales is None
               else np.asarray(eps_scales, dtype=np.float64))
     beta, eps, sigma2, *_ = kernel.sweep(state.beta, state.epsilon, state.sigma2,
                                          kernel.mu(state.beta, state.epsilon),
-                                         chol, beta_log_scale, scales, rng)
+                                         np.eye(3), beta_log_scale, scales, rng)
     return ParameterState(beta=beta, epsilon=eps, sigma2=sigma2)
 
 

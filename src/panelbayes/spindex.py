@@ -1,12 +1,13 @@
 """Two-stage fit of a yearly index-return series.
 
 The yearly return is binarized against a threshold (default 1.4, the level
-used in Peak-Over-Threshold studies of this index family), the design is a
-linear time trend x = year - baseline, and the model reduces to two fixed
+used in Peak-Over-Threshold studies of this index family), the design is the
+linear time trend x1 = year - 1960, and the model reduces to two fixed
 effects: the x2 slot is held at zero, so beta2 stays at its prior. Each year
 enters as its own individual with a single observation and its own random
 effect -- identifiability of sigma is weak under this layout, the diffuse or
-carried-over prior keeps the posterior proper.
+carried-over prior keeps the posterior proper. `load_returns` reads the
+series as (years, returns) arrays and `series_to_panel` makes it one panel.
 
 The original return series is not redistributable, so the package bundles a
 synthetic surrogate with the same shape (one return per year, 1960..2018,
@@ -18,7 +19,7 @@ instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -33,51 +34,27 @@ log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 1.4
 DEFAULT_SPLIT_YEAR = 2004
-DEFAULT_BASELINE = 1960
+TREND_ORIGIN = 1960
 TABLE_PARAMETERS = ("beta0", "beta1", "sigma")
 ESS_FLOOR = 100   # fewer effective draws than this and a fit is reported as unmixed
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnSeries:
-    years: np.ndarray
-    returns: np.ndarray
-
-    def __post_init__(self):
-        years = np.asarray(self.years, dtype=np.int64)
-        rets = np.asarray(self.returns, dtype=np.float64)
-        if years.size != rets.size:
-            raise ValueError("years and returns must have equal length")
-        if years.size and np.any(np.diff(years) <= 0):
-            raise ValueError("years must be strictly increasing (no duplicates)")
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "returns", rets)
-
-
-def binarize(series: ReturnSeries, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """1 where the return strictly exceeds the threshold, else 0."""
-    return (series.returns > threshold).astype(np.int64)
-
-
-def build_design(years, baseline: int = DEFAULT_BASELINE) -> np.ndarray:
-    """Time-trend covariate: year minus the baseline year."""
-    return np.asarray(years, dtype=np.float64) - float(baseline)
-
-
-def series_to_panel(series: ReturnSeries, threshold: float = DEFAULT_THRESHOLD,
-                    baseline: int = DEFAULT_BASELINE) -> PanelDataset:
-    """One individual per year, a single observation each, x2 held at zero."""
-    n = series.years.size
+def series_to_panel(years, returns, threshold: float = DEFAULT_THRESHOLD) -> PanelDataset:
+    """One individual per year with a single observation: y = 1 where the
+    return strictly exceeds the threshold, x1 = year - TREND_ORIGIN, x2 = 0."""
+    years = np.asarray(years, dtype=np.int64)
+    n = years.size
     return PanelDataset(
-        individual=series.years,
+        individual=years,
         time=np.ones(n, dtype=np.int64),
-        y=binarize(series, threshold),
-        x1=build_design(series.years, baseline),
+        y=(np.asarray(returns, dtype=np.float64) > threshold).astype(np.int64),
+        x1=years.astype(np.float64) - TREND_ORIGIN,
         x2=np.zeros(n),
     )
 
 
-def load_returns(path: str) -> ReturnSeries:
+def load_returns(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The `year,return` CSV as (years, returns); years must strictly increase."""
     years, rets = [], []
     for rowno, row in read_csv(path, ["year", "return"]):
         try:
@@ -88,10 +65,9 @@ def load_returns(path: str) -> ReturnSeries:
             rets.append(float(row[1]))
         except ValueError:
             raise ConfigError(f"{path}:{rowno}: column 'return' is not a number") from None
-    try:
-        return ReturnSeries(np.array(years, dtype=np.int64), np.array(rets))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if np.any(np.diff(years) <= 0):
+        raise ConfigError(f"{path}: years must be strictly increasing (no duplicates)")
+    return np.array(years, dtype=np.int64), np.array(rets, dtype=np.float64)
 
 
 def surrogate_path() -> str:
@@ -99,18 +75,17 @@ def surrogate_path() -> str:
     return str(resources.files("panelbayes").joinpath("data/sp_surrogate.csv"))
 
 
-def make_surrogate(seed: int = 20180614) -> ReturnSeries:
-    """Regenerate the bundled surrogate series (documented recipe)."""
+def make_surrogate(seed: int = 20180614) -> tuple[np.ndarray, np.ndarray]:
+    """Regenerate the bundled surrogate series (documented recipe) as (years, returns)."""
     rng = np.random.default_rng(seed)
     years = np.arange(1960, 2019)
     rets = rng.normal(0.5 + 0.025 * (years - 1960), 1.2)
-    return ReturnSeries(years, np.round(rets, 4))
+    return years, np.round(rets, 4)
 
 
-def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
+def two_stage_fit(years, returns, chain_config: ChainConfig,
                   split_year: int = DEFAULT_SPLIT_YEAR,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  baseline: int = DEFAULT_BASELINE) -> list[dict]:
+                  threshold: float = DEFAULT_THRESHOLD) -> list[dict]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
     The later window is fitted twice -- once with diffuse priors, once with
@@ -119,17 +94,15 @@ def two_stage_fit(series: ReturnSeries, chain_config: ChainConfig,
     Each of the three fits logs a warning for every one of those parameters
     whose ESS falls below ESS_FLOOR.
     """
-    early_mask = series.years <= split_year
-    late_mask = ~early_mask
-    if not early_mask.any():
+    early = years <= split_year
+    if not early.any():
         raise ConfigError(f"no data at or before split year {split_year} (empty stage 1)")
-    if not late_mask.any():
+    if early.all():
         raise ConfigError(f"no data after split year {split_year} (empty stage 2)")
 
-    early = ReturnSeries(series.years[early_mask], series.returns[early_mask])
-    late = ReturnSeries(series.years[late_mask], series.returns[late_mask])
-    panels = {"stage 1": series_to_panel(early, threshold, baseline),
-              "stage 2": series_to_panel(late, threshold, baseline)}
+    full = series_to_panel(years, returns, threshold)
+    panels = {"stage 1": full.subset(ids=years[early]),
+              "stage 2": full.subset(ids=years[~early])}
     for name, panel in panels.items():
         if panel.y.min() == panel.y.max():
             log.warning("%s responses are all %d after thresholding at %s; "

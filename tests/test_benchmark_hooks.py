@@ -1,0 +1,44 @@
+"""The benchmark's tracer finds every layer function it wraps.
+
+`perfbench/spans.py` names the functions it wraps by module and attribute,
+and `perfbench/run.py` calls the per-iteration functions with fixed
+signatures, so a rename or a changed signature in the package would
+otherwise surface only in a traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from panelbayes import model, sampler  # noqa: E402
+from panelbayes.cli import main  # noqa: E402
+from perfbench.spans import Tracer  # noqa: E402
+
+
+def test_spindex_records_its_spans_and_probes_run(tmp_path):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = main(["spindex", "--out", str(tmp_path / "sp.csv"),
+                     "--burn-in", "50", "--samples", "50", "--seed", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span["name"] for span in tracer.spans}
+    assert {"spindex.load_returns", "spindex.series_to_panel", "spindex.two_stage_fit",
+            "spindex.write_comparison_csv", "sampler.run_chain"} <= names
+    assert len(tracer.chains) == 3
+
+    chain = tracer.chains[0]
+    data, priors = chain["data"], chain["priors"]
+    rng = np.random.default_rng(3)
+    state = sampler.initial_state(data, priors)
+    assert np.isfinite(model.log_likelihood(data, state))
+    after = sampler.metropolis_sweep(data, state, priors, rng)
+    assert after.epsilon.shape == state.epsilon.shape
+    assert sampler.gibbs_sigma2(state.epsilon, priors.sigma2_prior, rng) > 0.0

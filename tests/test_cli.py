@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panelbayes
 from panelbayes.cli import main
 
 FIT_FLAGS = ["--burn-in", "200", "--samples", "400", "--seed", "7"]
@@ -151,6 +156,14 @@ class TestFit:
         bad = tmp_path / "bad.kv"
         bad.write_text("beta0.mean 0\n")
         assert main(["fit", "--data", str(panel_csv), "--priors-in", str(bad)]) == 1
+        # a priors file rejects a key it does not hold, as a config file does
+        typo = tmp_path / "typo.kv"
+        assert main(["fit", "--data", str(panel_csv), "--priors-out", str(typo),
+                     "--out", str(tmp_path / "s.csv")] + FIT_FLAGS) == 0
+        typo.write_text(typo.read_text() + "sigma.shape = 50\n")
+        capsys.readouterr()
+        assert main(["fit", "--data", str(panel_csv), "--priors-in", str(typo)] + FIT_FLAGS) == 1
+        assert f"{typo}: unknown key 'sigma.shape'" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
         # an infinite prior mean makes the starting log posterior non-finite
@@ -251,6 +264,10 @@ class TestSpindex:
         assert main(["spindex", "--config", str(chain_cfg)]) == 1
         assert f"{chain_cfg}: unknown key 'threshold'" in capsys.readouterr().err
 
+    def test_trend_origin_is_not_settable(self, capsys):
+        assert main(["spindex", "--baseline", "1950"] + FIT_FLAGS) == 1
+        assert "--baseline" in capsys.readouterr().err
+
     def test_split_beyond_data_fails(self, capsys):
         assert main(["spindex", "--split-year", "3000"] + FIT_FLAGS) == 1
         assert "stage 2" in capsys.readouterr().err
@@ -279,6 +296,14 @@ class TestSpindex:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes longer to import than the rest of the CLI together
+        src = str(Path(panelbayes.__file__).resolve().parents[1])
+        code = "import sys, panelbayes.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "False"
 
     def test_missing_required_flag(self, capsys):
         assert main(["gen"]) == 1

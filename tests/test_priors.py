@@ -189,3 +189,12 @@ def test_priors_file_errors(tmp_path):
     missing_key.write_text("beta0.mean = 0.0\n")
     with pytest.raises(ConfigError, match="beta0.variance"):
         load_priors(str(missing_key))
+
+
+def test_unknown_key_in_priors_file_rejected(tmp_path):
+    from panelbayes.errors import ConfigError
+    path = tmp_path / "priors.kv"
+    save_priors(default_uninformative(), str(path))
+    path.write_text(path.read_text() + "sigma.shape = 50\n")
+    with pytest.raises(ConfigError, match=r"priors\.kv: unknown key 'sigma\.shape'"):
+        load_priors(str(path))

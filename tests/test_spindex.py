@@ -8,59 +8,60 @@ from scipy.special import expit
 
 from panelbayes.errors import ConfigError
 from panelbayes.sampler import ChainConfig
-from panelbayes.spindex import (ReturnSeries, binarize, build_design, load_returns, make_surrogate,
-                                series_to_panel, surrogate_path, two_stage_fit)
+from panelbayes.spindex import (load_returns, make_surrogate, series_to_panel, surrogate_path,
+                                two_stage_fit)
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
 
 
 class TestBinarize:
-    def series(self, values):
+    """The threshold rule `series_to_panel` applies to make y."""
+
+    def y(self, values, **kwargs):
         years = 1960 + np.arange(len(values))
-        return ReturnSeries(years, np.asarray(values, float))
+        return series_to_panel(years, np.asarray(values, float), **kwargs).y
 
     def test_threshold_rule(self):
-        y = binarize(self.series([2.0, 1.4, -0.3]))
-        assert list(y) == [1, 0, 0]  # exceed / equal / below
+        assert list(self.y([2.0, 1.4, -0.3])) == [1, 0, 0]  # exceed / equal / below
 
     def test_custom_threshold(self):
-        y = binarize(self.series([2.0, 1.4, -0.3]), threshold=0.0)
-        assert list(y) == [1, 1, 0]
+        assert list(self.y([2.0, 1.4, -0.3], threshold=0.0)) == [1, 1, 0]
 
     def test_monotone(self):
         rng = np.random.default_rng(6)
         vals = rng.normal(1.4, 1.0, size=200)
-        base = binarize(self.series(vals))
-        bumped = binarize(self.series(vals + 0.25))
-        assert (bumped >= base).all()
+        assert (self.y(vals + 0.25) >= self.y(vals)).all()
 
 
 class TestBuildDesign:
-    def test_baseline_values(self):
-        x = build_design([1960, 2004, 2018])
-        assert list(x) == [0.0, 44.0, 58.0]
+    """The design `series_to_panel` builds: x1 = year - 1960, x2 = 0."""
 
-    def test_shift_invariance(self):
-        years = np.array([1960, 1975, 2018])
-        for c in (-7, 13, 100):
-            shifted = build_design(years + c, baseline=1960 + c)
-            assert np.array_equal(shifted, build_design(years))
+    def test_x1_values(self):
+        panel = series_to_panel([1960, 2004, 2018], [0.0, 0.0, 0.0])
+        assert list(panel.x1) == [0.0, 44.0, 58.0]
+        assert list(panel.x2) == [0.0, 0.0, 0.0]
 
 
 class TestReturnSeries:
-    def test_rejects_duplicate_years(self):
-        with pytest.raises(ValueError):
-            ReturnSeries(np.array([1990, 1990]), np.array([1.0, 2.0]))
+    """The year,return series as `load_returns` reads it and its one panel."""
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            ReturnSeries(np.array([1991, 1990]), np.array([1.0, 2.0]))
+    def rejects(self, tmp_path, years):
+        path = tmp_path / "r.csv"
+        path.write_text("year,return\n" + "".join(f"{y},1.0\n" for y in years))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: years must be strictly"):
+            load_returns(str(path))
+
+    def test_rejects_duplicate_years(self, tmp_path):
+        self.rejects(tmp_path, (1990, 1990))
+
+    def test_rejects_unsorted(self, tmp_path):
+        self.rejects(tmp_path, (1991, 1990))
 
     def test_panel_layout(self):
-        s = ReturnSeries(np.array([1960, 1961, 1962]), np.array([2.0, 0.1, 1.6]))
-        panel = series_to_panel(s)
+        panel = series_to_panel(np.array([1960, 1961, 1962]), np.array([2.0, 0.1, 1.6]))
         assert panel.n_individuals == 3      # one individual per year
         assert list(panel.counts()) == [1, 1, 1]
+        assert list(panel.individual) == [1960, 1961, 1962]
         assert (panel.x2 == 0.0).all()
         assert list(panel.x1) == [0.0, 1.0, 2.0]
         assert list(panel.y) == [1, 0, 1]
@@ -70,9 +71,9 @@ class TestLoadReturns:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("year,return\n1990,1.5\n1991,-0.25\n")
-        s = load_returns(str(path))
-        assert list(s.years) == [1990, 1991]
-        assert list(s.returns) == [1.5, -0.25]
+        years, returns = load_returns(str(path))
+        assert list(years) == [1990, 1991]
+        assert list(returns) == [1.5, -0.25]
 
     def test_anchored_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -86,19 +87,18 @@ class TestLoadReturns:
 
 
 def test_bundled_surrogate_matches_recipe():
-    s = load_returns(surrogate_path())
-    assert s.years[0] == 1960
-    assert s.years[-1] == 2018
-    assert s.years.size == 59
-    regen = make_surrogate()
-    assert np.array_equal(s.years, regen.years)
-    assert np.allclose(s.returns, regen.returns, atol=1e-9)
+    years, returns = load_returns(surrogate_path())
+    assert years[0] == 1960
+    assert years[-1] == 2018
+    assert years.size == 59
+    regen_years, regen_returns = make_surrogate()
+    assert np.array_equal(years, regen_years)
+    assert np.allclose(returns, regen_returns, atol=1e-9)
 
 
 class TestTwoStageFit:
     def test_output_layout(self):
-        series = load_returns(surrogate_path())
-        rows = two_stage_fit(series, FAST_CHAIN)
+        rows = two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN)
         assert len(rows) == 6
         assert [r["run"] for r in rows] == ["uninformative"] * 3 + ["informative"] * 3
         assert [r["parameter"] for r in rows[:3]] == ["beta0", "beta1", "sigma"]
@@ -107,27 +107,28 @@ class TestTwoStageFit:
 
     def test_deterministic(self):
         series = load_returns(surrogate_path())
-        a = two_stage_fit(series, FAST_CHAIN)
-        b = two_stage_fit(series, FAST_CHAIN)
+        a = two_stage_fit(*series, FAST_CHAIN)
+        b = two_stage_fit(*series, FAST_CHAIN)
         assert a == b
 
     def test_empty_stage_rejected(self):
         series = load_returns(surrogate_path())
         with pytest.raises(ConfigError, match="stage 2"):
-            two_stage_fit(series, FAST_CHAIN, split_year=2018)
+            two_stage_fit(*series, FAST_CHAIN, split_year=2018)
         with pytest.raises(ConfigError, match="stage 2"):
-            two_stage_fit(series, FAST_CHAIN, split_year=3000)
+            two_stage_fit(*series, FAST_CHAIN, split_year=3000)
         with pytest.raises(ConfigError, match="stage 1"):
-            two_stage_fit(series, FAST_CHAIN, split_year=1900)
+            two_stage_fit(*series, FAST_CHAIN, split_year=1900)
+        with pytest.raises(ConfigError, match="empty stage 1"):
+            two_stage_fit(np.array([], dtype=np.int64), np.array([]), FAST_CHAIN)
 
     def test_degenerate_stage_warns_but_completes(self, caplog):
         years = np.arange(1960, 2010)
         rng = np.random.default_rng(2)
         rets = rng.normal(1.4, 1.0, size=years.size)
         rets[years > 2004] = -5.0  # stage 2 all zeros after thresholding
-        series = ReturnSeries(years, rets)
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            rows = two_stage_fit(series, FAST_CHAIN)
+            rows = two_stage_fit(years, rets, FAST_CHAIN)
         assert len(rows) == 6
         assert any("stage 2" in r.message for r in caplog.records)
 
@@ -136,7 +137,7 @@ class TestTwoStageFit:
         # draws for each reported parameter
         series = load_returns(surrogate_path())
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            rows = two_stage_fit(series, FAST_CHAIN)
+            rows = two_stage_fit(*series, FAST_CHAIN)
         named = {re.match(r"(.+) fit: ESS of (\w+) is", r.message).groups()
                  for r in caplog.records}
         assert named == {(fit, param) for fit in ("stage 1", "uninformative", "informative")
@@ -145,11 +146,11 @@ class TestTwoStageFit:
         caplog.clear()
         monkeypatch.setattr("panelbayes.spindex.ESS_FLOOR", 0)
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            assert two_stage_fit(series, FAST_CHAIN) == rows
+            assert two_stage_fit(*series, FAST_CHAIN) == rows
         assert not caplog.records
 
     def test_stage1_recovers_known_parameters(self):
-        # self-generated series: binarize(returns) reproduces y drawn from
+        # self-generated series: thresholding the returns reproduces y drawn from
         # the model with known coefficients
         b0, b1, sigma = -2.0, 0.05, 0.8
         years = np.arange(1960, 2005)
@@ -160,15 +161,13 @@ class TestTwoStageFit:
         rets = np.where(y, 2.0, 0.0)  # straddles the 1.4 threshold
         extra_years = np.arange(2005, 2019)
         rets_full = np.concatenate([rets, np.full(extra_years.size, 2.0)])
-        series = ReturnSeries(np.concatenate([years, extra_years]), rets_full)
-
         cfg = ChainConfig(burn_in=2000, samples=6000, seed=9)
-        rows = two_stage_fit(series, cfg)
+        rows = two_stage_fit(np.concatenate([years, extra_years]), rets_full, cfg)
         # the informative stage-2 run carries the stage-1 posterior; check
         # stage-1 recovery through a direct fit of the early window instead
         from panelbayes.priors import default_uninformative
         from panelbayes.sampler import run_chain
-        early = series_to_panel(ReturnSeries(years, rets))
+        early = series_to_panel(years, rets)
         s1 = run_chain(early, default_uninformative(),
                        ChainConfig(burn_in=2000, samples=6000, seed=9))
         from panelbayes.sampler import summarize

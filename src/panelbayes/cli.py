@@ -19,7 +19,7 @@ from .experiment import RUNS, run_study, write_tables
 from .kvconfig import KVFile, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
-from .sampler import ChainConfig, draws_to_csv, run_chain, summarize
+from .sampler import ChainConfig, draws_to_csv, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
 from .spindex import (DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD, load_returns, surrogate_path,
                       two_stage_fit, write_comparison_csv)
@@ -141,7 +141,9 @@ def cmd_fit(args) -> int:
     else:
         priors = load_priors(args.priors_in)
     samples = run_chain(data, priors, _chain_config(args))
-    _write_summary(summarize(samples), args.out)
+    stats = summarize(samples)
+    warn_unmixed("fit", stats, samples.n_kept)
+    _write_summary(stats, args.out)
     if args.priors_out:
         save_priors(posterior_to_priorset(samples), args.priors_out)
     if args.draws_out:

@@ -232,11 +232,20 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
+def softplus(x) -> np.ndarray:
+    """log(1 + exp(x)) elementwise, as max(x, 0) + log1p(exp(-|x|)).
+
+    exp only ever sees a non-positive argument, so the result is finite for
+    every finite x and keeps the tail of large negative x.
+    """
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
     """Sum over observations of y*mu - log(1 + exp(mu)).
 
-    Uses logaddexp(0, mu) so trending covariates with large |mu| neither
-    overflow nor lose the tail.
+    Uses `softplus` for log(1 + exp(mu)), so trending covariates with large
+    |mu| neither overflow nor lose the tail.
     """
     if state.epsilon.size != data.n_individuals:
         raise ValueError(
@@ -244,7 +253,7 @@ def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
             f"{data.n_individuals} individuals")
     b = state.beta
     mu = b[0] + b[1] * data.x1 + b[2] * data.x2 + state.epsilon[data.codes]
-    return float(data.y @ mu - np.logaddexp(0.0, mu).sum())
+    return float(data.y @ mu - softplus(mu).sum())
 
 
 def log_posterior(data: PanelDataset, state: ParameterState, priors: PriorSet) -> float:

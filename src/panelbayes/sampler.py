@@ -13,8 +13,12 @@ One sweep updates, in order:
       IG(shape + I/2, scale + sum(eps^2)/2).
 
 `run_chain` and `metropolis_sweep` share one sweep kernel, built once per
-(dataset, priors): it holds y, the design matrix, the individual codes and
-the prior arrays.
+(dataset, priors): it holds the design matrix X, the individual codes, the
+prior arrays, and the two data terms of the log-likelihood delta, Xty = X'y
+(a 3-vector) and y_count (the number of ones per individual). The chain
+carries mu = X beta + eps[codes] and softplus(mu) along with its state, so a
+proposal costs one softplus pass over the observations per block, and the
+y*dmu terms reduce to Xty @ d and y_count * d.
 
 Proposal scales are tuned only during burn-in: acceptance rates are averaged
 over fixed windows of 50 iterations and the log scales nudged toward the
@@ -32,6 +36,7 @@ priors, config): identical seeds give bit-identical output.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import SamplerError
-from .model import PanelDataset, ParameterState, log_posterior, write_csv
+from .model import PanelDataset, ParameterState, log_posterior, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 
@@ -50,6 +55,9 @@ _COV_START = 500              # burn-in iterations before the empirical-covarian
                               # proposal; a multiple of _ADAPT_WINDOW
 _COV_JITTER = 1e-6
 _TINY = np.finfo(np.float64).tiny
+ESS_FLOOR = 100               # fewer effective draws than this and a fit is reported as unmixed
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,15 @@ def summarize(samples: PosteriorSamples) -> dict[str, SummaryStats]:
     return out
 
 
+def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int,
+                 floor: int = ESS_FLOOR) -> None:
+    """Log one warning for each parameter in `stats` whose ESS is below `floor`."""
+    for param, s in stats.items():
+        if s.ess < floor:
+            log.warning("%s: ESS of %s is %.1f of %d draws, below %d; "
+                        "the chain has not mixed", label, param, s.ess, n_kept, floor)
+
+
 # ---------------------------------------------------------------------------
 # core updates
 
@@ -166,9 +183,11 @@ class _Kernel:
 
     def __init__(self, data: PanelDataset, priors: PriorSet):
         self.n_ind = data.n_individuals
-        self.y = data.y.astype(np.float64)
         self.X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
         self.codes = data.codes
+        y = data.y.astype(np.float64)
+        self.Xty = self.X.T @ y
+        self.y_count = np.bincount(self.codes, weights=y, minlength=self.n_ind)
         self.prior_means = np.array([p.mean for p in priors.beta_priors])
         self.prior_vars = np.array([p.variance for p in priors.beta_priors])
         self.sigma2_prior = priors.sigma2_prior
@@ -176,36 +195,38 @@ class _Kernel:
     def mu(self, beta, eps) -> np.ndarray:
         return self.X @ beta + eps[self.codes]
 
-    def sweep(self, beta, eps, sigma2, mu, chol, log_scale, eps_scales, rng):
-        """Beta block, eps scalars, sigma2 Gibbs, in that order.
+    def sweep(self, beta, eps, sigma2, mu, sp, chol, log_scale, eps_scales, rng):
+        """Beta block, eps scalars, sigma2 Gibbs, in that order; sp is softplus(mu).
 
-        Returns (beta, eps, sigma2, mu, beta accepted, eps accepted per individual).
+        Returns (beta, eps, sigma2, mu, sp, beta accepted, eps accepted per
+        individual).
         """
-        y, codes, n_ind = self.y, self.codes, self.n_ind
+        codes, n_ind = self.codes, self.n_ind
         d = (chol @ rng.standard_normal(3)) * math.exp(log_scale)
         beta_p = beta + d
         mu_p = mu + self.X @ d
-        dll = float(y @ (mu_p - mu)
-                    - (np.logaddexp(0.0, mu_p).sum() - np.logaddexp(0.0, mu).sum()))
+        sp_p = softplus(mu_p)
+        dll = float(self.Xty @ d - (sp_p.sum() - sp.sum()))
         m, v = self.prior_means, self.prior_vars
         dpr = float((((beta - m) ** 2 - (beta_p - m) ** 2) / (2.0 * v)).sum())
         u = rng.random()
         acc_b = u > 0.0 and math.log(u) < dll + dpr
         if acc_b:
-            beta, mu = beta_p, mu_p
+            beta, mu, sp = beta_p, mu_p, sp_p
 
         d = eps_scales * rng.standard_normal(n_ind)
-        dmu = d[codes]
-        mu_p = mu + dmu
-        obs_delta = y * dmu - (np.logaddexp(0.0, mu_p) - np.logaddexp(0.0, mu))
-        dll = np.bincount(codes, weights=obs_delta, minlength=n_ind)
+        mu_p = mu + d[codes]
+        sp_p = softplus(mu_p)
+        dll = self.y_count * d - np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
         eps_p = eps + d
         dpr = (eps * eps - eps_p * eps_p) / (2.0 * sigma2)
         with np.errstate(divide="ignore"):
             acc_e = np.log(rng.random(n_ind)) < dll + dpr
         eps = np.where(acc_e, eps_p, eps)
-        mu = mu + np.where(acc_e[codes], dmu, 0.0)
-        return beta, eps, gibbs_sigma2(eps, self.sigma2_prior, rng), mu, acc_b, acc_e
+        acc_obs = acc_e[codes]
+        mu = np.where(acc_obs, mu_p, mu)
+        sp = np.where(acc_obs, sp_p, sp)
+        return beta, eps, gibbs_sigma2(eps, self.sigma2_prior, rng), mu, sp, acc_b, acc_e
 
     def eps_scales(self, mu, sigma2) -> np.ndarray:
         """Approximate conditional sd of each eps_i: 1/sqrt(prior precision + Fisher info)."""
@@ -226,9 +247,10 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     kernel = _Kernel(data, priors)
     scales = (np.ones(data.n_individuals) if eps_scales is None
               else np.asarray(eps_scales, dtype=np.float64))
+    mu = kernel.mu(state.beta, state.epsilon)
     beta, eps, sigma2, *_ = kernel.sweep(state.beta, state.epsilon, state.sigma2,
-                                         kernel.mu(state.beta, state.epsilon),
-                                         np.eye(3), beta_log_scale, scales, rng)
+                                         mu, softplus(mu), np.eye(3), beta_log_scale,
+                                         scales, rng)
     return ParameterState(beta=beta, epsilon=eps, sigma2=sigma2)
 
 
@@ -254,6 +276,7 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
             raise SamplerError("log posterior is not finite at the initial state")
     beta, eps, sigma2 = state.beta, state.epsilon, state.sigma2
     mu = kernel.mu(beta, eps)
+    sp = softplus(mu)
 
     beta_chol = np.eye(3)
     log_scale_beta = math.log(0.1)
@@ -264,8 +287,8 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     win_beta_acc = 0
     win_eps_acc = np.zeros(n_ind)
     for t in range(config.burn_in):
-        beta, eps, sigma2, mu, acc_b, acc_e = kernel.sweep(
-            beta, eps, sigma2, mu, beta_chol, log_scale_beta, eps_scales, rng)
+        beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
+            beta, eps, sigma2, mu, sp, beta_chol, log_scale_beta, eps_scales, rng)
         beta_hist[t] = beta
         win_beta_acc += acc_b
         win_eps_acc += acc_e
@@ -294,8 +317,8 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     post_eps_acc = np.zeros(n_ind)
     for k in range(config.samples):
         for _ in range(config.thin):
-            beta, eps, sigma2, mu, acc_b, acc_e = kernel.sweep(
-                beta, eps, sigma2, mu, beta_chol, log_scale_beta, eps_scales, rng)
+            beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
+                beta, eps, sigma2, mu, sp, beta_chol, log_scale_beta, eps_scales, rng)
             post_beta_acc += acc_b
             post_eps_acc += acc_e
         kept_beta[k] = beta

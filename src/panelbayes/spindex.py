@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
-from .sampler import ChainConfig, run_chain, summarize
+from .sampler import ESS_FLOOR, ChainConfig, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,6 @@ DEFAULT_THRESHOLD = 1.4
 DEFAULT_SPLIT_YEAR = 2004
 TREND_ORIGIN = 1960
 TABLE_PARAMETERS = ("beta0", "beta1", "sigma")
-ESS_FLOOR = 100   # fewer effective draws than this and a fit is reported as unmixed
 
 
 def series_to_panel(years, returns, threshold: float = DEFAULT_THRESHOLD) -> PanelDataset:
@@ -121,15 +120,12 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     rows = []
     for run, samples in fits.items():
         stats = summarize(samples)
-        for param in TABLE_PARAMETERS:
-            s = stats[param]
-            if s.ess < ESS_FLOOR:
-                log.warning("%s fit: ESS of %s is %.1f of %d draws, below %d; "
-                            "the chain has not mixed", run, param, s.ess, samples.n_kept,
-                            ESS_FLOOR)
-            if run != "stage 1":
-                rows.append({"run": run, "parameter": param, "mean": s.mean,
-                             "sd": s.sd, "lcl": s.lower, "ucl": s.upper})
+        stats = {param: stats[param] for param in TABLE_PARAMETERS}
+        warn_unmixed(f"{run} fit", stats, samples.n_kept, ESS_FLOOR)
+        if run != "stage 1":
+            rows.extend({"run": run, "parameter": param, "mean": s.mean,
+                         "sd": s.sd, "lcl": s.lower, "ucl": s.upper}
+                        for param, s in stats.items())
     return rows
 
 

@@ -1,5 +1,7 @@
 import csv
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +78,16 @@ class TestFit:
         rows = read_csv(out)
         assert rows[0] == ["parameter", "mean", "sd", "lcl", "ucl", "ess"]
         assert [r[0] for r in rows[1:]] == ["beta0", "beta1", "beta2", "sigma"]
+
+    def test_unmixed_parameters_warn(self, tmp_path, panel_csv, caplog):
+        # 50 kept draws can never hold 100 effective ones
+        out = tmp_path / "summary.csv"
+        with caplog.at_level(logging.WARNING, logger="panelbayes.sampler"):
+            assert main(["fit", "--data", str(panel_csv), "--out", str(out),
+                         "--burn-in", "200", "--samples", "50", "--seed", "7"]) == 0
+        named = [re.match(r"fit: ESS of (\w+) is [0-9.]+ of 50 draws, below 100; ",
+                          r.message).group(1) for r in caplog.records]
+        assert named == ["beta0", "beta1", "beta2", "sigma"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 1

@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from panelbayes.errors import SamplerError
-from panelbayes.model import PanelDataset, ParameterState
+from panelbayes.model import PanelDataset, ParameterState, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
-from panelbayes.sampler import (ChainConfig, PosteriorSamples, _chain_stats, adapt_scale,
-                                draws_to_csv, effective_sample_size, gibbs_sigma2,
+from panelbayes.sampler import (ChainConfig, PosteriorSamples, _chain_stats, _Kernel,
+                                adapt_scale, draws_to_csv, effective_sample_size, gibbs_sigma2,
                                 metropolis_sweep, run_chain, summarize)
 
 
@@ -191,6 +192,47 @@ class TestMetropolisSweep:
         b = metropolis_sweep(data, st, priors, np.random.default_rng(5))
         assert np.array_equal(a.beta, b.beta)
         assert a.sigma2 == b.sigma2
+
+
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        x = np.linspace(-800.0, 800.0, 200001)
+        ref = np.logaddexp(0.0, x)
+        assert np.all(np.abs(softplus(x) - ref) <= 4 * np.spacing(ref))
+
+    def test_finite_at_extremes_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softplus(np.array([-1e308, 1e308]))
+        assert np.array_equal(out, [0.0, 1e308])
+
+
+class TestKernelCache:
+    def test_carried_state_matches_recomputed(self):
+        # ragged: individual i is observed 1 + i % 5 times
+        rng = np.random.default_rng(31)
+        counts = 1 + np.arange(40) % 5
+        ind = np.repeat(np.arange(40), counts)
+        time = np.concatenate([np.arange(1, c + 1) for c in counts])
+        data = PanelDataset(ind, time, rng.integers(0, 2, ind.size),
+                            rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
+        kernel = _Kernel(data, default_uninformative())
+        beta, eps, sigma2 = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.5, 40), 2.0
+        mu = kernel.mu(beta, eps)
+        sp = softplus(mu)
+        chol = np.linalg.cholesky([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]])
+        eps_scales = rng.uniform(0.5, 2.0, 40)
+        acc_beta, acc_eps = 0, np.zeros(40)
+        for _ in range(200):
+            beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
+                beta, eps, sigma2, mu, sp, chol, math.log(0.3), eps_scales, rng)
+            acc_beta += acc_b
+            acc_eps += acc_e
+        # both blocks accepted some moves and rejected others
+        assert 0 < acc_beta < 200
+        assert np.all(acc_eps > 0) and np.all(acc_eps < 200)
+        assert np.array_equal(sp, softplus(mu))
+        np.testing.assert_allclose(mu, kernel.mu(beta, eps), rtol=0.0, atol=1e-9)
 
 
 def test_draws_csv_layout(tmp_path):

@@ -8,6 +8,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,12 +31,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"usage error: {message}")
 
 
-def _add_chain_flags(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
+def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--thin", type=int, default=None)
-    if with_seed:
-        p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def build_parser() -> _Parser:
@@ -64,8 +64,7 @@ def build_parser() -> _Parser:
     p_study.add_argument("--config", required=True, help="study config (key=value)")
     p_study.add_argument("--out", default=None, help="override the config output directory")
     p_study.add_argument("--jobs", type=int, default=None, help="override the worker count")
-    _add_chain_flags(p_study, with_seed=False)
-    p_study.add_argument("--seed", type=int, default=None, help="override the config master seed")
+    _add_chain_flags(p_study)
 
     p_sp = sub.add_parser("spindex", help="two-stage fit of a yearly return series")
     p_sp.add_argument("--data", default=None,
@@ -169,6 +168,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_spindex(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be a finite number, got {args.threshold}")
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
     rows = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,

@@ -7,17 +7,19 @@ Grammar (one entry per line):
                                  value: everything after '=', stripped
 
 `KVFile` reads configs and priors files alike. Parse errors carry
-``path:line:`` anchors, and `check_all_read` rejects every key the reader
-did not ask for, so a typo'd key is an error, not a dropped setting.
+``path:line:`` anchors, a number must be finite (no nan or inf), and
+`check_all_read` rejects every key the reader did not ask for, so a typo'd
+key is an error, not a dropped setting.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ConfigError
 
-_KINDS = {float: "a number", int: "an integer"}
+_KINDS = {float: "a finite number", int: "an integer"}
 
 
 class KVFile:
@@ -62,10 +64,13 @@ class KVFile:
                 raise ConfigError(f"{self.path}: missing required key {key!r}")
             return default
         try:
-            return parse(self.kv[key])
+            value = parse(self.kv[key])
+            if parse is float and not math.isfinite(value):
+                raise ValueError
         except ValueError:
             raise ConfigError(f"{self.path}: key {key!r} is not {_KINDS[parse]}: "
                               f"{self.kv[key]!r}") from None
+        return value
 
     def check_all_read(self) -> None:
         unread = [key for key in self.kv if key not in self.read]

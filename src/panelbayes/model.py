@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -135,10 +134,6 @@ class PanelDataset:
     def n_individuals(self) -> int:
         return int(self.ids.size)
 
-    def counts(self) -> np.ndarray:
-        """Observations per individual, in `ids` order."""
-        return np.bincount(self.codes, minlength=self.n_individuals)
-
     def times(self) -> np.ndarray:
         """Sorted unique time indices present in the panel."""
         return np.unique(self.time)
@@ -162,13 +157,6 @@ class PanelDataset:
             mask &= np.isin(self.time, np.asarray(times))
         return PanelDataset(self.individual[mask], self.time[mask], self.y[mask],
                             self.x1[mask], self.x2[mask])
-
-    def content_hash(self) -> str:
-        """SHA-256 of the canonical row bytes; equal hash == equal panel."""
-        h = hashlib.sha256()
-        for arr in (self.individual, self.time, self.y, self.x1, self.x2):
-            h.update(arr.tobytes())
-        return h.hexdigest()
 
     def to_csv(self, path: str) -> None:
         write_csv(path, PANEL_CSV_HEADER,

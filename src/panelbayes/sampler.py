@@ -12,13 +12,13 @@ One sweep updates, in order:
   (c) sigma2 exactly, from its inverse-gamma full conditional
       IG(shape + I/2, scale + sum(eps^2)/2).
 
-`run_chain` and `metropolis_sweep` share one sweep kernel, built once per
-(dataset, priors): it holds the design matrix X, the individual codes, the
-prior arrays, and the two data terms of the log-likelihood delta, Xty = X'y
-(a 3-vector) and y_count (the number of ones per individual). The chain
-carries mu = X beta + eps[codes] and softplus(mu) along with its state, so a
-proposal costs one softplus pass over the observations per block, and the
-y*dmu terms reduce to Xty @ d and y_count * d.
+`run_chain` and `metropolis_sweep` each build one `_Chain` and call its
+`sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
+individual codes, the prior arrays, Xty = X'y and y_count (the ones per
+individual); the state with its cache mu = X beta + eps[codes] and
+sp = softplus(mu), which every move keeps in step; and the proposal. A block
+then costs one softplus pass over the observations, and its y*dmu terms
+reduce to Xty @ d and y_count * d.
 
 Proposal scales are tuned only during burn-in: acceptance rates are averaged
 over fixed windows of 50 iterations and the log scales nudged toward the
@@ -110,9 +110,12 @@ class SummaryStats:
     ess: float
 
 
-def adapt_scale(log_scale: float, observed_accept: float, target: float, step: float) -> float:
-    """Robbins-Monro nudge: log_scale + step * (observed_accept - target)."""
-    if not 0.0 <= observed_accept <= 1.0:
+def adapt_scale(log_scale: float | np.ndarray, observed_accept: float | np.ndarray,
+                target: float, step: float) -> float | np.ndarray:
+    """Robbins-Monro nudge: log_scale + step * (observed_accept - target),
+    elementwise when given arrays of log scales and acceptance rates."""
+    rate = np.asarray(observed_accept)
+    if not ((rate >= 0.0) & (rate <= 1.0)).all():
         raise ValueError("acceptance rate must lie in [0, 1]")
     return log_scale + step * (observed_accept - target)
 
@@ -178,10 +181,12 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int,
 # core updates
 
 
-class _Kernel:
-    """The sweep's fixed arrays for one (dataset, priors), built once per chain."""
+class _Chain:
+    """One chain: the fixed arrays of (dataset, priors), the state with its
+    mu = X beta + eps[codes] and sp = softplus(mu) cache, and the proposal."""
 
-    def __init__(self, data: PanelDataset, priors: PriorSet):
+    def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
+                 log_scale: float, eps_scales: np.ndarray):
         self.n_ind = data.n_individuals
         self.X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
         self.codes = data.codes
@@ -191,48 +196,49 @@ class _Kernel:
         self.prior_means = np.array([p.mean for p in priors.beta_priors])
         self.prior_vars = np.array([p.variance for p in priors.beta_priors])
         self.sigma2_prior = priors.sigma2_prior
+        self.beta, self.eps, self.sigma2 = state.beta, state.epsilon, state.sigma2
+        self.mu = self.X @ self.beta + self.eps[self.codes]
+        self.sp = softplus(self.mu)
+        self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
 
-    def mu(self, beta, eps) -> np.ndarray:
-        return self.X @ beta + eps[self.codes]
-
-    def sweep(self, beta, eps, sigma2, mu, sp, chol, log_scale, eps_scales, rng):
-        """Beta block, eps scalars, sigma2 Gibbs, in that order; sp is softplus(mu).
-
-        Returns (beta, eps, sigma2, mu, sp, beta accepted, eps accepted per
-        individual).
-        """
-        codes, n_ind = self.codes, self.n_ind
-        d = (chol @ rng.standard_normal(3)) * math.exp(log_scale)
+    def sweep(self, rng: np.random.Generator):
+        """Beta block, eps scalars, sigma2 Gibbs, in that order; returns (beta
+        accepted, eps accepted per individual). The state and its cache are
+        rebound, never written into."""
+        codes, n_ind, beta = self.codes, self.n_ind, self.beta
+        d = (self.chol @ rng.standard_normal(3)) * math.exp(self.log_scale)
         beta_p = beta + d
-        mu_p = mu + self.X @ d
+        mu_p = self.mu + self.X @ d
         sp_p = softplus(mu_p)
-        dll = float(self.Xty @ d - (sp_p.sum() - sp.sum()))
+        dll = float(self.Xty @ d - (sp_p.sum() - self.sp.sum()))
         m, v = self.prior_means, self.prior_vars
         dpr = float((((beta - m) ** 2 - (beta_p - m) ** 2) / (2.0 * v)).sum())
         u = rng.random()
         acc_b = u > 0.0 and math.log(u) < dll + dpr
         if acc_b:
-            beta, mu, sp = beta_p, mu_p, sp_p
+            self.beta, self.mu, self.sp = beta_p, mu_p, sp_p
 
-        d = eps_scales * rng.standard_normal(n_ind)
+        eps, mu, sp = self.eps, self.mu, self.sp
+        d = self.eps_scales * rng.standard_normal(n_ind)
         mu_p = mu + d[codes]
         sp_p = softplus(mu_p)
         dll = self.y_count * d - np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
         eps_p = eps + d
-        dpr = (eps * eps - eps_p * eps_p) / (2.0 * sigma2)
+        dpr = (eps * eps - eps_p * eps_p) / (2.0 * self.sigma2)
         with np.errstate(divide="ignore"):
             acc_e = np.log(rng.random(n_ind)) < dll + dpr
-        eps = np.where(acc_e, eps_p, eps)
         acc_obs = acc_e[codes]
-        mu = np.where(acc_obs, mu_p, mu)
-        sp = np.where(acc_obs, sp_p, sp)
-        return beta, eps, gibbs_sigma2(eps, self.sigma2_prior, rng), mu, sp, acc_b, acc_e
+        self.eps = np.where(acc_e, eps_p, eps)
+        self.mu = np.where(acc_obs, mu_p, mu)
+        self.sp = np.where(acc_obs, sp_p, sp)
+        self.sigma2 = gibbs_sigma2(self.eps, self.sigma2_prior, rng)
+        return acc_b, acc_e
 
-    def eps_scales(self, mu, sigma2) -> np.ndarray:
+    def conditional_sd(self) -> np.ndarray:
         """Approximate conditional sd of each eps_i: 1/sqrt(prior precision + Fisher info)."""
-        p = expit(mu)
+        p = expit(self.mu)
         fisher = np.bincount(self.codes, weights=p * (1.0 - p), minlength=self.n_ind)
-        return 1.0 / np.sqrt(1.0 / sigma2 + fisher)
+        return 1.0 / np.sqrt(1.0 / self.sigma2 + fisher)
 
 
 def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet,
@@ -244,14 +250,11 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     leaves the posterior invariant -- the building block for kernel
     validation harnesses.
     """
-    kernel = _Kernel(data, priors)
     scales = (np.ones(data.n_individuals) if eps_scales is None
               else np.asarray(eps_scales, dtype=np.float64))
-    mu = kernel.mu(state.beta, state.epsilon)
-    beta, eps, sigma2, *_ = kernel.sweep(state.beta, state.epsilon, state.sigma2,
-                                         mu, softplus(mu), np.eye(3), beta_log_scale,
-                                         scales, rng)
-    return ParameterState(beta=beta, epsilon=eps, sigma2=sigma2)
+    chain = _Chain(data, priors, state, beta_log_scale, scales)
+    chain.sweep(rng)
+    return ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
 
 
 def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
@@ -268,45 +271,37 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     """Adapt the proposals over burn_in iterations, then freeze them and run
     samples*thin iterations, keeping every thin-th draw."""
     rng = np.random.default_rng(derive_seed(config.seed))
-    kernel = _Kernel(data, priors)
     n_ind = data.n_individuals
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise SamplerError("log posterior is not finite at the initial state")
-    beta, eps, sigma2 = state.beta, state.epsilon, state.sigma2
-    mu = kernel.mu(beta, eps)
-    sp = softplus(mu)
-
-    beta_chol = np.eye(3)
-    log_scale_beta = math.log(0.1)
     # scalar proposals start at 2.4x the conditional-sd estimate (1-d optimum)
+    chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
     eps_log_mult = np.full(n_ind, math.log(2.4))
-    eps_scales = np.full(n_ind, 2.4)
     beta_hist = np.empty((config.burn_in, 3))
     win_beta_acc = 0
     win_eps_acc = np.zeros(n_ind)
     for t in range(config.burn_in):
-        beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
-            beta, eps, sigma2, mu, sp, beta_chol, log_scale_beta, eps_scales, rng)
-        beta_hist[t] = beta
+        acc_b, acc_e = chain.sweep(rng)
+        beta_hist[t] = chain.beta
         win_beta_acc += acc_b
         win_eps_acc += acc_e
         if (t + 1) % _ADAPT_WINDOW:
             continue
         step = 0.1 / math.sqrt((t + 1) // _ADAPT_WINDOW)
-        log_scale_beta = adapt_scale(log_scale_beta, win_beta_acc / _ADAPT_WINDOW,
-                                     _TARGET_ACCEPT_BLOCK, step)
+        chain.log_scale = adapt_scale(chain.log_scale, win_beta_acc / _ADAPT_WINDOW,
+                                      _TARGET_ACCEPT_BLOCK, step)
         if t + 1 >= _COV_START:
             # trailing half of the burn-in draws, so the frozen early
             # phase stops pinning the covariance down
             hist = beta_hist[(t + 1) // 2: t + 1]
-            beta_chol = np.linalg.cholesky(np.cov(hist.T) + _COV_JITTER * np.eye(3))
+            chain.chol = np.linalg.cholesky(np.cov(hist.T) + _COV_JITTER * np.eye(3))
             if t + 1 == _COV_START:
-                log_scale_beta = math.log(2.38 / math.sqrt(3.0))
-        eps_log_mult = eps_log_mult + step * (win_eps_acc / _ADAPT_WINDOW
-                                              - _TARGET_ACCEPT_SCALAR)
-        eps_scales = np.exp(eps_log_mult) * kernel.eps_scales(mu, sigma2)
+                chain.log_scale = math.log(2.38 / math.sqrt(3.0))
+        eps_log_mult = adapt_scale(eps_log_mult, win_eps_acc / _ADAPT_WINDOW,
+                                   _TARGET_ACCEPT_SCALAR, step)
+        chain.eps_scales = np.exp(eps_log_mult) * chain.conditional_sd()
         win_beta_acc = 0
         win_eps_acc = np.zeros(n_ind)
 
@@ -317,12 +312,11 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     post_eps_acc = np.zeros(n_ind)
     for k in range(config.samples):
         for _ in range(config.thin):
-            beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
-                beta, eps, sigma2, mu, sp, beta_chol, log_scale_beta, eps_scales, rng)
+            acc_b, acc_e = chain.sweep(rng)
             post_beta_acc += acc_b
             post_eps_acc += acc_e
-        kept_beta[k] = beta
-        kept_sigma2[k] = sigma2
+        kept_beta[k] = chain.beta
+        kept_sigma2[k] = chain.sigma2
 
     return PosteriorSamples(
         beta=kept_beta,

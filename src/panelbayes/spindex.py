@@ -19,6 +19,7 @@ instead.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -62,8 +63,10 @@ def load_returns(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise ConfigError(f"{path}:{rowno}: column 'year' must be an integer") from None
         try:
             rets.append(float(row[1]))
+            if not math.isfinite(rets[-1]):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{path}:{rowno}: column 'return' is not a number") from None
+            raise ConfigError(f"{path}:{rowno}: column 'return' is not a finite number") from None
     if np.any(np.diff(years) <= 0):
         raise ConfigError(f"{path}: years must be strictly increasing (no duplicates)")
     return np.array(years, dtype=np.int64), np.array(rets, dtype=np.float64)

@@ -55,6 +55,13 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
         assert "individuals" in capsys.readouterr().err
 
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys):
+        for key, value in [("sigma", "inf"), ("beta0", "nan")]:
+            cfg = write_gen_config(tmp_path / "bad.kv", **{key: value})
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
+            assert f"{cfg}: key {key!r} is not a finite number" in capsys.readouterr().err
+            assert not (tmp_path / "p.csv").exists()
+
     def test_seed_determinism(self, tmp_path):
         cfg = write_gen_config(tmp_path / "gen.kv")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -178,15 +185,26 @@ class TestFit:
         assert f"{typo}: unknown key 'sigma.shape'" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
-        # an infinite prior mean makes the starting log posterior non-finite
-        inf_priors = tmp_path / "inf.kv"
-        inf_priors.write_text("\n".join(
-            ["beta0.mean = inf", "beta0.variance = 1.0",
-             "beta1.mean = 0.0", "beta1.variance = 1.0",
-             "beta2.mean = 0.0", "beta2.variance = 1.0",
-             "sigma2.shape = 2.0", "sigma2.scale = 1.0"]) + "\n")
+        # finite but extreme IG parameters overflow the starting log posterior
+        huge_priors = tmp_path / "huge.kv"
+        huge_priors.write_text(priors_text(**{"sigma2.shape": 1e308, "sigma2.scale": 1e308}))
         assert main(["fit", "--data", str(panel_csv),
-                     "--priors-in", str(inf_priors)] + FIT_FLAGS) == 2
+                     "--priors-in", str(huge_priors)] + FIT_FLAGS) == 2
+
+    def test_non_finite_prior_is_config_error(self, tmp_path, panel_csv, capsys):
+        for key, value in [("beta0.mean", "nan"), ("beta0.variance", "inf"),
+                           ("sigma2.scale", "inf")]:
+            bad = tmp_path / "bad.kv"
+            bad.write_text(priors_text(**{key: value}))
+            assert main(["fit", "--data", str(panel_csv), "--priors-in", str(bad)] + FIT_FLAGS) == 1
+            assert f"{bad}: key {key!r} is not a finite number" in capsys.readouterr().err
+
+
+def priors_text(**overrides):
+    values = {"beta0.mean": 0.0, "beta0.variance": 1.0, "beta1.mean": 0.0, "beta1.variance": 1.0,
+              "beta2.mean": 0.0, "beta2.variance": 1.0, "sigma2.shape": 2.0, "sigma2.scale": 1.0}
+    values.update(overrides)
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 def write_study_config(path, outdir, **overrides):
@@ -253,6 +271,15 @@ class TestStudy:
             assert f"{cfg}: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_value_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), beta1="nan")
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert f"{cfg}: key 'beta1' is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_line_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.kv"
         bad.write_text("individuals = 4\nperiods four\n")
@@ -289,6 +316,18 @@ class TestSpindex:
         assert main(["spindex", "--out", str(a)] + FIT_FLAGS) == 0
         assert main(["spindex", "--out", str(b), "--threshold", "0.0"] + FIT_FLAGS) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_non_finite_threshold_is_config_error(self, tmp_path, capsys):
+        assert main(["spindex", "--threshold", "nan", "--out", str(tmp_path / "sp.csv")]
+                    + FIT_FLAGS) == 1
+        assert "--threshold must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "sp.csv").exists()
+
+    def test_non_finite_return_is_config_error(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("year,return\n1990,0.5\n1991,nan\n1992,2.0\n1993,1.0\n")
+        assert main(["spindex", "--data", str(series), "--split-year", "1992"] + FIT_FLAGS) == 1
+        assert f"{series}:3: column 'return' is not a finite number" in capsys.readouterr().err
 
     def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0

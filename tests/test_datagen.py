@@ -4,8 +4,12 @@ from scipy.special import expit
 
 from panelbayes.datagen import SimConfig, gen_panel, partition
 from panelbayes.errors import ConfigError
-from panelbayes.model import PanelDataset, concat_panels
+from panelbayes.model import PANEL_CSV_HEADER, PanelDataset, concat_panels
 from panelbayes.seeding import derive_seed
+
+
+def same_rows(a, b):
+    return all(np.array_equal(getattr(a, col), getattr(b, col)) for col in PANEL_CSV_HEADER)
 
 
 class TestSimConfig:
@@ -120,8 +124,8 @@ class TestGenPanel:
         a, _ = gen_panel(cfg, np.random.default_rng(derive_seed(cfg.seed, 0, 0)))
         b, _ = gen_panel(cfg, np.random.default_rng(derive_seed(cfg.seed, 0, 0)))
         c, _ = gen_panel(cfg, np.random.default_rng(derive_seed(cfg.seed, 1, 0)))
-        assert a.content_hash() == b.content_hash()
-        assert a.content_hash() != c.content_hash()
+        assert same_rows(a, b)
+        assert not same_rows(a, c)
 
     def test_replicate_streams_disjoint(self):
         master = 2024
@@ -149,13 +153,13 @@ class TestPartition:
         assert list(q.m22.times()) == [3, 4]
         # covariates carried verbatim from the original rows
         orig = panel.subset(ids=[3, 4], times=[3, 4])
-        assert q.m22.content_hash() == orig.content_hash()
+        assert same_rows(q.m22, orig)
 
     def test_reassembly_is_lossless(self):
         panel = self.make_panel(6, 8)
         q = partition(panel)
         back = concat_panels(q.m11, q.m12, q.m21, q.m22)
-        assert back.content_hash() == panel.content_hash()
+        assert same_rows(back, panel)
         total = sum(quad.n_obs for quad in (q.m11, q.m12, q.m21, q.m22))
         assert total == panel.n_obs  # non-overlapping cover
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from panelbayes.errors import ConfigError
-from panelbayes.model import (PanelDataset, ParameterState, concat_panels, log_likelihood,
-                              log_posterior)
+from panelbayes.model import (PANEL_CSV_HEADER, PanelDataset, ParameterState, concat_panels,
+                              log_likelihood, log_posterior)
 from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, log_density_invgamma,
                                log_density_normal)
 
@@ -184,7 +184,7 @@ class TestPanelDataset:
     def test_ragged_supported(self):
         data = small_panel()
         assert data.n_individuals == 2
-        assert list(data.counts()) == [3, 2]
+        assert list(np.bincount(data.codes)) == [3, 2]
         assert not data.is_rectangular()
 
     def test_csv_round_trip(self, tmp_path):
@@ -192,7 +192,8 @@ class TestPanelDataset:
         path = tmp_path / "panel.csv"
         data.to_csv(str(path))
         back = PanelDataset.from_csv(str(path))
-        assert back.content_hash() == data.content_hash()
+        for col in PANEL_CSV_HEADER:
+            assert np.array_equal(getattr(back, col), getattr(data, col))
         # a second write is byte-identical
         path2 = tmp_path / "panel2.csv"
         back.to_csv(str(path2))

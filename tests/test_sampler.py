@@ -8,7 +8,7 @@ from scipy import stats as sps
 from panelbayes.errors import SamplerError
 from panelbayes.model import PanelDataset, ParameterState, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
-from panelbayes.sampler import (ChainConfig, PosteriorSamples, _chain_stats, _Kernel,
+from panelbayes.sampler import (ChainConfig, PosteriorSamples, _Chain, _chain_stats,
                                 adapt_scale, draws_to_csv, effective_sample_size, gibbs_sigma2,
                                 metropolis_sweep, run_chain, summarize)
 
@@ -34,6 +34,8 @@ def synthetic_samples(beta0_chain):
 class TestAdaptScale:
     def test_fixed_point(self):
         assert adapt_scale(0.7, 0.44, 0.44, 0.1) == 0.7
+        log_scales = np.array([0.7, -1.2, 0.0])
+        assert np.array_equal(adapt_scale(log_scales, np.full(3, 0.44), 0.44, 0.1), log_scales)
 
     def test_full_acceptance(self):
         assert adapt_scale(0.0, 1.0, 0.44, 0.1) == pytest.approx(0.056, abs=1e-15)
@@ -45,10 +47,14 @@ class TestAdaptScale:
         up = adapt_scale(0.0, 0.9, 0.44, 0.1)
         down = adapt_scale(0.0, 0.1, 0.44, 0.1)
         assert up > 0.0 > down
+        moved = adapt_scale(np.zeros(3), np.array([0.9, 0.44, 0.1]), 0.44, 0.1)
+        assert moved[0] > 0.0 > moved[2]
+        assert moved[1] == 0.0
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            adapt_scale(0.0, 1.5, 0.44, 0.1)
+        for bad in (1.5, float("nan"), np.array([0.2, 1.5]), np.array([0.2, np.nan])):
+            with pytest.raises(ValueError, match="acceptance rate"):
+                adapt_scale(np.zeros(np.size(bad)), bad, 0.44, 0.1)
 
 
 class TestGibbsSigma2:
@@ -216,23 +222,23 @@ class TestKernelCache:
         time = np.concatenate([np.arange(1, c + 1) for c in counts])
         data = PanelDataset(ind, time, rng.integers(0, 2, ind.size),
                             rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
-        kernel = _Kernel(data, default_uninformative())
-        beta, eps, sigma2 = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.5, 40), 2.0
-        mu = kernel.mu(beta, eps)
-        sp = softplus(mu)
-        chol = np.linalg.cholesky([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]])
-        eps_scales = rng.uniform(0.5, 2.0, 40)
+        state = ParameterState(beta=rng.normal(0.0, 1.0, 3), epsilon=rng.normal(0.0, 1.5, 40),
+                               sigma2=2.0)
+        chain = _Chain(data, default_uninformative(), state, math.log(0.3),
+                       rng.uniform(0.5, 2.0, 40))
+        chain.chol = np.linalg.cholesky([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]])
         acc_beta, acc_eps = 0, np.zeros(40)
         for _ in range(200):
-            beta, eps, sigma2, mu, sp, acc_b, acc_e = kernel.sweep(
-                beta, eps, sigma2, mu, sp, chol, math.log(0.3), eps_scales, rng)
+            acc_b, acc_e = chain.sweep(rng)
             acc_beta += acc_b
             acc_eps += acc_e
         # both blocks accepted some moves and rejected others
         assert 0 < acc_beta < 200
         assert np.all(acc_eps > 0) and np.all(acc_eps < 200)
-        assert np.array_equal(sp, softplus(mu))
-        np.testing.assert_allclose(mu, kernel.mu(beta, eps), rtol=0.0, atol=1e-9)
+        assert np.array_equal(chain.sp, softplus(chain.mu))
+        X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
+        np.testing.assert_allclose(chain.mu, X @ chain.beta + chain.eps[data.codes],
+                                   rtol=0.0, atol=1e-9)
 
 
 def test_draws_csv_layout(tmp_path):

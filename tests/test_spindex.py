@@ -60,7 +60,7 @@ class TestReturnSeries:
     def test_panel_layout(self):
         panel = series_to_panel(np.array([1960, 1961, 1962]), np.array([2.0, 0.1, 1.6]))
         assert panel.n_individuals == 3      # one individual per year
-        assert list(panel.counts()) == [1, 1, 1]
+        assert list(np.bincount(panel.codes)) == [1, 1, 1]
         assert list(panel.individual) == [1960, 1961, 1962]
         assert (panel.x2 == 0.0).all()
         assert list(panel.x1) == [0.0, 1.0, 2.0]

@@ -161,6 +161,8 @@ def cmd_study(args) -> int:
     cfg.check_all_read()
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
     result = run_study(sim, run_ids, chain, jobs=jobs)
     for path in write_tables(result, outdir):
         print(path)
@@ -172,9 +174,9 @@ def cmd_spindex(args) -> int:
         raise ConfigError(f"--threshold must be a finite number, got {args.threshold}")
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
-    rows = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,
-                         threshold=args.threshold)
-    write_comparison_csv(rows, args.out)
+    report = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,
+                           threshold=args.threshold)
+    write_comparison_csv(report, args.out)
     return 0
 
 

@@ -14,8 +14,10 @@ comparison runs R4..R6, fits the second block directly with diffuse priors:
 Per replicate the stage-2 posterior means of beta0, beta1, beta2 and sigma
 (mean of per-draw sqrt(sigma2)) are collected; across replicates each
 parameter gets Mean, SD, a t-based confidence interval and
-MSE = (Mean - truth)^2 + Var. Replicates run on independent RNG streams
-(see `seeding`) so results are identical for any worker count.
+MSE = (Mean - truth)^2 + Var. Each stage-2 fit whose ESS falls below the
+floor of `sampler.warn_unmixed` logs a warning naming its replicate and run.
+Replicates run on independent RNG streams (see `seeding`) so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .datagen import Quadrants, SimConfig, gen_panel, partition
 from .errors import ConfigError
 from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
-from .sampler import ChainConfig, run_chain
+from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
 
 PARAMETERS = ("beta0", "beta1", "beta2", "sigma")
@@ -40,36 +42,28 @@ PARAMETERS = ("beta0", "beta1", "beta2", "sigma")
 
 @dataclass(frozen=True)
 class RunSpec:
-    run_id: str
     stage1: str | None  # dataset selector for the prior-building fit, None for single-stage runs
     stage2: str
 
 
 RUNS: dict[str, RunSpec] = {
-    "R1": RunSpec("R1", "top", "bottom"),
-    "R2": RunSpec("R2", "early", "late"),
-    "R3": RunSpec("R3", "m11", "m22"),
-    "R4": RunSpec("R4", None, "m22"),
-    "R5": RunSpec("R5", None, "bottom"),
-    "R6": RunSpec("R6", None, "late"),
+    "R1": RunSpec("top", "bottom"),
+    "R2": RunSpec("early", "late"),
+    "R3": RunSpec("m11", "m22"),
+    "R4": RunSpec(None, "m22"),
+    "R5": RunSpec(None, "bottom"),
+    "R6": RunSpec(None, "late"),
 }
+
+_SELECTORS = {"m11": ("m11",), "m22": ("m22",), "top": ("m11", "m12"),
+              "bottom": ("m21", "m22"), "early": ("m11", "m21"), "late": ("m12", "m22")}
 
 
 def stage_dataset(selector: str, q: Quadrants) -> PanelDataset:
     """Materialize a selector: a quadrant or a two-quadrant combination."""
-    if selector == "m11":
-        return q.m11
-    if selector == "m22":
-        return q.m22
-    if selector == "top":
-        return concat_panels(q.m11, q.m12)
-    if selector == "bottom":
-        return concat_panels(q.m21, q.m22)
-    if selector == "early":
-        return concat_panels(q.m11, q.m21)
-    if selector == "late":
-        return concat_panels(q.m12, q.m22)
-    raise ValueError(f"unknown dataset selector {selector!r}")
+    if selector not in _SELECTORS:
+        raise ValueError(f"unknown dataset selector {selector!r}")
+    return concat_panels(*(getattr(q, name) for name in _SELECTORS[selector]))
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,9 @@ def replicate_ci(estimates: Sequence[float]) -> tuple[float, float]:
     return m - half, m + half
 
 
-def execute_run(run_id: str, quadrants: Quadrants, chain_config: ChainConfig) -> dict[str, float]:
-    """Run one design on one replicate's quadrants; stage-2 posterior means.
+def execute_run(run_id: str, quadrants: Quadrants,
+                chain_config: ChainConfig) -> dict[str, SummaryStats]:
+    """Run one design on one replicate's quadrants; the `summarize` of stage 2.
 
     Stage 1 (when the design has one) fits with diffuse priors and is
     summarized into the stage-2 prior set; individual effects start fresh at
@@ -117,23 +112,23 @@ def execute_run(run_id: str, quadrants: Quadrants, chain_config: ChainConfig) ->
         stage1 = run_chain(stage_dataset(spec.stage1, quadrants), priors, cfg1)
         priors = posterior_to_priorset(stage1)
     cfg2 = replace(chain_config, seed=derive_seed(chain_config.seed, run_index, 2))
-    stage2 = run_chain(stage_dataset(spec.stage2, quadrants), priors, cfg2)
-    return {
-        "beta0": float(stage2.beta[:, 0].mean()),
-        "beta1": float(stage2.beta[:, 1].mean()),
-        "beta2": float(stage2.beta[:, 2].mean()),
-        "sigma": float(stage2.sigma.mean()),
-    }
+    return summarize(run_chain(stage_dataset(spec.stage2, quadrants), priors, cfg2))
 
 
 def _replicate_worker(args) -> tuple[int, dict[str, dict[str, float]]]:
+    """One replicate's stage-2 posterior means per run; warns for unmixed fits."""
     sim_config, run_ids, chain_config, rep = args
     try:
         rng = np.random.default_rng(derive_seed(sim_config.seed, rep, 0))
         panel, _ = gen_panel(sim_config, rng)
         quadrants = partition(panel)
         cfg = replace(chain_config, seed=derive_seed(sim_config.seed, rep, 1))
-        return rep, {rid: execute_run(rid, quadrants, cfg) for rid in run_ids}
+        means = {}
+        for rid in run_ids:
+            stats = execute_run(rid, quadrants, cfg)
+            warn_unmixed(f"replicate {rep} {rid}", stats, cfg.samples)
+            means[rid] = {param: s.mean for param, s in stats.items()}
+        return rep, means
     except Exception as exc:
         raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
 
@@ -142,7 +137,6 @@ def _replicate_worker(args) -> tuple[int, dict[str, dict[str, float]]]:
 class StudyResult:
     rows: list[SummaryRow]
     estimates: list[tuple[int, str, str, float]]  # (replicate, run, parameter, value)
-    run_ids: tuple[str, ...]
     sim_config: SimConfig
 
 
@@ -184,18 +178,17 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
             rows.append(SummaryRow(run_id=rid, parameter=param,
                                    mean=float(vals.mean()), sd=float(vals.std(ddof=1)),
                                    lcl=lcl, ucl=ucl, mse=mse(vals, truth[param])))
-    return StudyResult(rows=rows, estimates=estimates, run_ids=run_ids, sim_config=sim_config)
+    return StudyResult(rows=rows, estimates=estimates, sim_config=sim_config)
 
 
 def write_tables(result: StudyResult, outdir: str) -> list[str]:
-    """One CSV per parameter (rows ordered by run) plus the raw estimates."""
+    """One CSV per parameter (rows in the study's run order) plus the raw estimates."""
     os.makedirs(outdir, exist_ok=True)
     written = []
     n_ind = result.sim_config.individuals
     for param in PARAMETERS:
         path = os.path.join(outdir, f"table_{param}.csv")
-        by_run = {r.run_id: r for r in result.rows if r.parameter == param}
-        rows = (by_run[rid] for rid in result.run_ids)
+        rows = (r for r in result.rows if r.parameter == param)
         write_csv(path, ["run", "N", "mean", "sd", "lcl", "ucl", "mse"],
                   ([r.run_id, n_ind, r.mean, r.sd, r.lcl, r.ucl, r.mse] for r in rows))
         written.append(path)

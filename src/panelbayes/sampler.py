@@ -16,9 +16,11 @@ One sweep updates, in order:
 `sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
 individual codes, the prior arrays, Xty = X'y and y_count (the ones per
 individual); the state with its cache mu = X beta + eps[codes] and
-sp = softplus(mu), which every move keeps in step; and the proposal. A block
-then costs one softplus pass over the observations, and its y*dmu terms
-reduce to Xty @ d and y_count * d.
+sp = softplus(mu), which every move keeps in step; the proposal; and the
+acceptance tallies acc_b (beta) and acc_e (eps, per individual), which each
+sweep adds to and `run_chain` reads and resets. A block then costs one
+softplus pass over the observations, and its y*dmu terms reduce to
+Xty @ d and y_count * d.
 
 Proposal scales are tuned only during burn-in: acceptance rates are averaged
 over fixed windows of 50 iterations and the log scales nudged toward the
@@ -70,8 +72,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 
@@ -168,13 +170,12 @@ def summarize(samples: PosteriorSamples) -> dict[str, SummaryStats]:
     return out
 
 
-def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int,
-                 floor: int = ESS_FLOOR) -> None:
-    """Log one warning for each parameter in `stats` whose ESS is below `floor`."""
+def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> None:
+    """Log one warning for each parameter in `stats` whose ESS is below ESS_FLOOR."""
     for param, s in stats.items():
-        if s.ess < floor:
+        if s.ess < ESS_FLOOR:
             log.warning("%s: ESS of %s is %.1f of %d draws, below %d; "
-                        "the chain has not mixed", label, param, s.ess, n_kept, floor)
+                        "the chain has not mixed", label, param, s.ess, n_kept, ESS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,8 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int,
 
 class _Chain:
     """One chain: the fixed arrays of (dataset, priors), the state with its
-    mu = X beta + eps[codes] and sp = softplus(mu) cache, and the proposal."""
+    mu = X beta + eps[codes] and sp = softplus(mu) cache, the proposal and
+    the acceptance tallies."""
 
     def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
                  log_scale: float, eps_scales: np.ndarray):
@@ -200,11 +202,12 @@ class _Chain:
         self.mu = self.X @ self.beta + self.eps[self.codes]
         self.sp = softplus(self.mu)
         self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
+        self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
 
-    def sweep(self, rng: np.random.Generator):
-        """Beta block, eps scalars, sigma2 Gibbs, in that order; returns (beta
-        accepted, eps accepted per individual). The state and its cache are
-        rebound, never written into."""
+    def sweep(self, rng: np.random.Generator) -> None:
+        """Beta block, eps scalars, sigma2 Gibbs, in that order, each adding
+        its acceptances to the tallies. The state and its cache are rebound,
+        never written into."""
         codes, n_ind, beta = self.codes, self.n_ind, self.beta
         d = (self.chol @ rng.standard_normal(3)) * math.exp(self.log_scale)
         beta_p = beta + d
@@ -214,9 +217,9 @@ class _Chain:
         m, v = self.prior_means, self.prior_vars
         dpr = float((((beta - m) ** 2 - (beta_p - m) ** 2) / (2.0 * v)).sum())
         u = rng.random()
-        acc_b = u > 0.0 and math.log(u) < dll + dpr
-        if acc_b:
+        if u > 0.0 and math.log(u) < dll + dpr:
             self.beta, self.mu, self.sp = beta_p, mu_p, sp_p
+            self.acc_b += 1
 
         eps, mu, sp = self.eps, self.mu, self.sp
         d = self.eps_scales * rng.standard_normal(n_ind)
@@ -227,12 +230,12 @@ class _Chain:
         dpr = (eps * eps - eps_p * eps_p) / (2.0 * self.sigma2)
         with np.errstate(divide="ignore"):
             acc_e = np.log(rng.random(n_ind)) < dll + dpr
+        self.acc_e += acc_e
         acc_obs = acc_e[codes]
         self.eps = np.where(acc_e, eps_p, eps)
         self.mu = np.where(acc_obs, mu_p, mu)
         self.sp = np.where(acc_obs, sp_p, sp)
         self.sigma2 = gibbs_sigma2(self.eps, self.sigma2_prior, rng)
-        return acc_b, acc_e
 
     def conditional_sd(self) -> np.ndarray:
         """Approximate conditional sd of each eps_i: 1/sqrt(prior precision + Fisher info)."""
@@ -276,21 +279,19 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise SamplerError("log posterior is not finite at the initial state")
-    # scalar proposals start at 2.4x the conditional-sd estimate (1-d optimum)
+    # scalar proposals have an absolute sd of 2.4 for the first window; each
+    # adaptation then sets them to an adapted multiple (from 2.4, the 1-d
+    # optimum) of the conditional-sd estimate
     chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
     eps_log_mult = np.full(n_ind, math.log(2.4))
     beta_hist = np.empty((config.burn_in, 3))
-    win_beta_acc = 0
-    win_eps_acc = np.zeros(n_ind)
     for t in range(config.burn_in):
-        acc_b, acc_e = chain.sweep(rng)
+        chain.sweep(rng)
         beta_hist[t] = chain.beta
-        win_beta_acc += acc_b
-        win_eps_acc += acc_e
         if (t + 1) % _ADAPT_WINDOW:
             continue
         step = 0.1 / math.sqrt((t + 1) // _ADAPT_WINDOW)
-        chain.log_scale = adapt_scale(chain.log_scale, win_beta_acc / _ADAPT_WINDOW,
+        chain.log_scale = adapt_scale(chain.log_scale, chain.acc_b / _ADAPT_WINDOW,
                                       _TARGET_ACCEPT_BLOCK, step)
         if t + 1 >= _COV_START:
             # trailing half of the burn-in draws, so the frozen early
@@ -299,30 +300,27 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
             chain.chol = np.linalg.cholesky(np.cov(hist.T) + _COV_JITTER * np.eye(3))
             if t + 1 == _COV_START:
                 chain.log_scale = math.log(2.38 / math.sqrt(3.0))
-        eps_log_mult = adapt_scale(eps_log_mult, win_eps_acc / _ADAPT_WINDOW,
+        eps_log_mult = adapt_scale(eps_log_mult, chain.acc_e / _ADAPT_WINDOW,
                                    _TARGET_ACCEPT_SCALAR, step)
         chain.eps_scales = np.exp(eps_log_mult) * chain.conditional_sd()
-        win_beta_acc = 0
-        win_eps_acc = np.zeros(n_ind)
+        chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
 
+    # burn_in need not be a multiple of the window: drop its last partial tally
+    chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
     n_post = config.samples * config.thin
     kept_beta = np.empty((config.samples, 3))
     kept_sigma2 = np.empty(config.samples)
-    post_beta_acc = 0
-    post_eps_acc = np.zeros(n_ind)
     for k in range(config.samples):
         for _ in range(config.thin):
-            acc_b, acc_e = chain.sweep(rng)
-            post_beta_acc += acc_b
-            post_eps_acc += acc_e
+            chain.sweep(rng)
         kept_beta[k] = chain.beta
         kept_sigma2[k] = chain.sigma2
 
     return PosteriorSamples(
         beta=kept_beta,
         sigma2=kept_sigma2,
-        accept_beta=post_beta_acc / n_post,
-        accept_epsilon=post_eps_acc / n_post,
+        accept_beta=chain.acc_b / n_post,
+        accept_epsilon=chain.acc_e / n_post,
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
-from .sampler import ESS_FLOOR, ChainConfig, run_chain, summarize, warn_unmixed
+from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -87,14 +87,14 @@ def make_surrogate(seed: int = 20180614) -> tuple[np.ndarray, np.ndarray]:
 
 def two_stage_fit(years, returns, chain_config: ChainConfig,
                   split_year: int = DEFAULT_SPLIT_YEAR,
-                  threshold: float = DEFAULT_THRESHOLD) -> list[dict]:
+                  threshold: float = DEFAULT_THRESHOLD) -> dict[str, dict[str, SummaryStats]]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
     The later window is fitted twice -- once with diffuse priors, once with
-    the carried-over priors -- and both fits are reported in the comparison
-    layout (run, parameter, mean, sd, lcl, ucl) for beta0, beta1 and sigma.
+    the carried-over priors. Returns {"uninformative": stats, "informative":
+    stats}, each the `summarize` of that fit restricted to TABLE_PARAMETERS.
     Each of the three fits logs a warning for every one of those parameters
-    whose ESS falls below ESS_FLOOR.
+    whose ESS falls below the floor of `warn_unmixed`.
     """
     early = years <= split_year
     if not early.any():
@@ -120,20 +120,19 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
         "informative": run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3)),
     }
 
-    rows = []
+    report = {}
     for run, samples in fits.items():
         stats = summarize(samples)
         stats = {param: stats[param] for param in TABLE_PARAMETERS}
-        warn_unmixed(f"{run} fit", stats, samples.n_kept, ESS_FLOOR)
+        warn_unmixed(f"{run} fit", stats, samples.n_kept)
         if run != "stage 1":
-            rows.extend({"run": run, "parameter": param, "mean": s.mean,
-                         "sd": s.sd, "lcl": s.lower, "ucl": s.upper}
-                        for param, s in stats.items())
-    return rows
+            report[run] = stats
+    return report
 
 
-def write_comparison_csv(rows: list[dict], path: str | None) -> None:
-    """Write the comparison rows of `two_stage_fit`; a None path writes to stdout."""
-    cols = ("mean", "sd", "lcl", "ucl")
-    write_csv(path, ["run", "parameter", *cols],
-              ([row["run"], row["parameter"]] + [float(row[k]) for k in cols] for row in rows))
+def write_comparison_csv(report: dict[str, dict[str, SummaryStats]], path: str | None) -> None:
+    """Write the report of `two_stage_fit` as (run, parameter, mean, sd, lcl,
+    ucl) rows; a None path writes to stdout."""
+    write_csv(path, ["run", "parameter", "mean", "sd", "lcl", "ucl"],
+              ([run, param, s.mean, s.sd, s.lower, s.upper]
+               for run, stats in report.items() for param, s in stats.items()))

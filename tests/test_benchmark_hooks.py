@@ -42,3 +42,21 @@ def test_spindex_records_its_spans_and_probes_run(tmp_path):
     after = sampler.metropolis_sweep(data, state, priors, rng)
     assert after.epsilon.shape == state.epsilon.shape
     assert sampler.gibbs_sigma2(state.epsilon, priors.sigma2_prior, rng) > 0.0
+
+
+def test_study_records_its_spans(tmp_path):
+    cfg = tmp_path / "study.kv"
+    cfg.write_text("individuals = 4\nperiods = 4\nsigma = 1.0\nreplicates = 2\nseed = 3\n"
+                   "burn_in = 50\nsamples = 50\nruns = R1,R4\n")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = main(["study", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--jobs", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span["name"] for span in tracer.spans}
+    assert {"experiment.run_study", "experiment.execute_run.R1", "experiment.execute_run.R4",
+            "datagen.gen_panel", "datagen.partition", "priors.posterior_to_priorset",
+            "experiment.write_tables"} <= names

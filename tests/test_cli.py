@@ -184,6 +184,14 @@ class TestFit:
         assert main(["fit", "--data", str(panel_csv), "--priors-in", str(typo)] + FIT_FLAGS) == 1
         assert f"{typo}: unknown key 'sigma.shape'" in capsys.readouterr().err
 
+    def test_one_sample_rejected_before_any_chain(self, tmp_path, panel_csv, capsys,
+                                                  monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        assert main(["fit", "--data", str(panel_csv), "--burn-in", "10", "--samples", "1"]) == 1
+        assert "samples must be >= 2" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
         # finite but extreme IG parameters overflow the starting log posterior
         huge_priors = tmp_path / "huge.kv"
@@ -279,6 +287,17 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
         assert f"{cfg}: key 'beta1' is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_out_file_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        cfg = write_study_config(tmp_path / "study.kv", str(out))
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert f"{out}' exists and is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     def test_config_error_line_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.kv"

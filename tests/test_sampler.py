@@ -162,6 +162,8 @@ class TestRunChain:
         with pytest.raises(ValueError):
             ChainConfig(samples=0)
         with pytest.raises(ValueError):
+            ChainConfig(samples=1)  # every summary needs 2 kept draws
+        with pytest.raises(ValueError):
             ChainConfig(thin=0)
 
     def test_no_data_samples_the_prior(self):
@@ -227,14 +229,11 @@ class TestKernelCache:
         chain = _Chain(data, default_uninformative(), state, math.log(0.3),
                        rng.uniform(0.5, 2.0, 40))
         chain.chol = np.linalg.cholesky([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]])
-        acc_beta, acc_eps = 0, np.zeros(40)
         for _ in range(200):
-            acc_b, acc_e = chain.sweep(rng)
-            acc_beta += acc_b
-            acc_eps += acc_e
+            chain.sweep(rng)
         # both blocks accepted some moves and rejected others
-        assert 0 < acc_beta < 200
-        assert np.all(acc_eps > 0) and np.all(acc_eps < 200)
+        assert 0 < chain.acc_b < 200
+        assert np.all(chain.acc_e > 0) and np.all(chain.acc_e < 200)
         assert np.array_equal(chain.sp, softplus(chain.mu))
         X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
         np.testing.assert_allclose(chain.mu, X @ chain.beta + chain.eps[data.codes],

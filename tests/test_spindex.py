@@ -98,12 +98,12 @@ def test_bundled_surrogate_matches_recipe():
 
 class TestTwoStageFit:
     def test_output_layout(self):
-        rows = two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN)
-        assert len(rows) == 6
-        assert [r["run"] for r in rows] == ["uninformative"] * 3 + ["informative"] * 3
-        assert [r["parameter"] for r in rows[:3]] == ["beta0", "beta1", "sigma"]
-        for r in rows:
-            assert r["lcl"] <= r["ucl"]
+        report = two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN)
+        assert list(report) == ["uninformative", "informative"]
+        for stats in report.values():
+            assert list(stats) == ["beta0", "beta1", "sigma"]
+            for s in stats.values():
+                assert s.lower <= s.mean <= s.upper
 
     def test_deterministic(self):
         series = load_returns(surrogate_path())
@@ -128,8 +128,8 @@ class TestTwoStageFit:
         rets = rng.normal(1.4, 1.0, size=years.size)
         rets[years > 2004] = -5.0  # stage 2 all zeros after thresholding
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            rows = two_stage_fit(years, rets, FAST_CHAIN)
-        assert len(rows) == 6
+            report = two_stage_fit(years, rets, FAST_CHAIN)
+        assert list(report) == ["uninformative", "informative"]
         assert any("stage 2" in r.message for r in caplog.records)
 
     def test_unmixed_fits_warn(self, caplog, monkeypatch):
@@ -137,16 +137,16 @@ class TestTwoStageFit:
         # draws for each reported parameter
         series = load_returns(surrogate_path())
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            rows = two_stage_fit(*series, FAST_CHAIN)
+            report = two_stage_fit(*series, FAST_CHAIN)
         named = {re.match(r"(.+) fit: ESS of (\w+) is", r.message).groups()
                  for r in caplog.records}
         assert named == {(fit, param) for fit in ("stage 1", "uninformative", "informative")
                          for param in ("beta0", "beta1", "sigma")}
         assert all("of 800 draws, below 100" in r.message for r in caplog.records)
         caplog.clear()
-        monkeypatch.setattr("panelbayes.spindex.ESS_FLOOR", 0)
+        monkeypatch.setattr("panelbayes.sampler.ESS_FLOOR", 0)
         with caplog.at_level(logging.WARNING, logger="panelbayes.spindex"):
-            assert two_stage_fit(*series, FAST_CHAIN) == rows
+            assert two_stage_fit(*series, FAST_CHAIN) == report
         assert not caplog.records
 
     def test_stage1_recovers_known_parameters(self):
@@ -162,7 +162,7 @@ class TestTwoStageFit:
         extra_years = np.arange(2005, 2019)
         rets_full = np.concatenate([rets, np.full(extra_years.size, 2.0)])
         cfg = ChainConfig(burn_in=2000, samples=6000, seed=9)
-        rows = two_stage_fit(np.concatenate([years, extra_years]), rets_full, cfg)
+        report = two_stage_fit(np.concatenate([years, extra_years]), rets_full, cfg)
         # the informative stage-2 run carries the stage-1 posterior; check
         # stage-1 recovery through a direct fit of the early window instead
         from panelbayes.priors import default_uninformative
@@ -176,4 +176,4 @@ class TestTwoStageFit:
             st = stats[name]
             slack = 3.0 * (st.sd + st.sd / math.sqrt(st.ess))
             assert abs(st.mean - truth) <= slack, (name, st.mean, truth, slack)
-        assert len(rows) == 6
+        assert list(report) == ["uninformative", "informative"]

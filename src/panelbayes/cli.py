@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 
 import numpy as np
@@ -150,20 +151,32 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def cmd_study(args) -> int:
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     chain = _chain_config_from(cfg, args)
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
-    hardware = os.cpu_count() or 1
+    # the CPUs this process may run on, not all of the host's
+    hardware = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     jobs = max(1, min(cfg.get("jobs", int, hardware, args.jobs), hardware))
     cfg.check_all_read()
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
-    result = run_study(sim, run_ids, chain, jobs=jobs)
+    # SIGTERM would end this process at once and orphan the pool's workers;
+    # as an exception it lets run_study end them first
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        result = run_study(sim, run_ids, chain, jobs=jobs)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     for path in write_tables(result, outdir):
         print(path)
     return 0

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
-from .model import PanelDataset
+from .model import PanelDataset, expit
 
 DEFAULT_BETA = (-1.0, 1.0, 1.0)
 

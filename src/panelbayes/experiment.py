@@ -23,12 +23,12 @@ identical for any worker count.
 from __future__ import annotations
 
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .datagen import Quadrants, SimConfig, gen_panel, partition
 from .errors import ConfigError
@@ -87,6 +87,8 @@ def mse(estimates: Sequence[float], truth: float) -> float:
 
 def replicate_ci(estimates: Sequence[float]) -> tuple[float, float]:
     """t-based interval across replicates: mean +/- t(0.975, N-1) * SD/sqrt(N)."""
+    from scipy.special import stdtrit  # here, so only study pays its slow import
+
     e = np.asarray(estimates, dtype=np.float64)
     if e.size < 2:
         raise ValueError("need at least 2 estimates")
@@ -133,6 +135,13 @@ def _replicate_worker(args) -> tuple[int, dict[str, dict[str, float]]]:
         raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
 
 
+def _leave_stopping_to_parent() -> None:
+    """Pool worker set-up: ignore SIGINT and die at once on SIGTERM, so a
+    stopped study is stopped by its parent, which then ends the workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 @dataclass(frozen=True, eq=False)
 class StudyResult:
     rows: list[SummaryRow]
@@ -146,7 +155,8 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
 
     Unknown run ids and fewer than 2 replicates raise ConfigError before any
     chain runs. A failure in any replicate aborts the study (silently dropped
-    replicates would bias the MSE column).
+    replicates would bias the MSE column); with jobs > 1 that failure, or an
+    exception such as KeyboardInterrupt, ends the pool's workers first.
     """
     run_ids = tuple(run_ids)
     for rid in run_ids:
@@ -157,8 +167,16 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
                           f"got {sim_config.replicates}")
     tasks = [(sim_config, run_ids, chain_config, rep) for rep in range(sim_config.replicates)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_replicate_worker, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_leave_stopping_to_parent) as pool:
+            try:
+                results = dict(pool.map(_replicate_worker, tasks))
+            except BaseException:
+                # leaving the block waits for the running replicates, so a
+                # failed, interrupted or stopped study ends its workers first
+                # (Python 3.14 has this as pool.terminate_workers())
+                for proc in list(pool._processes.values()):
+                    proc.terminate()
+                raise
     else:
         results = dict(map(_replicate_worker, tasks))
 

@@ -229,6 +229,14 @@ def softplus(x) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def expit(x) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) elementwise, as exp(-softplus(-x)).
+
+    Finite, within [0, 1] and free of warnings for every finite x.
+    """
+    return np.exp(-softplus(-np.asarray(x, dtype=np.float64)))
+
+
 def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
     """Sum over observations of y*mu - log(1 + exp(mu)).
 

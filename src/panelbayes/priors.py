@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError
 from .kvconfig import KVFile, write_kv_file
@@ -126,7 +125,11 @@ def log_density_normal(p: NormalPrior, x: float) -> float:
 def log_density_invgamma(p: InverseGammaPrior, x: float) -> float:
     if x <= 0.0:
         raise ValueError("inverse gamma density requires x > 0")
-    return float(p.shape * math.log(p.scale) - gammaln(p.shape)
+    try:
+        log_gamma = math.lgamma(p.shape)
+    except OverflowError:  # shape above about 2.6e305: the density is not finite
+        log_gamma = math.inf
+    return float(p.shape * math.log(p.scale) - log_gamma
                  - (p.shape + 1.0) * math.log(x) - p.scale / x)
 
 

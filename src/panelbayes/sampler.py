@@ -31,7 +31,9 @@ draws (plus diagonal jitter) once 500 burn-in iterations have accumulated.
 Scalar proposals are expressed relative to a per-individual
 conditional-scale estimate 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), refreshed
 each adaptation window, so they stay usable whether sigma2 is diffuse or
-pinned near zero. Everything is frozen when burn-in ends, so the kept draws
+pinned near zero. Its p_ij is `model.expit` of the cached mu_ij, the
+logistic exp(-softplus(-mu)), so p(1-p) stays finite and warning-free at any
+finite mu. Everything is frozen when burn-in ends, so the kept draws
 come from a fixed Markov kernel. A chain is a pure function of (data,
 priors, config): identical seeds give bit-identical output.
 """
@@ -43,10 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SamplerError
-from .model import PanelDataset, ParameterState, log_posterior, softplus, write_csv
+from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 

@@ -2,8 +2,10 @@ import csv
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import panelbayes
 from panelbayes.cli import main
+from panelbayes.errors import ConfigError
 
 FIT_FLAGS = ["--burn-in", "200", "--samples", "400", "--seed", "7"]
 
@@ -215,6 +218,31 @@ def priors_text(**overrides):
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
+def src_env():
+    """Environment for a child interpreter that imports this panelbayes."""
+    return {**os.environ, "PYTHONPATH": str(Path(panelbayes.__file__).resolve().parents[1])}
+
+
+def proc_stat(pid):
+    """(state, parent pid) of a process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def live_children(pid):
+    return [int(e) for e in os.listdir("/proc") if e.isdigit()
+            and (st := proc_stat(e)) is not None and st[1] == pid and st[0] != "Z"]
+
+
+def alive(pid):
+    st = proc_stat(pid)
+    return st is not None and st[0] != "Z"
+
+
 def write_study_config(path, outdir, **overrides):
     values = {"individuals": 4, "periods": 4, "sigma": 1.0, "replicates": 2,
               "seed": 31, "burn_in": 150, "samples": 250, "runs": "R1,R2,R3,R4,R5,R6",
@@ -254,6 +282,50 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
         assert ((tmp_path / "j1" / "estimates.csv").read_bytes()
                 == (tmp_path / "j2" / "estimates.csv").read_bytes())
+
+    def test_jobs_capped_by_cpu_affinity(self, tmp_path, monkeypatch):
+        jobs_seen = []
+
+        def record(sim, run_ids, chain, jobs=1):
+            jobs_seen.append(jobs)
+            raise ConfigError("recorded")
+        monkeypatch.setattr("panelbayes.cli.run_study", record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), jobs=2)
+        assert main(["study", "--config", cfg]) == 1
+        assert jobs_seen == [1]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="a 2-worker pool needs 2 usable CPUs")
+    def test_sigterm_stops_the_workers(self, tmp_path):
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), individuals=20,
+                                 periods=12, replicates=4, runs="R4", burn_in=2000,
+                                 samples=1000000, jobs=2)
+        proc = subprocess.Popen([sys.executable, "-m", "panelbayes.cli", "study", "--config", cfg],
+                                env=src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.05)
+                workers = live_children(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            # a replicate takes far longer than this, so none may run to its end
+            assert proc.wait(timeout=10) != 0
+            deadline = time.monotonic() + 5.0
+            while any(map(alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [w for w in workers if alive(w)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for w in workers:
+                if alive(w):
+                    os.kill(w, signal.SIGKILL)
 
     def test_bad_run_id(self, tmp_path, capsys):
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), runs="R7")
@@ -369,11 +441,45 @@ class TestUsage:
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats takes longer to import than the rest of the CLI together
-        src = str(Path(panelbayes.__file__).resolve().parents[1])
         code = "import sys, panelbayes.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+                             env=src_env(), check=True).stdout
         assert out.strip() == "False"
+
+    def test_gen_fit_spindex_never_load_scipy(self, tmp_path):
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        panel, out = str(tmp_path / "panel.csv"), str(tmp_path)
+        tiny = ["--burn-in", "50", "--samples", "50", "--seed", "3"]
+        code = ("import sys\n"
+                "from panelbayes.cli import main\n"
+                f"codes = [main(['gen', '--config', {cfg!r}, '--out', {panel!r}]),\n"
+                f"         main(['fit', '--data', {panel!r}, '--out', {out!r} + '/fit.csv',\n"
+                f"               '--priors-out', {out!r} + '/p.kv'] + {tiny!r}),\n"
+                f"         main(['spindex', '--out', {out!r} + '/sp.csv'] + {tiny!r})]\n"
+                "print(codes, 'scipy' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), check=True)
+        assert done.stdout.split("\n")[-2] == "[0, 0, 0] False"
+
+    def test_study_loads_scipy_for_its_t_interval(self, tmp_path):
+        from scipy import stats as sps
+        outdir = tmp_path / "out"
+        cfg = write_study_config(tmp_path / "study.kv", str(outdir), runs="R4", replicates=3,
+                                 jobs=1)
+        code = ("import sys\n"
+                "from panelbayes.cli import main\n"
+                f"print(main(['study', '--config', {cfg!r}]), 'scipy.special' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), check=True)
+        assert done.stdout.split("\n")[-2] == "0 True"
+        est = {}
+        for rep, run, param, value in read_csv(outdir / "estimates.csv")[1:]:
+            est.setdefault(param, []).append(float(value))
+        for param, vals in est.items():
+            [row] = read_csv(outdir / f"table_{param}.csv")[1:]
+            half = sps.t.ppf(0.975, len(vals) - 1) * np.std(vals, ddof=1) / np.sqrt(len(vals))
+            assert float(row[4]) == pytest.approx(np.mean(vals) - half, rel=1e-12)
+            assert float(row[5]) == pytest.approx(np.mean(vals) + half, rel=1e-12)
 
     def test_missing_required_flag(self, capsys):
         assert main(["gen"]) == 1

@@ -1,5 +1,7 @@
 import logging
+import multiprocessing
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +165,21 @@ class TestRunStudy:
         par = run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, jobs=2)
         for a, b in zip(smoke_result.rows, par.rows):
             assert a == b
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched execute_run must reach the workers")
+    def test_failed_replicate_ends_the_running_ones(self, monkeypatch):
+        fail_seed = derive_seed(SMOKE_SIM.seed, 0, 1)
+
+        def fail_or_hang(run_id, quadrants, cfg):
+            if cfg.seed == fail_seed:
+                raise ValueError("boom")
+            time.sleep(60.0)
+        monkeypatch.setattr("panelbayes.experiment.execute_run", fail_or_hang)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="replicate 0 failed: boom"):
+            run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN, jobs=2)
+        assert time.monotonic() - start < 30.0
 
     def test_replicate_order_invariance(self):
         rng = np.random.default_rng(12)

@@ -142,6 +142,18 @@ class TestLogDensities:
         # IG(2,1) at 1: b^a/Gamma(a) = 1, x^(-a-1) = 1, exp(-b/x) = e^-1
         assert log_density_invgamma(InverseGammaPrior(2.0, 1.0), 1.0) == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", np.logspace(-3.0, 6.0, 10))
+    def test_invgamma_matches_scipy(self, shape):
+        for scale in (0.5, 1.0, 3.0):
+            for x in (0.01, 0.1, 1.0, 10.0, 100.0):
+                ref = sps.invgamma.logpdf(x, shape, scale=scale)
+                assert log_density_invgamma(InverseGammaPrior(shape, scale), x) == pytest.approx(
+                    ref, rel=1e-12)
+
+    def test_invgamma_huge_shape_is_not_finite(self):
+        # lgamma overflows; the density must come out non-finite, not raise
+        assert not math.isfinite(log_density_invgamma(InverseGammaPrior(1e308, 1e308), 1.0))
+
     def test_normal_symmetry(self):
         p = NormalPrior(1.5, 2.5)
         for d in (0.1, 1.0, 3.0):

@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats as sps
+from scipy import special, stats as sps
 
 from panelbayes.errors import SamplerError
-from panelbayes.model import PanelDataset, ParameterState, softplus
+from panelbayes.model import PanelDataset, ParameterState, expit, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
 from panelbayes.sampler import (ChainConfig, PosteriorSamples, _Chain, _chain_stats,
                                 adapt_scale, draws_to_csv, effective_sample_size, gibbs_sigma2,
@@ -213,6 +213,20 @@ class TestSoftplus:
             warnings.simplefilter("error")
             out = softplus(np.array([-1e308, 1e308]))
         assert np.array_equal(out, [0.0, 1e308])
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        x = np.linspace(-40.0, 40.0, 80001)
+        ref = special.expit(x)
+        assert np.all(np.abs(expit(x) - ref) <= 1e-13 * ref)
+
+    def test_bounded_at_extremes_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([-1e308, -800.0, 800.0, 1e308]))
+        assert np.all(np.isfinite(out)) and np.all((out >= 0.0) & (out <= 1.0))
+        assert np.array_equal(out, [0.0, 0.0, 1.0, 1.0])
 
 
 class TestKernelCache:

@@ -8,21 +8,17 @@ failures.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import signal
 import sys
 
-import numpy as np
-
-from .datagen import DEFAULT_BETA, SimConfig, gen_panel
-from .errors import ConfigError, SamplerError
+from .datagen import DEFAULT_BETA, SimConfig, replicate_panel
+from .errors import ConfigError
 from .experiment import RUNS, run_study, write_tables
-from .kvconfig import KVFile, write_kv_file
+from .kvconfig import KVFile, finite, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize, warn_unmixed
-from .seeding import derive_seed
 from .spindex import (DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD, load_returns, surrogate_path,
                       two_stage_fit, write_comparison_csv)
 
@@ -72,7 +68,7 @@ def build_parser() -> _Parser:
                       help="year,return CSV (default: bundled synthetic surrogate)")
     p_sp.add_argument("--config", default=None, help="optional key=value file with chain settings")
     p_sp.add_argument("--split-year", type=int, default=DEFAULT_SPLIT_YEAR)
-    p_sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p_sp.add_argument("--threshold", type=finite, default=DEFAULT_THRESHOLD)
     p_sp.add_argument("--out", default=None, help="comparison CSV path (default: stdout)")
     _add_chain_flags(p_sp)
 
@@ -95,8 +91,8 @@ def _sim_config_from(cfg: KVFile, args) -> SimConfig:
     return SimConfig(
         individuals=cfg.get("individuals", int),
         periods=cfg.get("periods", int),
-        sigma=cfg.get("sigma", float),
-        beta_true=tuple(cfg.get(f"beta{k}", float, DEFAULT_BETA[k]) for k in range(3)),
+        sigma=cfg.get("sigma"),
+        beta_true=tuple(cfg.get(f"beta{k}", default=DEFAULT_BETA[k]) for k in range(3)),
         replicates=cfg.get("replicates", int, SimConfig.replicates),
         seed=cfg.get("seed", int, SimConfig.seed, args.seed),
     )
@@ -107,8 +103,7 @@ def cmd_gen(args) -> int:
     sim = _sim_config_from(cfg, args)
     rep = cfg.get("replicate", int, 0, args.replicate)
     cfg.check_all_read()
-    rng = np.random.default_rng(derive_seed(sim.seed, rep, 0))
-    panel, true_eps = gen_panel(sim, rng)
+    panel, true_eps = replicate_panel(sim, rep)
     panel.to_csv(args.out)
     sidecar: dict[str, object] = {
         "individuals": sim.individuals, "periods": sim.periods, "sigma": sim.sigma,
@@ -136,6 +131,8 @@ def _chain_config(args) -> ChainConfig:
 
 def cmd_fit(args) -> int:
     data = PanelDataset.from_csv(args.data)
+    if data.n_obs == 0:
+        raise ConfigError(f"{args.data}: no observations to fit")
     if args.priors_in == "uninformative":
         priors = default_uninformative()
     else:
@@ -183,8 +180,6 @@ def cmd_study(args) -> int:
 
 
 def cmd_spindex(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise ConfigError(f"--threshold must be a finite number, got {args.threshold}")
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
     report = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,
@@ -204,9 +199,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SamplerError as exc:
-        print(f"sampler failure: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,9 @@ time; x2 follows the trending autoregression
 
 and y_ij ~ Bernoulli(logistic(beta0 + beta1*x1 + beta2*x2 + eps_i)).
 
+`replicate_panel` draws replicate k from its own stream (see `seeding`), so
+`gen --replicate k` writes the panel that `study` fits as replicate k.
+
 `partition` halves a rectangular panel by individuals and by time into the
 blocks m11 (early times, first half of individuals), m12 (late/first), m21
 (early/second), m22 (late/second). Covariate values and the original time
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import PanelDataset, expit
+from .seeding import derive_seed
 
 DEFAULT_BETA = (-1.0, 1.0, 1.0)
 
@@ -80,6 +84,11 @@ def gen_panel(config: SimConfig, rng: np.random.Generator) -> tuple[PanelDataset
     tim = np.tile(np.arange(1, periods + 1), n_ind)
     panel = PanelDataset(ind, tim, y.ravel(), np.repeat(x1_ind, periods), x2.ravel())
     return panel, eps
+
+
+def replicate_panel(config: SimConfig, replicate: int) -> tuple[PanelDataset, np.ndarray]:
+    """`gen_panel` of replicate `replicate`, on the stream derive_seed(seed, replicate, 0)."""
+    return gen_panel(config, np.random.default_rng(derive_seed(config.seed, replicate, 0)))
 
 
 def partition(data: PanelDataset) -> Quadrants:

@@ -30,14 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import Quadrants, SimConfig, gen_panel, partition
+from .datagen import Quadrants, SimConfig, partition, replicate_panel
 from .errors import ConfigError
 from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
-from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
+from .sampler import PARAMETERS, ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
-
-PARAMETERS = ("beta0", "beta1", "beta2", "sigma")
 
 
 @dataclass(frozen=True)
@@ -117,20 +115,19 @@ def execute_run(run_id: str, quadrants: Quadrants,
     return summarize(run_chain(stage_dataset(spec.stage2, quadrants), priors, cfg2))
 
 
-def _replicate_worker(args) -> tuple[int, dict[str, dict[str, float]]]:
-    """One replicate's stage-2 posterior means per run; warns for unmixed fits."""
+def _replicate_worker(args) -> list[float]:
+    """One replicate's stage-2 posterior means, run by run and in PARAMETERS
+    order within a run; warns for unmixed fits."""
     sim_config, run_ids, chain_config, rep = args
     try:
-        rng = np.random.default_rng(derive_seed(sim_config.seed, rep, 0))
-        panel, _ = gen_panel(sim_config, rng)
-        quadrants = partition(panel)
+        quadrants = partition(replicate_panel(sim_config, rep)[0])
         cfg = replace(chain_config, seed=derive_seed(sim_config.seed, rep, 1))
-        means = {}
+        means = []
         for rid in run_ids:
             stats = execute_run(rid, quadrants, cfg)
             warn_unmixed(f"replicate {rep} {rid}", stats, cfg.samples)
-            means[rid] = {param: s.mean for param, s in stats.items()}
-        return rep, means
+            means += [stats[param].mean for param in PARAMETERS]
+        return means
     except Exception as exc:
         raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
 
@@ -153,12 +150,15 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
               jobs: int = 1) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
-    Unknown run ids and fewer than 2 replicates raise ConfigError before any
-    chain runs. A failure in any replicate aborts the study (silently dropped
-    replicates would bias the MSE column); with jobs > 1 that failure, or an
-    exception such as KeyboardInterrupt, ends the pool's workers first.
+    No run ids, an unknown run id and fewer than 2 replicates raise
+    ConfigError before any replicate is generated. A failure in any replicate
+    aborts the study (silently dropped replicates would bias the MSE column);
+    with jobs > 1 that failure, or an exception such as KeyboardInterrupt,
+    ends the pool's workers first.
     """
     run_ids = tuple(run_ids)
+    if not run_ids:
+        raise ConfigError(f"no run ids given (known: {', '.join(RUNS)})")
     for rid in run_ids:
         if rid not in RUNS:
             raise ConfigError(f"unknown run id {rid!r} (known: {', '.join(RUNS)})")
@@ -169,7 +169,7 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_leave_stopping_to_parent) as pool:
             try:
-                results = dict(pool.map(_replicate_worker, tasks))
+                results = list(pool.map(_replicate_worker, tasks))
             except BaseException:
                 # leaving the block waits for the running replicates, so a
                 # failed, interrupted or stopped study ends its workers first
@@ -178,24 +178,19 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
                     proc.terminate()
                 raise
     else:
-        results = dict(map(_replicate_worker, tasks))
+        results = list(map(_replicate_worker, tasks))
 
-    estimates = []
-    for rep in range(sim_config.replicates):
-        for rid in run_ids:
-            for param in PARAMETERS:
-                estimates.append((rep, rid, param, results[rep][rid][param]))
-
-    truth = {"beta0": sim_config.beta_true[0], "beta1": sim_config.beta_true[1],
-             "beta2": sim_config.beta_true[2], "sigma": sim_config.sigma}
+    # results[rep][j] is replicate rep's estimate of cells[j]
+    cells = [(rid, param) for rid in run_ids for param in PARAMETERS]
+    estimates = [(rep, rid, param, value) for rep, means in enumerate(results)
+                 for (rid, param), value in zip(cells, means)]
+    truth = dict(zip(PARAMETERS, (*sim_config.beta_true, sim_config.sigma)))
     rows = []
-    for rid in run_ids:
-        for param in PARAMETERS:
-            vals = np.array([results[rep][rid][param] for rep in range(sim_config.replicates)])
-            lcl, ucl = replicate_ci(vals)
-            rows.append(SummaryRow(run_id=rid, parameter=param,
-                                   mean=float(vals.mean()), sd=float(vals.std(ddof=1)),
-                                   lcl=lcl, ucl=ucl, mse=mse(vals, truth[param])))
+    for (rid, param), vals in zip(cells, np.array(results).T):
+        lcl, ucl = replicate_ci(vals)
+        rows.append(SummaryRow(run_id=rid, parameter=param,
+                               mean=float(vals.mean()), sd=float(vals.std(ddof=1)),
+                               lcl=lcl, ucl=ucl, mse=mse(vals, truth[param])))
     return StudyResult(rows=rows, estimates=estimates, sim_config=sim_config)
 
 

@@ -7,7 +7,7 @@ Grammar (one entry per line):
                                  value: everything after '=', stripped
 
 `KVFile` reads configs and priors files alike. Parse errors carry
-``path:line:`` anchors, a number must be finite (no nan or inf), and
+``path:line:`` anchors, a number must be `finite` (no nan or inf), and
 `check_all_read` rejects every key the reader did not ask for, so a typo'd
 key is an error, not a dropped setting.
 """
@@ -19,7 +19,16 @@ import os
 
 from .errors import ConfigError
 
-_KINDS = {float: "a finite number", int: "an integer"}
+
+def finite(text: str) -> float:
+    """The float `text` spells; ValueError for nan, inf or no number at all."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+_KINDS = {finite: "a finite number", int: "an integer"}
 
 
 class KVFile:
@@ -53,8 +62,8 @@ class KVFile:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             self.kv[key] = value.strip()
 
-    def get(self, key: str, parse=float, default=None, flag=None):
-        """`flag` when given, else `parse` (float, int or str) of the file's
+    def get(self, key: str, parse=finite, default=None, flag=None):
+        """`flag` when given, else `parse` (finite, int or str) of the file's
         value, else `default`; the key is required when `default` is None."""
         self.read.add(key)
         if flag is not None:
@@ -65,8 +74,6 @@ class KVFile:
             return default
         try:
             value = parse(self.kv[key])
-            if parse is float and not math.isfinite(value):
-                raise ValueError
         except ValueError:
             raise ConfigError(f"{self.path}: key {key!r} is not {_KINDS[parse]}: "
                               f"{self.kv[key]!r}") from None

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .kvconfig import finite
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
 PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
@@ -177,9 +178,10 @@ class PanelDataset:
             y.append(int(row[2]))
             for col, name, dest in [(3, "x1", x1), (4, "x2", x2)]:
                 try:
-                    dest.append(float(row[col]))
+                    dest.append(finite(row[col]))
                 except ValueError:
-                    raise ConfigError(f"{path}:{rowno}: column {name!r} is not a number: {row[col]!r}") from None
+                    raise ConfigError(f"{path}:{rowno}: column {name!r} is not a finite number: "
+                                      f"{row[col]!r}") from None
         try:
             return cls(np.array(ind, dtype=np.int64), np.array(tim, dtype=np.int64),
                        np.array(y, dtype=np.int64), np.array(x1), np.array(x2))
@@ -260,8 +262,6 @@ def log_posterior(data: PanelDataset, state: ParameterState, priors: PriorSet) -
       + sum_i log N(eps_i | 0, sigma2)
       + log IG(sigma2 | shape, scale)
     """
-    if state.sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
     total = log_likelihood(data, state)
     for b, p in zip(state.beta, priors.beta_priors):
         total += log_density_normal(p, float(b))

@@ -105,6 +105,7 @@ def posterior_to_priorset(samples) -> PriorSet:
 
     Fixed-effect chains become independent normal priors; the sigma2 chain
     becomes an inverse gamma. Individual-effect draws are never transferred.
+    A chain that cannot be moment-matched raises a ValueError that names it.
     """
     beta = np.asarray(samples.beta, dtype=np.float64)
     sigma2 = np.asarray(samples.sigma2, dtype=np.float64)
@@ -112,10 +113,14 @@ def posterior_to_priorset(samples) -> PriorSet:
         raise ValueError("samples must carry chains for beta0, beta1, beta2")
     if sigma2.size == 0:
         raise ValueError("samples must carry a sigma2 chain")
-    return PriorSet(
-        beta_priors=tuple(fit_normal(beta[:, k]) for k in range(3)),
-        sigma2_prior=fit_invgamma(sigma2),
-    )
+    chains = [(f"beta{k}", fit_normal, beta[:, k]) for k in range(3)]
+    fitted = []
+    for name, fit, draws in chains + [("sigma2", fit_invgamma, sigma2)]:
+        try:
+            fitted.append(fit(draws))
+        except ValueError as exc:
+            raise ValueError(f"cannot carry {name} forward: {exc}") from None
+    return PriorSet(beta_priors=tuple(fitted[:3]), sigma2_prior=fitted[3])
 
 
 def log_density_normal(p: NormalPrior, x: float) -> float:

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplerError
 from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
@@ -59,6 +58,7 @@ _COV_START = 500              # burn-in iterations before the empirical-covarian
 _COV_JITTER = 1e-6
 _TINY = np.finfo(np.float64).tiny
 ESS_FLOOR = 100               # fewer effective draws than this and a fit is reported as unmixed
+PARAMETERS = ("beta0", "beta1", "beta2", "sigma")  # what a fit reports, in this order
 
 log = logging.getLogger(__name__)
 
@@ -163,12 +163,9 @@ def _chain_stats(x: np.ndarray) -> SummaryStats:
 
 
 def summarize(samples: PosteriorSamples) -> dict[str, SummaryStats]:
-    """Mean / SD / equal-tailed 95% interval / ESS for beta0..beta2 and sigma."""
-    out = {}
-    for k in range(3):
-        out[f"beta{k}"] = _chain_stats(samples.beta[:, k])
-    out["sigma"] = _chain_stats(samples.sigma)
-    return out
+    """Mean / SD / equal-tailed 95% interval / ESS for each of PARAMETERS."""
+    return {param: _chain_stats(x)
+            for param, x in zip(PARAMETERS, (*samples.beta.T, samples.sigma))}
 
 
 def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> None:
@@ -279,7 +276,7 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
-            raise SamplerError("log posterior is not finite at the initial state")
+            raise FloatingPointError("log posterior is not finite at the initial state")
     # scalar proposals have an absolute sd of 2.4 for the first window; each
     # adaptation then sets them to an adapted multiple (from 2.4, the 1-d
     # optimum) of the conditional-sd estimate

@@ -19,13 +19,13 @@ instead.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
+from .kvconfig import finite
 from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
@@ -62,9 +62,7 @@ def load_returns(path: str) -> tuple[np.ndarray, np.ndarray]:
         except ValueError:
             raise ConfigError(f"{path}:{rowno}: column 'year' must be an integer") from None
         try:
-            rets.append(float(row[1]))
-            if not math.isfinite(rets[-1]):
-                raise ValueError
+            rets.append(finite(row[1]))
         except ValueError:
             raise ConfigError(f"{path}:{rowno}: column 'return' is not a finite number") from None
     if np.any(np.diff(years) <= 0):

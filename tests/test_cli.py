@@ -13,7 +13,11 @@ import pytest
 
 import panelbayes
 from panelbayes.cli import main
+from panelbayes.datagen import SimConfig
 from panelbayes.errors import ConfigError
+from panelbayes.experiment import PARAMETERS, run_study
+from panelbayes.model import PANEL_CSV_HEADER, PanelDataset, concat_panels
+from panelbayes.sampler import ChainConfig, SummaryStats
 
 FIT_FLAGS = ["--burn-in", "200", "--samples", "400", "--seed", "7"]
 
@@ -79,6 +83,24 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--out", str(a), "--replicate", "0"]) == 0
         assert main(["gen", "--config", cfg, "--out", str(b), "--replicate", "1"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_replicate_is_the_panel_study_fits(self, tmp_path, monkeypatch):
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        out = tmp_path / "p.csv"
+        assert main(["gen", "--config", cfg, "--out", str(out), "--replicate", "1"]) == 0
+        fitted = []
+
+        def capture(run_id, quadrants, chain_config):
+            fitted.append(concat_panels(quadrants.m11, quadrants.m12, quadrants.m21, quadrants.m22))
+            return {p: SummaryStats(0.0, 1.0, -1.0, 1.0, 1e9) for p in PARAMETERS}
+        monkeypatch.setattr("panelbayes.experiment.execute_run", capture)
+        sim = SimConfig(individuals=4, periods=4, sigma=1.0, replicates=2, seed=99)
+        run_study(sim, ("R4",), ChainConfig(burn_in=10, samples=10), jobs=1)
+        written = PanelDataset.from_csv(str(out))
+        assert len(fitted) == 2  # one R4 fit per replicate, replicate 0 first
+        for col in PANEL_CSV_HEADER:
+            assert np.array_equal(getattr(fitted[1], col), getattr(written, col))
+        assert not np.array_equal(fitted[0].x2, written.x2)
 
 
 class TestFit:
@@ -201,6 +223,23 @@ class TestFit:
         huge_priors.write_text(priors_text(**{"sigma2.shape": 1e308, "sigma2.scale": 1e308}))
         assert main(["fit", "--data", str(panel_csv),
                      "--priors-in", str(huge_priors)] + FIT_FLAGS) == 2
+
+    def test_out_of_range_prior_is_config_error(self, tmp_path, panel_csv, capsys):
+        bad = tmp_path / "bad.kv"
+        bad.write_text(priors_text(**{"beta0.variance": -1}))
+        assert main(["fit", "--data", str(panel_csv), "--priors-in", str(bad)] + FIT_FLAGS) == 1
+        assert f"{bad}: variance must be positive" in capsys.readouterr().err
+
+    def test_panel_without_rows_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("individual,time,y,x1,x2\n")
+        assert main(["fit", "--data", str(empty)] + FIT_FLAGS) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: no observations to fit\n"
+        assert captured.out == ""
 
     def test_non_finite_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         for key, value in [("beta0.mean", "nan"), ("beta0.variance", "inf"),
@@ -332,6 +371,15 @@ class TestStudy:
         assert main(["study", "--config", cfg]) == 1
         assert "R7" in capsys.readouterr().err
 
+    def test_empty_run_list_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate was generated")
+        monkeypatch.setattr("panelbayes.datagen.gen_panel", no_replicate)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), runs=",")
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert "no run ids given" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_replicate_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
         def no_chain(*args, **kwargs):
             raise AssertionError("a chain ran")
@@ -411,7 +459,8 @@ class TestSpindex:
     def test_non_finite_threshold_is_config_error(self, tmp_path, capsys):
         assert main(["spindex", "--threshold", "nan", "--out", str(tmp_path / "sp.csv")]
                     + FIT_FLAGS) == 1
-        assert "--threshold must be a finite number" in capsys.readouterr().err
+        assert ("usage error: argument --threshold: invalid finite value: 'nan'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "sp.csv").exists()
 
     def test_non_finite_return_is_config_error(self, tmp_path, capsys):
@@ -419,6 +468,13 @@ class TestSpindex:
         series.write_text("year,return\n1990,0.5\n1991,nan\n1992,2.0\n1993,1.0\n")
         assert main(["spindex", "--data", str(series), "--split-year", "1992"] + FIT_FLAGS) == 1
         assert f"{series}:3: column 'return' is not a finite number" in capsys.readouterr().err
+
+    def test_degenerate_carry_over_names_the_parameter(self, capsys):
+        # 20 kept sweeps of the early window accept a single beta move, so
+        # every kept beta0 draw is the same and cannot become a normal prior
+        assert main(["spindex", "--burn-in", "20", "--samples", "20", "--seed", "3"]) == 2
+        assert ("cannot carry beta0 forward: degenerate sample: all values identical"
+                in capsys.readouterr().err)
 
     def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0

@@ -215,6 +215,11 @@ class TestPanelDataset:
         with pytest.raises(ConfigError, match="c.csv:2.*'x1'"):
             PanelDataset.from_csv(str(bad_x))
 
+        inf_x = tmp_path / "d.csv"
+        inf_x.write_text("individual,time,y,x1,x2\n1,1,1,0.0,0.0\n1,2,1,0.0,inf\n")
+        with pytest.raises(ConfigError, match="d.csv:3: column 'x2' is not a finite number: 'inf'"):
+            PanelDataset.from_csv(str(inf_x))
+
         with pytest.raises(ConfigError, match="missing.csv"):
             PanelDataset.from_csv(str(tmp_path / "missing.csv"))
 

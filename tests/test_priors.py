@@ -133,6 +133,17 @@ class TestPosteriorToPriorset:
         with pytest.raises(ValueError):
             posterior_to_priorset(fake_samples(np.zeros((10, 2)), np.ones(10)))
 
+    @pytest.mark.parametrize("name", ["beta0", "beta1", "beta2", "sigma2"])
+    def test_degenerate_chain_is_named(self, name):
+        rng = np.random.default_rng(5)
+        beta, sigma2 = rng.normal(size=(50, 3)), rng.gamma(3.0, 1.0, size=50)
+        if name == "sigma2":
+            sigma2[:] = 1.5
+        else:
+            beta[:, int(name[-1])] = 0.25
+        with pytest.raises(ValueError, match=f"cannot carry {name} forward: degenerate sample"):
+            posterior_to_priorset(fake_samples(beta, sigma2))
+
 
 class TestLogDensities:
     def test_standard_normal_at_zero(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from panelbayes.errors import SamplerError
 from panelbayes.model import PanelDataset, ParameterState, expit, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
 from panelbayes.sampler import (ChainConfig, PosteriorSamples, _Chain, _chain_stats,
@@ -155,7 +154,7 @@ class TestRunChain:
     def test_non_finite_start_raises(self):
         bad = PriorSet(beta_priors=(NormalPrior(float("inf"), 1.0), NormalPrior(0, 1), NormalPrior(0, 1)),
                        sigma2_prior=InverseGammaPrior(2.0, 1.0))
-        with pytest.raises(SamplerError):
+        with pytest.raises(FloatingPointError, match="not finite at the initial state"):
             run_chain(tiny_panel(), bad, ChainConfig(burn_in=10, samples=10, seed=0))
 
     def test_config_validation(self):

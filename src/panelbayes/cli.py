@@ -11,6 +11,7 @@ import argparse
 import os
 import signal
 import sys
+from contextlib import contextmanager
 
 from .datagen import DEFAULT_BETA, SimConfig, replicate_panel
 from .errors import ConfigError
@@ -21,6 +22,7 @@ from .priors import default_uninformative, load_priors, posterior_to_priorset, s
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize, warn_unmixed
 from .spindex import (DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD, load_returns, surrogate_path,
                       two_stage_fit, write_comparison_csv)
+from .workers import usable_cpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,28 +154,32 @@ def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)
 
 
+@contextmanager
+def _sigterm_exits():
+    """SIGTERM would end this process at once and orphan its pool workers;
+    raised as SystemExit, it lets the pool end them first."""
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_study(args) -> int:
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     chain = _chain_config_from(cfg, args)
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
-    # the CPUs this process may run on, not all of the host's
-    hardware = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    jobs = max(1, min(cfg.get("jobs", int, hardware, args.jobs), hardware))
+    cpus = usable_cpus()
+    jobs = max(1, min(cfg.get("jobs", int, cpus, args.jobs), cpus))
     cfg.check_all_read()
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
-    # SIGTERM would end this process at once and orphan the pool's workers;
-    # as an exception it lets run_study end them first
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
+    with _sigterm_exits():
         result = run_study(sim, run_ids, chain, jobs=jobs)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
     for path in write_tables(result, outdir):
         print(path)
     return 0
@@ -182,8 +188,10 @@ def cmd_study(args) -> int:
 def cmd_spindex(args) -> int:
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
-    report = two_stage_fit(years, returns, _chain_config(args), split_year=args.split_year,
-                           threshold=args.threshold)
+    chain = _chain_config(args)
+    with _sigterm_exits():
+        report = two_stage_fit(years, returns, chain, split_year=args.split_year,
+                               threshold=args.threshold, jobs=usable_cpus())
     write_comparison_csv(report, args.out)
     return 0
 

@@ -16,15 +16,14 @@ Per replicate the stage-2 posterior means of beta0, beta1, beta2 and sigma
 parameter gets Mean, SD, a t-based confidence interval and
 MSE = (Mean - truth)^2 + Var. Each stage-2 fit whose ESS falls below the
 floor of `sampler.warn_unmixed` logs a warning naming its replicate and run.
-Replicates run on independent RNG streams (see `seeding`) so results are
-identical for any worker count.
+Replicates run on independent RNG streams (see `seeding`), in a pool of
+worker processes when `jobs > 1` (see `workers`), so results are identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import PARAMETERS, ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
+from .workers import worker_pool
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,6 @@ def _replicate_worker(args) -> list[float]:
         raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
 
 
-def _leave_stopping_to_parent() -> None:
-    """Pool worker set-up: ignore SIGINT and die at once on SIGTERM, so a
-    stopped study is stopped by its parent, which then ends the workers."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 @dataclass(frozen=True, eq=False)
 class StudyResult:
     rows: list[SummaryRow]
@@ -150,11 +143,12 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
               jobs: int = 1) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
-    No run ids, an unknown run id and fewer than 2 replicates raise
-    ConfigError before any replicate is generated. A failure in any replicate
-    aborts the study (silently dropped replicates would bias the MSE column);
-    with jobs > 1 that failure, or an exception such as KeyboardInterrupt,
-    ends the pool's workers first.
+    With jobs > 1 the replicates run in a pool of `jobs` worker processes.
+    No run ids, an unknown or repeated run id and fewer than 2 replicates
+    raise ConfigError before any replicate is generated. A failure in any
+    replicate aborts the study (silently dropped replicates would bias the
+    MSE column); with jobs > 1 that failure, or an exception such as
+    KeyboardInterrupt, ends the pool's workers first.
     """
     run_ids = tuple(run_ids)
     if not run_ids:
@@ -162,23 +156,14 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
     for rid in run_ids:
         if rid not in RUNS:
             raise ConfigError(f"unknown run id {rid!r} (known: {', '.join(RUNS)})")
+        if run_ids.count(rid) > 1:
+            raise ConfigError(f"run id {rid!r} is listed more than once")
     if sim_config.replicates < 2:
         raise ConfigError(f"replicates must be >= 2 for the across-replicate table, "
                           f"got {sim_config.replicates}")
     tasks = [(sim_config, run_ids, chain_config, rep) for rep in range(sim_config.replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_leave_stopping_to_parent) as pool:
-            try:
-                results = list(pool.map(_replicate_worker, tasks))
-            except BaseException:
-                # leaving the block waits for the running replicates, so a
-                # failed, interrupted or stopped study ends its workers first
-                # (Python 3.14 has this as pool.terminate_workers())
-                for proc in list(pool._processes.values()):
-                    proc.terminate()
-                raise
-    else:
-        results = list(map(_replicate_worker, tasks))
+    with worker_pool(jobs if jobs > 1 else 0) as pool:
+        results = list(pool.map(_replicate_worker, tasks))
 
     # results[rep][j] is replicate rep's estimate of cells[j]
     cells = [(rid, param) for rid in run_ids for param in PARAMETERS]

@@ -9,6 +9,12 @@ effect -- identifiability of sigma is weak under this layout, the diffuse or
 carried-over prior keeps the posterior proper. `load_returns` reads the
 series as (years, returns) arrays and `series_to_panel` makes it one panel.
 
+`two_stage_fit` runs three chains: stage 1, then the later window under
+diffuse and under carried-over priors. Only the last needs stage 1, so with
+`jobs > 1` the diffuse-prior chain runs in one worker process (see
+`workers`) while this process runs the other two. Every chain keeps its own
+seed, so the CPU count never changes the output.
+
 The original return series is not redistributable, so the package bundles a
 synthetic surrogate with the same shape (one return per year, 1960..2018,
 drawn once from Normal(0.5 + 0.025*(year-1960), 1.2^2) with seed 20180614 and
@@ -30,6 +36,7 @@ from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
+from .workers import worker_pool
 
 log = logging.getLogger(__name__)
 
@@ -85,14 +92,22 @@ def make_surrogate(seed: int = 20180614) -> tuple[np.ndarray, np.ndarray]:
 
 def two_stage_fit(years, returns, chain_config: ChainConfig,
                   split_year: int = DEFAULT_SPLIT_YEAR,
-                  threshold: float = DEFAULT_THRESHOLD) -> dict[str, dict[str, SummaryStats]]:
+                  threshold: float = DEFAULT_THRESHOLD,
+                  jobs: int = 1) -> dict[str, dict[str, SummaryStats]]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
     The later window is fitted twice -- once with diffuse priors, once with
     the carried-over priors. Returns {"uninformative": stats, "informative":
     stats}, each the `summarize` of that fit restricted to TABLE_PARAMETERS.
     Each of the three fits logs a warning for every one of those parameters
-    whose ESS falls below the floor of `warn_unmixed`.
+    whose ESS falls below the floor of `warn_unmixed`, in the order stage 1,
+    uninformative, informative.
+
+    Only the informative fit needs stage 1. With jobs > 1 the uninformative
+    fit runs in one worker process while this process fits stage 1 and then
+    the informative fit; with jobs = 1 all three run here. Each fit has its
+    own seed, so `jobs` never changes the result, and when more than one fit
+    fails the error raised is that of the first in the order above.
     """
     early = years <= split_year
     if not early.any():
@@ -111,12 +126,17 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     def seeded(k: int) -> ChainConfig:
         return replace(chain_config, seed=derive_seed(chain_config.seed, k))
 
-    stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
-    fits = {
-        "stage 1": stage1,
-        "uninformative": run_chain(panels["stage 2"], default_uninformative(), seeded(2)),
-        "informative": run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3)),
-    }
+    with worker_pool(1 if jobs > 1 else 0) as pool:
+        uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(),
+                                    seeded(2))
+        stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
+        try:
+            informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3))
+        except Exception:
+            uninformative.result()  # a failure of the earlier fit comes first
+            raise
+        fits = {"stage 1": stage1, "uninformative": uninformative.result(),
+                "informative": informative}
 
     report = {}
     for run, samples in fits.items():

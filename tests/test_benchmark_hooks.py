@@ -20,19 +20,24 @@ from panelbayes.cli import main  # noqa: E402
 from perfbench.spans import Tracer  # noqa: E402
 
 
-def test_spindex_records_its_spans_and_probes_run(tmp_path):
-    tracer = Tracer()
-    tracer.install()
-    try:
-        code = main(["spindex", "--out", str(tmp_path / "sp.csv"),
-                     "--burn-in", "50", "--samples", "50", "--seed", "3"])
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    names = {span["name"] for span in tracer.spans}
-    assert {"spindex.load_returns", "spindex.series_to_panel", "spindex.two_stage_fit",
-            "spindex.write_comparison_csv", "sampler.run_chain"} <= names
-    assert len(tracer.chains) == 3
+def test_spindex_records_its_spans_and_probes_run(tmp_path, monkeypatch):
+    # with two CPUs the diffuse-prior stage-2 chain runs in a worker process,
+    # which is sent the tracer's wrapper of run_chain by name and records its
+    # spans there, out of this tracer's sight
+    for cpus, chains_here in (({0}, 3), ({0, 1}, 2)):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code = main(["spindex", "--out", str(tmp_path / "sp.csv"),
+                         "--burn-in", "50", "--samples", "50", "--seed", "3"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        names = {span["name"] for span in tracer.spans}
+        assert {"spindex.load_returns", "spindex.series_to_panel", "spindex.two_stage_fit",
+                "spindex.write_comparison_csv", "sampler.run_chain"} <= names
+        assert len(tracer.chains) == chains_here
 
     chain = tracer.chains[0]
     data, priors = chain["data"], chain["priors"]

@@ -371,6 +371,15 @@ class TestStudy:
         assert main(["study", "--config", cfg]) == 1
         assert "R7" in capsys.readouterr().err
 
+    def test_repeated_run_id_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate was generated")
+        monkeypatch.setattr("panelbayes.datagen.gen_panel", no_replicate)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), runs="R4,R4")
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert "run id 'R4' is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_run_list_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         def no_replicate(*args, **kwargs):
             raise AssertionError("a replicate was generated")
@@ -489,6 +498,63 @@ class TestSpindex:
         assert main(["spindex", "--out", str(a)] + FIT_FLAGS) == 0
         assert main(["spindex", "--out", str(b)] + FIT_FLAGS) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_follow_cpu_affinity(self, monkeypatch):
+        jobs_seen = []
+
+        def record(*args, jobs=1, **kwargs):
+            jobs_seen.append(jobs)
+            raise ConfigError("recorded")
+        monkeypatch.setattr("panelbayes.cli.two_stage_fit", record)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            assert main(["spindex"] + FIT_FLAGS) == 1
+        assert jobs_seen == [1, 2]
+
+    def test_cpu_count_never_changes_the_output(self):
+        # real stdout and stderr: the warnings reach stderr through logging
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+                "from panelbayes.cli import main\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        runs = [subprocess.run([sys.executable, "-c", code, str(cpus), "spindex"] + FIT_FLAGS,
+                               capture_output=True, env=src_env(), timeout=120, check=True)
+                for cpus in (1, 2)]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.startswith(b"run,parameter,mean,sd,lcl,ucl\n")
+        assert runs[0].stderr == runs[1].stderr
+        assert b"uninformative fit: ESS of" in runs[0].stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="a worker beside the parent needs 2 usable CPUs")
+    def test_sigterm_stops_the_worker(self):
+        proc = subprocess.Popen([sys.executable, "-m", "panelbayes.cli", "spindex",
+                                 "--burn-in", "2000", "--samples", "1000000"],
+                                env=src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while not workers and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.05)
+                workers = live_children(proc.pid)
+            assert len(workers) == 1
+            proc.send_signal(signal.SIGTERM)
+            # a chain takes far longer than this, so none may run to its end
+            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while any(map(alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [w for w in workers if alive(w)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for w in workers:
+                if alive(w):
+                    os.kill(w, signal.SIGKILL)
 
 
 class TestUsage:

@@ -1,17 +1,28 @@
 import logging
 import math
+import multiprocessing
 import re
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from panelbayes import sampler
 from panelbayes.errors import ConfigError
+from panelbayes.priors import default_uninformative
 from panelbayes.sampler import ChainConfig
 from panelbayes.spindex import (load_returns, make_surrogate, series_to_panel, surrogate_path,
                                 two_stage_fit)
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
+real_log_posterior = sampler.log_posterior
+
+
+def late_diffuse_fit_fails(data, state, priors):
+    """Fails the chain of the 14 late surrogate years under diffuse priors."""
+    if data.n_individuals == 14 and priors == default_uninformative():
+        raise FloatingPointError("the uninformative fit failed")
+    return real_log_posterior(data, state, priors)
 
 
 class TestBinarize:
@@ -110,6 +121,22 @@ class TestTwoStageFit:
         a = two_stage_fit(*series, FAST_CHAIN)
         b = two_stage_fit(*series, FAST_CHAIN)
         assert a == b
+
+    def test_jobs_do_not_change_the_report(self):
+        series = load_returns(surrogate_path())
+        assert two_stage_fit(*series, FAST_CHAIN, jobs=1) == two_stage_fit(*series, FAST_CHAIN,
+                                                                           jobs=2)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched log_posterior must reach the worker")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_fit_order_wins(self, monkeypatch, jobs):
+        def no_carry_over(samples):
+            raise ValueError("cannot carry over")
+        monkeypatch.setattr("panelbayes.sampler.log_posterior", late_diffuse_fit_fails)
+        monkeypatch.setattr("panelbayes.spindex.posterior_to_priorset", no_carry_over)
+        with pytest.raises(FloatingPointError, match="the uninformative fit failed"):
+            two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN, jobs=jobs)
 
     def test_empty_stage_rejected(self):
         series = load_returns(surrogate_path())

@@ -172,14 +172,16 @@ def cmd_study(args) -> int:
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
     cpus = usable_cpus()
-    jobs = max(1, min(cfg.get("jobs", int, cpus, args.jobs), cpus))
+    jobs = cfg.get("jobs", int, cpus, args.jobs)
     cfg.check_all_read()
+    if jobs < 1:
+        raise ConfigError(f"{cfg.path}: jobs must be >= 1")
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
     with _sigterm_exits():
-        result = run_study(sim, run_ids, chain, jobs=jobs)
+        result = run_study(sim, run_ids, chain, jobs=min(jobs, cpus))
     for path in write_tables(result, outdir):
         print(path)
     return 0

@@ -16,25 +16,11 @@ One sweep updates, in order:
 `sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
 individual codes, the prior arrays, Xty = X'y and y_count (the ones per
 individual); the state with its cache mu = X beta + eps[codes] and
-sp = softplus(mu), which every move keeps in step; the proposal; and the
-acceptance tallies acc_b (beta) and acc_e (eps, per individual), which each
-sweep adds to and `run_chain` reads and resets. A block then costs one
-softplus pass over the observations, and its y*dmu terms reduce to
-Xty @ d and y_count * d.
-
-Proposal scales are tuned only during burn-in: acceptance rates are averaged
-over fixed windows of 50 iterations and the log scales nudged toward the
-optimal-scaling targets 0.234 (block) and 0.44 (scalar) with a diminishing
-step 0.1/sqrt(window). The beta proposal starts as identity*scale and
-switches to the Cholesky factor of the empirical covariance of the burn-in
-draws (plus diagonal jitter) once 500 burn-in iterations have accumulated.
-Scalar proposals are expressed relative to a per-individual
-conditional-scale estimate 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), refreshed
-each adaptation window, so they stay usable whether sigma2 is diffuse or
-pinned near zero. Its p_ij is `model.expit` of the cached mu_ij, the
-logistic exp(-softplus(-mu)), so p(1-p) stays finite and warning-free at any
-finite mu. Everything is frozen when burn-in ends, so the kept draws
-come from a fixed Markov kernel. A chain is a pure function of (data,
+sp = softplus(mu), which every move keeps in step; the proposal and how it
+is tuned (`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b
+(beta) and acc_e (eps, per individual), which each sweep adds to. A block
+then costs one softplus pass over the observations, and its y*dmu terms
+reduce to Xty @ d and y_count * d. A chain is a pure function of (data,
 priors, config): identical seeds give bit-identical output.
 """
 
@@ -111,16 +97,6 @@ class SummaryStats:
     lower: float
     upper: float
     ess: float
-
-
-def adapt_scale(log_scale: float | np.ndarray, observed_accept: float | np.ndarray,
-                target: float, step: float) -> float | np.ndarray:
-    """Robbins-Monro nudge: log_scale + step * (observed_accept - target),
-    elementwise when given arrays of log scales and acceptance rates."""
-    rate = np.asarray(observed_accept)
-    if not ((rate >= 0.0) & (rate <= 1.0)).all():
-        raise ValueError("acceptance rate must lie in [0, 1]")
-    return log_scale + step * (observed_accept - target)
 
 
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
@@ -200,6 +176,7 @@ class _Chain:
         self.mu = self.X @ self.beta + self.eps[self.codes]
         self.sp = softplus(self.mu)
         self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
+        self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
 
     def sweep(self, rng: np.random.Generator) -> None:
@@ -235,11 +212,35 @@ class _Chain:
         self.sp = np.where(acc_obs, sp_p, sp)
         self.sigma2 = gibbs_sigma2(self.eps, self.sigma2_prior, rng)
 
-    def conditional_sd(self) -> np.ndarray:
-        """Approximate conditional sd of each eps_i: 1/sqrt(prior precision + Fisher info)."""
+    def adapt(self, beta_hist: np.ndarray) -> None:
+        """Tune the proposal at the end of a burn-in window of _ADAPT_WINDOW
+        sweeps, given the burn-in beta draws so far, then clear the tallies.
+
+        The window's acceptance rates nudge the log scales toward the
+        optimal-scaling targets 0.234 (block) and 0.44 (scalar) with the
+        diminishing step 0.1/sqrt(window). The beta proposal starts as the
+        identity; from _COV_START draws on, it is the Cholesky factor of the
+        empirical covariance of the trailing half of the draws (plus diagonal
+        jitter), so the early phase stops pinning it down, and at _COV_START
+        its log scale restarts at log(2.38/sqrt(3)). Each eps scale is an adapted multiple of the
+        conditional-sd estimate 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), so it
+        stays usable whether sigma2 is diffuse or pinned near zero. Its p_ij
+        is `model.expit` of the cached mu_ij, the logistic exp(-softplus(-mu)),
+        so p(1-p) stays finite and warning-free at any finite mu.
+        """
+        n = len(beta_hist)
+        step = 0.1 / math.sqrt(n // _ADAPT_WINDOW)
+        self.log_scale += step * (self.acc_b / _ADAPT_WINDOW - _TARGET_ACCEPT_BLOCK)
+        if n >= _COV_START:
+            cov = np.cov(beta_hist[n // 2:].T) + _COV_JITTER * np.eye(3)
+            self.chol = np.linalg.cholesky(cov)
+            if n == _COV_START:
+                self.log_scale = math.log(2.38 / math.sqrt(3.0))
+        self.eps_log_mult += step * (self.acc_e / _ADAPT_WINDOW - _TARGET_ACCEPT_SCALAR)
         p = expit(self.mu)
         fisher = np.bincount(self.codes, weights=p * (1.0 - p), minlength=self.n_ind)
-        return 1.0 / np.sqrt(1.0 / self.sigma2 + fisher)
+        self.eps_scales = np.exp(self.eps_log_mult) * (1.0 / np.sqrt(1.0 / self.sigma2 + fisher))
+        self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
 
 
 def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet,
@@ -270,39 +271,23 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
 
 def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> PosteriorSamples:
     """Adapt the proposals over burn_in iterations, then freeze them and run
-    samples*thin iterations, keeping every thin-th draw."""
+    samples*thin iterations, keeping every thin-th draw, so the kept draws
+    come from a fixed Markov kernel."""
     rng = np.random.default_rng(derive_seed(config.seed))
     n_ind = data.n_individuals
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise FloatingPointError("log posterior is not finite at the initial state")
-    # scalar proposals have an absolute sd of 2.4 for the first window; each
-    # adaptation then sets them to an adapted multiple (from 2.4, the 1-d
-    # optimum) of the conditional-sd estimate
+    # burn-in starts at a beta log scale of log 0.1 and an absolute eps sd of
+    # 2.4; proposals are tuned after every window, then frozen for sampling
     chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
-    eps_log_mult = np.full(n_ind, math.log(2.4))
     beta_hist = np.empty((config.burn_in, 3))
     for t in range(config.burn_in):
         chain.sweep(rng)
         beta_hist[t] = chain.beta
-        if (t + 1) % _ADAPT_WINDOW:
-            continue
-        step = 0.1 / math.sqrt((t + 1) // _ADAPT_WINDOW)
-        chain.log_scale = adapt_scale(chain.log_scale, chain.acc_b / _ADAPT_WINDOW,
-                                      _TARGET_ACCEPT_BLOCK, step)
-        if t + 1 >= _COV_START:
-            # trailing half of the burn-in draws, so the frozen early
-            # phase stops pinning the covariance down
-            hist = beta_hist[(t + 1) // 2: t + 1]
-            chain.chol = np.linalg.cholesky(np.cov(hist.T) + _COV_JITTER * np.eye(3))
-            if t + 1 == _COV_START:
-                chain.log_scale = math.log(2.38 / math.sqrt(3.0))
-        eps_log_mult = adapt_scale(eps_log_mult, chain.acc_e / _ADAPT_WINDOW,
-                                   _TARGET_ACCEPT_SCALAR, step)
-        chain.eps_scales = np.exp(eps_log_mult) * chain.conditional_sd()
-        chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
-
+        if (t + 1) % _ADAPT_WINDOW == 0:
+            chain.adapt(beta_hist[:t + 1])
     # burn_in need not be a multiple of the window: drop its last partial tally
     chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
     n_post = config.samples * config.thin

@@ -5,9 +5,14 @@ used in Peak-Over-Threshold studies of this index family), the design is the
 linear time trend x1 = year - 1960, and the model reduces to two fixed
 effects: the x2 slot is held at zero, so beta2 stays at its prior. Each year
 enters as its own individual with a single observation and its own random
-effect -- identifiability of sigma is weak under this layout, the diffuse or
-carried-over prior keeps the posterior proper. `load_returns` reads the
-series as (years, returns) arrays and `series_to_panel` makes it one panel.
+effect, so eps_i is confounded with the Bernoulli noise and sigma is not
+identified: as sigma2 grows, each year's marginal likelihood tends to 1/2.
+Under the diffuse IG(0.001, 0.001) prior the posterior keeps that prior's
+tail and the posterior mean of sigma does not exist, so the `sigma` rows of
+the comparison CSV report where the chain sits in the prior's tail, not an
+estimate (means from 12 to 12 590 across chain seeds; ROADMAP.md item 2).
+`load_returns` reads the series as (years, returns) arrays and
+`series_to_panel` makes it one panel.
 
 `two_stage_fit` runs three chains: stage 1, then the later window under
 diffuse and under carried-over priors. Only the last needs stage 1, so with

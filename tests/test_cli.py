@@ -417,6 +417,19 @@ class TestStudy:
         assert f"{cfg}: key 'beta1' is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_jobs_below_one_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        for jobs in (0, -7):
+            cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), jobs=jobs)
+            assert main(["study", "--config", cfg]) == 1
+            assert f"{cfg}: jobs must be >= 1" in capsys.readouterr().err
+            cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"))
+            assert main(["study", "--config", cfg, "--jobs", str(jobs)]) == 1
+            assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_file_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
         def no_chain(*args, **kwargs):
             raise AssertionError("a chain ran")

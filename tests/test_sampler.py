@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,9 +8,10 @@ from scipy import special, stats as sps
 
 from panelbayes.model import PanelDataset, ParameterState, expit, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
-from panelbayes.sampler import (ChainConfig, PosteriorSamples, _Chain, _chain_stats,
-                                adapt_scale, draws_to_csv, effective_sample_size, gibbs_sigma2,
-                                metropolis_sweep, run_chain, summarize)
+from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_ACCEPT_BLOCK,
+                                _TARGET_ACCEPT_SCALAR, ChainConfig, PosteriorSamples, _Chain,
+                                _chain_stats, draws_to_csv, effective_sample_size, gibbs_sigma2,
+                                initial_state, metropolis_sweep, run_chain, summarize)
 
 
 def empty_panel():
@@ -30,30 +32,97 @@ def synthetic_samples(beta0_chain):
                             accept_beta=0.25, accept_epsilon=np.zeros(0))
 
 
+def three_individual_chain(log_scale=0.0):
+    data = PanelDataset([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2], [1, 0, 0, 0, 1, 1],
+                        [1.0, 1.0, 0.0, 0.0, 0.5, 0.5], [0.2, -0.3, 0.4, 0.1, 0.0, 0.6])
+    priors = default_uninformative()
+    return _Chain(data, priors, initial_state(data, priors), log_scale, np.ones(3))
+
+
+def adapted(acc_b, acc_e, windows=1, log_scale=0.7):
+    """A three-individual chain after one adapt() call at the end of burn-in
+    window `windows`, with the given window acceptance counts; returns the
+    moves of the beta log scale and of the eps log multiples."""
+    chain = three_individual_chain(log_scale=log_scale)
+    chain.acc_b, chain.acc_e = acc_b, np.asarray(acc_e, float)
+    chain.adapt(np.zeros((windows * _ADAPT_WINDOW, 3)))
+    # below the covariance start the beta proposal keeps its identity factor
+    assert np.array_equal(chain.chol, np.eye(3))
+    return chain.log_scale - log_scale, chain.eps_log_mult - math.log(2.4)
+
+
 class TestAdaptScale:
     def test_fixed_point(self):
-        assert adapt_scale(0.7, 0.44, 0.44, 0.1) == 0.7
-        log_scales = np.array([0.7, -1.2, 0.0])
-        assert np.array_equal(adapt_scale(log_scales, np.full(3, 0.44), 0.44, 0.1), log_scales)
+        for windows in (1, 4):
+            move_b, move_e = adapted(_TARGET_ACCEPT_BLOCK * _ADAPT_WINDOW,
+                                     np.full(3, _TARGET_ACCEPT_SCALAR * _ADAPT_WINDOW), windows)
+            assert move_b == 0.0
+            assert np.array_equal(move_e, np.zeros(3))
 
     def test_full_acceptance(self):
-        assert adapt_scale(0.0, 1.0, 0.44, 0.1) == pytest.approx(0.056, abs=1e-15)
+        move_b, move_e = adapted(_ADAPT_WINDOW, np.full(3, _ADAPT_WINDOW))
+        assert move_b == pytest.approx(0.0766, abs=1e-15)
+        assert move_e == pytest.approx(np.full(3, 0.056), abs=1e-15)
 
     def test_zero_acceptance(self):
-        assert adapt_scale(0.0, 0.0, 0.44, 0.1) == pytest.approx(-0.044, abs=1e-15)
+        move_b, move_e = adapted(0, np.zeros(3))
+        assert move_b == pytest.approx(-0.0234, abs=1e-15)
+        assert move_e == pytest.approx(np.full(3, -0.044), abs=1e-15)
 
     def test_monotone(self):
-        up = adapt_scale(0.0, 0.9, 0.44, 0.1)
-        down = adapt_scale(0.0, 0.1, 0.44, 0.1)
-        assert up > 0.0 > down
-        moved = adapt_scale(np.zeros(3), np.array([0.9, 0.44, 0.1]), 0.44, 0.1)
-        assert moved[0] > 0.0 > moved[2]
-        assert moved[1] == 0.0
+        # the step shrinks as 0.1/sqrt(window): window 4 moves by half of window 1
+        windows = 4
+        step = 0.1 / math.sqrt(windows)
+        moves = []
+        for acc_b in (40, _TARGET_ACCEPT_BLOCK * _ADAPT_WINDOW, 0):
+            move_b, move_e = adapted(acc_b, [40.0, _TARGET_ACCEPT_SCALAR * _ADAPT_WINDOW, 5.0],
+                                     windows)
+            moves.append(move_b)
+            assert move_b == pytest.approx(
+                step * (acc_b / _ADAPT_WINDOW - _TARGET_ACCEPT_BLOCK), abs=1e-15)
+            assert move_e == pytest.approx(
+                step * (np.array([0.8, 0.44, 0.1]) - _TARGET_ACCEPT_SCALAR), abs=1e-15)
+            assert move_e[0] > move_e[1] == 0.0 > move_e[2]
+        assert moves[0] > moves[1] == 0.0 > moves[2]
 
-    def test_rejects_bad_rate(self):
-        for bad in (1.5, float("nan"), np.array([0.2, 1.5]), np.array([0.2, np.nan])):
-            with pytest.raises(ValueError, match="acceptance rate"):
-                adapt_scale(np.zeros(np.size(bad)), bad, 0.44, 0.1)
+
+class TestChainAdapt:
+    def test_eps_scales_are_multiples_of_the_conditional_sd(self):
+        chain = three_individual_chain()
+        chain.adapt(np.zeros((_ADAPT_WINDOW, 3)))
+        p = special.expit(chain.mu)
+        fisher = np.bincount(chain.codes, weights=p * (1.0 - p))
+        cond_sd = 1.0 / np.sqrt(1.0 / chain.sigma2 + fisher)
+        assert chain.eps_scales == pytest.approx(np.exp(chain.eps_log_mult) * cond_sd, rel=1e-14)
+
+    def test_covariance_switch_at_cov_start(self):
+        rng = np.random.default_rng(5)
+        hist = rng.standard_normal((_COV_START + _ADAPT_WINDOW, 3)) @ np.array(
+            [[1.0, 0.5, 0.0], [0.0, 2.0, -0.3], [0.0, 0.0, 0.4]])
+
+        def trailing_half_chol(h):
+            n = len(h)
+            return np.linalg.cholesky(np.cov(h[n // 2:].T) + _COV_JITTER * np.eye(3))
+
+        chain = three_individual_chain(log_scale=-3.0)
+        chain.acc_b = _ADAPT_WINDOW
+        chain.adapt(hist[:_COV_START])
+        assert np.allclose(chain.chol, trailing_half_chol(hist[:_COV_START]), rtol=1e-12)
+        assert chain.log_scale == math.log(2.38 / math.sqrt(3.0))
+        # later windows refresh the factor and nudge the scale without resetting it
+        chain.acc_b = _ADAPT_WINDOW
+        chain.adapt(hist)
+        assert np.allclose(chain.chol, trailing_half_chol(hist), rtol=1e-12)
+        step = 0.1 / math.sqrt(len(hist) // _ADAPT_WINDOW)
+        assert chain.log_scale == pytest.approx(
+            math.log(2.38 / math.sqrt(3.0)) + step * (1.0 - _TARGET_ACCEPT_BLOCK), abs=1e-15)
+
+    def test_tallies_cleared(self):
+        chain = three_individual_chain()
+        chain.acc_b, chain.acc_e = 17, np.array([3.0, 50.0, 0.0])
+        chain.adapt(np.zeros((_ADAPT_WINDOW, 3)))
+        assert chain.acc_b == 0
+        assert np.array_equal(chain.acc_e, np.zeros(3))
 
 
 class TestGibbsSigma2:
@@ -132,6 +201,18 @@ class TestRunChain:
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.sigma2, b.sigma2)
         assert a.accept_beta == b.accept_beta
+
+    def test_pinned_digest(self):
+        # Pins every draw of the adaptive kernel: burn_in = 537 crosses
+        # _COV_START and leaves a 37-sweep partial window. A change that moves a draw on purpose (a new move in the
+        # sweep, a new burn-in start) records the new digest here and says
+        # so in CHANGES.md.
+        s = run_chain(tiny_panel(), default_uninformative(),
+                      ChainConfig(burn_in=537, samples=200, seed=3))
+        digest = hashlib.sha256(s.beta.tobytes() + s.sigma2.tobytes()).hexdigest()
+        assert digest == "f396e8392df7582be4bf178335bb21206848f37e285aa61e6b148c8f12a26798"
+        assert s.accept_beta == 0.7
+        assert s.accept_epsilon.tolist() == [0.765, 0.795]
 
     def test_seed_changes_output(self):
         a = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=1))

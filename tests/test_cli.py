@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 import os
 import re
@@ -568,6 +569,32 @@ class TestSpindex:
             for w in workers:
                 if alive(w):
                     os.kill(w, signal.SIGKILL)
+
+
+class TestOutputBytes:
+    # sha256 of every file the commands write, recorded before the sweep was
+    # last reworked: a kernel change that keeps every draw keeps these bytes
+    DIGESTS = {
+        "panel.csv": "03c1327cdc9e6a843ace077f31aea32c70b2fb48ce45307549d487b1dd752731",
+        "panel.csv.truth": "e804afb66417a1268a01da2847a1a6de50fad7250dff16e9bf581e78cf261f6e",
+        "summary.csv": "02cfc77d5ace338b4066aaa5a277b4adc8e48cdc6f10cdce31110936bf283d6c",
+        "priors.kv": "f227e28f520970e43e2fafc7f898f3485d0cd21ded653792f23731faef5c62b4",
+        "draws.csv": "988fa6878ab0fc3df5c7a8042ca0da89e3ebfdaf6812346cb50cf32e4a6336a7",
+        "spindex.csv": "2cc4bef72695fa7c7e0a8b53e5a82abd3151cc7006d20de28a85bca24a44b4e6",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path):
+        chain = ["--burn-in", "537", "--samples", "300", "--seed", "7"]
+        cfg = write_gen_config(tmp_path / "gen.kv", individuals=10, periods=6)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "panel.csv")]) == 0
+        assert main(["fit", "--data", str(tmp_path / "panel.csv"),
+                     "--out", str(tmp_path / "summary.csv"),
+                     "--priors-out", str(tmp_path / "priors.kv"),
+                     "--draws-out", str(tmp_path / "draws.csv")] + chain) == 0
+        assert main(["spindex", "--out", str(tmp_path / "spindex.csv")] + chain) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_
                                 _TARGET_ACCEPT_SCALAR, ChainConfig, PosteriorSamples, _Chain,
                                 _chain_stats, draws_to_csv, effective_sample_size, gibbs_sigma2,
                                 initial_state, metropolis_sweep, run_chain, summarize)
+from panelbayes.spindex import DEFAULT_SPLIT_YEAR, load_returns, series_to_panel, surrogate_path
 
 
 def empty_panel():
@@ -23,6 +24,19 @@ def tiny_panel():
                         [1, 0, 1, 0, 0, 1],
                         [1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
                         [0.2, 0.5, -0.1, 0.4, 0.0, 0.3])
+
+
+def ragged_panel(rng, n_ind=40):
+    """Individual i is observed 1 + i % 5 times."""
+    counts = 1 + np.arange(n_ind) % 5
+    ind = np.repeat(np.arange(n_ind), counts)
+    time = np.concatenate([np.arange(1, c + 1) for c in counts])
+    return PanelDataset(ind, time, rng.integers(0, 2, ind.size),
+                        rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
+
+
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
 
 def synthetic_samples(beta0_chain):
@@ -214,6 +228,18 @@ class TestRunChain:
         assert s.accept_beta == 0.7
         assert s.accept_epsilon.tolist() == [0.765, 0.795]
 
+    def test_pinned_digest_one_observation_per_individual(self):
+        # the bundled surrogate's stage-1 panel, the shape `spindex` fits:
+        # 45 individuals with one observation each
+        years, returns = load_returns(surrogate_path())
+        early = years <= DEFAULT_SPLIT_YEAR
+        s = run_chain(series_to_panel(years[early], returns[early]), default_uninformative(),
+                      ChainConfig(burn_in=600, samples=300, seed=11))
+        draws, accepts = sha256(s.beta, s.sigma2), sha256(s.accept_epsilon)
+        assert draws == "de97d97e093002a78374636b8f6d52bd5829fff87fb0bc7785602f36ad32ac77"
+        assert accepts == "15f2d939685e863b33f3caff5913868933c28769862ebdcf13b795d3c77ad105"
+        assert s.accept_beta == 160 / 300
+
     def test_seed_changes_output(self):
         a = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=1))
         b = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=2))
@@ -272,6 +298,25 @@ class TestMetropolisSweep:
             assert state.sigma2 > 0
         assert state.epsilon.shape == (2,)
 
+    def test_pinned_digest(self):
+        # 300 fixed-scale sweeps on a ragged panel under informative priors,
+        # with per-individual eps scales: pins every state the kernel visits
+        rng = np.random.default_rng(44)
+        data = ragged_panel(rng)
+        priors = PriorSet(beta_priors=(NormalPrior(-0.5, 2.0), NormalPrior(1.0, 0.5),
+                                       NormalPrior(0.3, 4.0)),
+                          sigma2_prior=InverseGammaPrior(3.0, 2.5))
+        scales = rng.uniform(0.3, 1.7, data.n_individuals)
+        state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=np.zeros(data.n_individuals),
+                               sigma2=1.0)
+        visited = []
+        for _ in range(300):
+            state = metropolis_sweep(data, state, priors, rng, beta_log_scale=math.log(0.4),
+                                     eps_scales=scales)
+            visited += [state.beta, state.epsilon, np.array([state.sigma2])]
+        digest = sha256(*visited)
+        assert digest == "c0d10aef9ae2917ad007de6ce9ea7beb150e4b76b90747923d26c1890ec26cff"
+
     def test_deterministic_given_rng_state(self):
         data = tiny_panel()
         priors = default_uninformative()
@@ -311,13 +356,8 @@ class TestExpit:
 
 class TestKernelCache:
     def test_carried_state_matches_recomputed(self):
-        # ragged: individual i is observed 1 + i % 5 times
         rng = np.random.default_rng(31)
-        counts = 1 + np.arange(40) % 5
-        ind = np.repeat(np.arange(40), counts)
-        time = np.concatenate([np.arange(1, c + 1) for c in counts])
-        data = PanelDataset(ind, time, rng.integers(0, 2, ind.size),
-                            rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
+        data = ragged_panel(rng)
         state = ParameterState(beta=rng.normal(0.0, 1.0, 3), epsilon=rng.normal(0.0, 1.5, 40),
                                sigma2=2.0)
         chain = _Chain(data, default_uninformative(), state, math.log(0.3),

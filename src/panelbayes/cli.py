@@ -77,16 +77,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _source(cfg: KVFile, key: str, flag) -> str:
+    """Where the value of `key` came from, to anchor an error: its flag when
+    the flag was given, else the config file."""
+    return cfg.path if flag is None else "--" + key.replace("_", "-")
+
+
 def _chain_config_from(cfg: KVFile, args) -> ChainConfig:
+    values = {key: cfg.get(key, int, getattr(ChainConfig, key), getattr(args, key))
+              for key in ("burn_in", "samples", "thin", "seed")}
     try:
-        return ChainConfig(
-            burn_in=cfg.get("burn_in", int, ChainConfig.burn_in, args.burn_in),
-            samples=cfg.get("samples", int, ChainConfig.samples, args.samples),
-            thin=cfg.get("thin", int, ChainConfig.thin, args.thin),
-            seed=cfg.get("seed", int, ChainConfig.seed, args.seed),
-        )
+        return ChainConfig(**values)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: {exc}") from None
+        key = str(exc).split()[0]  # ChainConfig names the field it rejects first
+        raise ConfigError(f"{_source(cfg, key, getattr(args, key, None))}: {exc}") from None
 
 
 def _sim_config_from(cfg: KVFile, args) -> SimConfig:
@@ -175,7 +179,7 @@ def cmd_study(args) -> int:
     jobs = cfg.get("jobs", int, cpus, args.jobs)
     cfg.check_all_read()
     if jobs < 1:
-        raise ConfigError(f"{cfg.path}: jobs must be >= 1")
+        raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
     if os.path.exists(outdir) and not os.path.isdir(outdir):

@@ -226,9 +226,15 @@ def softplus(x) -> np.ndarray:
     """log(1 + exp(x)) elementwise, as max(x, 0) + log1p(exp(-|x|)).
 
     exp only ever sees a non-positive argument, so the result is finite for
-    every finite x and keeps the tail of large negative x.
+    every finite x and keeps the tail of large negative x. The terms are
+    computed in place in one temporary, which is returned.
     """
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(x, 0.0)
+    return t
 
 
 def expit(x) -> np.ndarray:

@@ -121,11 +121,9 @@ def effective_sample_size(chain) -> float:
     f = np.fft.rfft(xc, m)
     acov = np.fft.irfft(f * f.conjugate(), m)[:n].real
     rho = acov[1:] / acov[0]
-    s = 0.0
-    for r in rho:
-        if r <= 0.0:
-            break
-        s += r
+    stop = rho <= 0.0
+    k = int(stop.argmax()) if stop.any() else rho.size
+    s = float(np.cumsum(rho[:k])[-1]) if k else 0.0  # cumsum adds left to right
     return float(min(float(n), max(1.0, n / (1.0 + 2.0 * s))))
 
 
@@ -169,8 +167,8 @@ class _Chain:
         y = data.y.astype(np.float64)
         self.Xty = self.X.T @ y
         self.y_count = np.bincount(self.codes, weights=y, minlength=self.n_ind)
-        self.prior_means = np.array([p.mean for p in priors.beta_priors])
-        self.prior_vars = np.array([p.variance for p in priors.beta_priors])
+        self.prior_means = [float(p.mean) for p in priors.beta_priors]
+        self.prior_2vars = [2.0 * float(p.variance) for p in priors.beta_priors]
         self.sigma2_prior = priors.sigma2_prior
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon, state.sigma2
         self.mu = self.X @ self.beta + self.eps[self.codes]
@@ -181,30 +179,44 @@ class _Chain:
 
     def sweep(self, rng: np.random.Generator) -> None:
         """Beta block, eps scalars, sigma2 Gibbs, in that order, each adding
-        its acceptances to the tallies. The state and its cache are rebound,
-        never written into."""
+        its acceptances to the tallies. Proposals are built in place in fresh
+        arrays; the state and its cache are rebound, never written into. The
+        caller ignores divide warnings: log(0) of a zero uniform is -inf, an
+        accepted eps proposal."""
         codes, n_ind, beta = self.codes, self.n_ind, self.beta
-        d = (self.chol @ rng.standard_normal(3)) * math.exp(self.log_scale)
+        d = self.chol @ rng.standard_normal(3)
+        d *= math.exp(self.log_scale)
         beta_p = beta + d
-        mu_p = self.mu + self.X @ d
+        mu_p = self.X @ d
+        mu_p += self.mu
         sp_p = softplus(mu_p)
-        dll = float(self.Xty @ d - (sp_p.sum() - self.sp.sum()))
-        m, v = self.prior_means, self.prior_vars
-        dpr = float((((beta - m) ** 2 - (beta_p - m) ** 2) / (2.0 * v)).sum())
+        dll = float(self.Xty @ d) - (float(sp_p.sum()) - float(self.sp.sum()))
+        # the prior delta in Python floats, summed left to right as numpy sums 3 terms
+        dpr = 0.0
+        for b, b_p, m, v2 in zip(beta.tolist(), beta_p.tolist(), self.prior_means,
+                                 self.prior_2vars):
+            dpr += ((b - m) * (b - m) - (b_p - m) * (b_p - m)) / v2
         u = rng.random()
         if u > 0.0 and math.log(u) < dll + dpr:
             self.beta, self.mu, self.sp = beta_p, mu_p, sp_p
             self.acc_b += 1
 
         eps, mu, sp = self.eps, self.mu, self.sp
-        d = self.eps_scales * rng.standard_normal(n_ind)
-        mu_p = mu + d[codes]
+        d = rng.standard_normal(n_ind)
+        d *= self.eps_scales
+        mu_p = d[codes]
+        mu_p += mu
         sp_p = softplus(mu_p)
-        dll = self.y_count * d - np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
+        dll = self.y_count * d
+        dll -= np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
         eps_p = eps + d
-        dpr = (eps * eps - eps_p * eps_p) / (2.0 * self.sigma2)
-        with np.errstate(divide="ignore"):
-            acc_e = np.log(rng.random(n_ind)) < dll + dpr
+        dpr = eps * eps
+        dpr -= eps_p * eps_p
+        dpr /= 2.0 * self.sigma2
+        dll += dpr
+        log_u = rng.random(n_ind)
+        np.log(log_u, out=log_u)
+        acc_e = log_u < dll
         self.acc_e += acc_e
         acc_obs = acc_e[codes]
         self.eps = np.where(acc_e, eps_p, eps)
@@ -255,7 +267,8 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     scales = (np.ones(data.n_individuals) if eps_scales is None
               else np.asarray(eps_scales, dtype=np.float64))
     chain = _Chain(data, priors, state, beta_log_scale, scales)
-    chain.sweep(rng)
+    with np.errstate(divide="ignore"):
+        chain.sweep(rng)
     return ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
 
 
@@ -283,21 +296,22 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     # 2.4; proposals are tuned after every window, then frozen for sampling
     chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
     beta_hist = np.empty((config.burn_in, 3))
-    for t in range(config.burn_in):
-        chain.sweep(rng)
-        beta_hist[t] = chain.beta
-        if (t + 1) % _ADAPT_WINDOW == 0:
-            chain.adapt(beta_hist[:t + 1])
-    # burn_in need not be a multiple of the window: drop its last partial tally
-    chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
     n_post = config.samples * config.thin
     kept_beta = np.empty((config.samples, 3))
     kept_sigma2 = np.empty(config.samples)
-    for k in range(config.samples):
-        for _ in range(config.thin):
+    with np.errstate(divide="ignore"):  # see _Chain.sweep
+        for t in range(config.burn_in):
             chain.sweep(rng)
-        kept_beta[k] = chain.beta
-        kept_sigma2[k] = chain.sigma2
+            beta_hist[t] = chain.beta
+            if (t + 1) % _ADAPT_WINDOW == 0:
+                chain.adapt(beta_hist[:t + 1])
+        # burn_in need not be a multiple of the window: drop its last partial tally
+        chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
+        for k in range(config.samples):
+            for _ in range(config.thin):
+                chain.sweep(rng)
+            kept_beta[k] = chain.beta
+            kept_sigma2[k] = chain.sigma2
 
     return PosteriorSamples(
         beta=kept_beta,

@@ -30,6 +30,10 @@ def write_gen_config(path, **overrides):
     return str(path)
 
 
+def no_chain(*args, **kwargs):
+    raise AssertionError("a chain ran")
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -212,11 +216,23 @@ class TestFit:
 
     def test_one_sample_rejected_before_any_chain(self, tmp_path, panel_csv, capsys,
                                                   monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
         assert main(["fit", "--data", str(panel_csv), "--burn-in", "10", "--samples", "1"]) == 1
         assert "samples must be >= 2" in capsys.readouterr().err
+
+    def test_bad_chain_value_names_its_source(self, tmp_path, panel_csv, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        cfg = tmp_path / "chain.kv"
+        cfg.write_text("samples = 1\nthin = 2\n")
+        assert main(["fit", "--data", str(panel_csv), "--config", str(cfg)]) == 1
+        assert f"{cfg}: samples must be >= 2" in capsys.readouterr().err
+        # a flag overrides the file, and a bad flag value names the flag
+        for flag, value, message in [("--thin", "0", "thin must be >= 1"),
+                                     ("--burn-in", "-1", "burn_in must be >= 0"),
+                                     ("--samples", "0", "samples must be >= 2")]:
+            assert main(["fit", "--data", str(panel_csv), "--config", str(cfg),
+                         "--samples", "50", flag, value]) == 1
+            assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
     def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
         # finite but extreme IG parameters overflow the starting log posterior
@@ -232,8 +248,6 @@ class TestFit:
         assert f"{bad}: variance must be positive" in capsys.readouterr().err
 
     def test_panel_without_rows_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
         empty = tmp_path / "empty.csv"
         empty.write_text("individual,time,y,x1,x2\n")
@@ -391,8 +405,6 @@ class TestStudy:
         assert not (tmp_path / "out").exists()
 
     def test_single_replicate_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), replicates=1)
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
@@ -400,8 +412,6 @@ class TestStudy:
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         for key in ("burnin", "adapt_window", "replicate"):
             cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), **{key: 100})
@@ -410,8 +420,6 @@ class TestStudy:
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_value_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), beta1="nan")
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
@@ -419,8 +427,6 @@ class TestStudy:
         assert not (tmp_path / "out").exists()
 
     def test_jobs_below_one_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         for jobs in (0, -7):
             cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), jobs=jobs)
@@ -428,12 +434,23 @@ class TestStudy:
             assert f"{cfg}: jobs must be >= 1" in capsys.readouterr().err
             cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"))
             assert main(["study", "--config", cfg, "--jobs", str(jobs)]) == 1
-            assert "jobs must be >= 1" in capsys.readouterr().err
+            assert capsys.readouterr().err == "error: --jobs: jobs must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"))
+        assert "thin" not in Path(cfg).read_text()
+        assert main(["study", "--config", cfg, "--thin", "0"]) == 1
+        assert capsys.readouterr().err == "error: --thin: thin must be >= 1\n"
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), thin=0)
+        assert main(["study", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: thin must be >= 1\n"
+        assert main(["study", "--config", cfg, "--thin", "3", "--jobs", "0"]) == 1
+        assert capsys.readouterr().err == "error: --jobs: jobs must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_file_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a chain ran")
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         out = tmp_path / "out"
         out.write_text("not a directory\n")

@@ -199,6 +199,39 @@ class TestSummaries:
         assert ess < 0.15 * n
         assert ess > 0.01 * n
 
+    def test_ess_matches_the_lag_loop(self):
+        def loop_ess(chain):
+            # the estimator as a Python loop over the lags, stopping at the
+            # first non-positive autocorrelation
+            x = np.asarray(chain, dtype=np.float64)
+            n = x.size
+            xc = x - x.mean()
+            if float(xc @ xc) == 0.0:
+                return float(n)
+            m = 1 << (2 * n - 1).bit_length()
+            f = np.fft.rfft(xc, m)
+            rho = np.fft.irfft(f * f.conjugate(), m)[:n].real
+            rho = rho[1:] / rho[0]
+            s = 0.0
+            for r in rho:
+                if r <= 0.0:
+                    break
+                s += r
+            return float(min(float(n), max(1.0, n / (1.0 + 2.0 * s))))
+
+        rng = np.random.default_rng(8)
+        chains = [np.tile([0.0, 1.0], 20), np.arange(2.0), np.array([1.0, 1.0, 2.0]),
+                  np.cumsum(rng.normal(size=500))]
+        for phi in np.linspace(-0.9, 0.99, 60):
+            n = int(rng.integers(2, 3000))
+            x = np.empty(n)
+            x[0] = rng.normal()
+            for t in range(1, n):
+                x[t] = phi * x[t - 1] + rng.normal()
+            chains.append(x)
+        for x in chains:
+            assert effective_sample_size(x) == loop_ess(x)
+
     def test_summarize_reports_sigma(self):
         s = run_chain(tiny_panel(), default_uninformative(),
                       ChainConfig(burn_in=200, samples=300, seed=3))
@@ -325,6 +358,44 @@ class TestMetropolisSweep:
         b = metropolis_sweep(data, st, priors, np.random.default_rng(5))
         assert np.array_equal(a.beta, b.beta)
         assert a.sigma2 == b.sigma2
+
+
+class ZeroUniforms:
+    """A real Generator whose `random` returns zeros, so that every log(u) is -inf."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestZeroUniforms:
+    # u = 0 rejects the beta proposal (u > 0 is required) and accepts every
+    # eps proposal (log 0 = -inf), without a divide-by-zero warning
+    def test_metropolis_sweep(self):
+        state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            new = metropolis_sweep(tiny_panel(), state, default_uninformative(),
+                                   ZeroUniforms(np.random.default_rng(3)), eps_scales=[0.5, 2.0])
+        twin = np.random.default_rng(3)
+        twin.standard_normal(3)  # the beta proposal
+        assert np.array_equal(new.beta, state.beta)
+        assert np.array_equal(new.epsilon, twin.standard_normal(2) * [0.5, 2.0])
+
+    def test_run_chain(self, monkeypatch):
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroUniforms(default_rng(seed)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = run_chain(tiny_panel(), default_uninformative(),
+                          ChainConfig(burn_in=100, samples=10, seed=4))
+        assert s.accept_beta == 0.0
+        assert s.accept_epsilon.tolist() == [1.0, 1.0]
 
 
 class TestSoftplus:

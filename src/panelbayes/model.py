@@ -222,12 +222,12 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-def softplus(x) -> np.ndarray:
-    """log(1 + exp(x)) elementwise, as max(x, 0) + log1p(exp(-|x|)).
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) elementwise for a float array x, as
+    max(x, 0) + log1p(exp(-|x|)), computed in place in the array it returns.
 
     exp only ever sees a non-positive argument, so the result is finite for
-    every finite x and keeps the tail of large negative x. The terms are
-    computed in place in one temporary, which is returned.
+    every finite x and keeps the tail of large negative x.
     """
     t = np.abs(x)
     np.negative(t, out=t)
@@ -238,7 +238,8 @@ def softplus(x) -> np.ndarray:
 
 
 def expit(x) -> np.ndarray:
-    """The logistic 1 / (1 + exp(-x)) elementwise, as exp(-softplus(-x)).
+    """The logistic 1 / (1 + exp(-x)) elementwise for an array x, as
+    exp(-softplus(-x)).
 
     Finite, within [0, 1] and free of warnings for every finite x.
     """

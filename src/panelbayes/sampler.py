@@ -14,7 +14,7 @@ One sweep updates, in order:
 
 `run_chain` and `metropolis_sweep` each build one `_Chain` and call its
 `sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
-individual codes, the prior arrays, Xty = X'y and y_count (the ones per
+individual codes, the beta prior means and 2*variances, Xty = X'y and y_count (the ones per
 individual); the state with its cache mu = X beta + eps[codes] and
 sp = softplus(mu), which every move keeps in step; the proposal and how it
 is tuned (`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b
@@ -22,6 +22,14 @@ is tuned (`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b
 then costs one softplus pass over the observations, and its y*dmu terms
 reduce to Xty @ d and y_count * d. A chain is a pure function of (data,
 priors, config): identical seeds give bit-identical output.
+
+At the sizes the study and `spindex` fit, a sweep is bound by how many numpy
+calls it makes, so `sweep` keeps that number small: it builds each proposal
+in place in fresh arrays, to which the state and its cache are rebound (they
+are never written into); it computes the 3-term beta prior delta with
+Python floats; and it leaves the divide warning of log(0) (a zero uniform,
+which accepts its eps proposal) to the one np.errstate that `run_chain` and
+`metropolis_sweep` each enter around all of their sweeps.
 """
 
 from __future__ import annotations
@@ -103,7 +111,7 @@ def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) ->
     """Exact draw from IG(shape + I/2, scale + sum(eps^2)/2)."""
     eps = np.asarray(epsilon, dtype=np.float64)
     shape = prior.shape + 0.5 * eps.size
-    scale = prior.scale + 0.5 * float(eps @ eps)
+    scale = prior.scale + 0.5 * float(eps.dot(eps))
     g = rng.gamma(shape, 1.0 / scale)
     return 1.0 / max(g, _TINY)
 
@@ -181,16 +189,15 @@ class _Chain:
         """Beta block, eps scalars, sigma2 Gibbs, in that order, each adding
         its acceptances to the tallies. Proposals are built in place in fresh
         arrays; the state and its cache are rebound, never written into. The
-        caller ignores divide warnings: log(0) of a zero uniform is -inf, an
-        accepted eps proposal."""
+        caller switches off divide warnings (see the module docstring)."""
         codes, n_ind, beta = self.codes, self.n_ind, self.beta
-        d = self.chol @ rng.standard_normal(3)
+        d = self.chol.dot(rng.standard_normal(3))
         d *= math.exp(self.log_scale)
         beta_p = beta + d
-        mu_p = self.X @ d
+        mu_p = self.X.dot(d)
         mu_p += self.mu
         sp_p = softplus(mu_p)
-        dll = float(self.Xty @ d) - (float(sp_p.sum()) - float(self.sp.sum()))
+        dll = float(self.Xty.dot(d)) - (float(sp_p.sum()) - float(self.sp.sum()))
         # the prior delta in Python floats, summed left to right as numpy sums 3 terms
         dpr = 0.0
         for b, b_p, m, v2 in zip(beta.tolist(), beta_p.tolist(), self.prior_means,

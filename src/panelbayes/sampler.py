@@ -14,22 +14,26 @@ One sweep updates, in order:
 
 `run_chain` and `metropolis_sweep` each build one `_Chain` and call its
 `sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
-individual codes, the beta prior means and 2*variances, Xty = X'y and y_count (the ones per
-individual); the state with its cache mu = X beta + eps[codes] and
-sp = softplus(mu), which every move keeps in step; the proposal and how it
-is tuned (`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b
-(beta) and acc_e (eps, per individual), which each sweep adds to. A block
-then costs one softplus pass over the observations, and its y*dmu terms
-reduce to Xty @ d and y_count * d. A chain is a pure function of (data,
-priors, config): identical seeds give bit-identical output.
+individual codes, the beta prior means and 2*variances, Xty = X'y and
+y_count (the ones per individual); the state with its cache
+mu = X beta + eps[codes] and sp = softplus(mu), which every move keeps in
+step; the proposal and how it is tuned (`_Chain.adapt`, burn-in only); and
+the acceptance tallies acc_b (beta) and acc_e (eps, per individual), which
+each sweep adds to. A block then costs one softplus pass over the
+observations, and its y*dmu terms reduce to Xty @ d and y_count * d. A
+chain is a pure function of (data, priors, config): identical seeds give
+bit-identical output.
 
 At the sizes the study and `spindex` fit, a sweep is bound by how many numpy
-calls it makes, so `sweep` keeps that number small: it builds each proposal
-in place in fresh arrays, to which the state and its cache are rebound (they
-are never written into); it computes the 3-term beta prior delta with
-Python floats; and it leaves the divide warning of log(0) (a zero uniform,
-which accepts its eps proposal) to the one np.errstate that `run_chain` and
-`metropolis_sweep` each enter around all of their sweeps.
+calls it makes, so `sweep` keeps that number small. It builds each proposal
+in place in fresh arrays, puts the current values back into the rejected
+eps entries there (np.putmask), and rebinds the state and its cache to those
+arrays, never writing into the state. It calls ndarray.dot, which reaches
+the same BLAS routines as the @ operator without its dispatch. It computes
+the 3-term beta prior delta with Python floats. It leaves the divide
+warning of log(0) (a zero uniform, which accepts its eps proposal) to the
+one np.errstate that `run_chain` and `metropolis_sweep` each enter around
+all of their sweeps.
 """
 
 from __future__ import annotations
@@ -225,10 +229,12 @@ class _Chain:
         np.log(log_u, out=log_u)
         acc_e = log_u < dll
         self.acc_e += acc_e
-        acc_obs = acc_e[codes]
-        self.eps = np.where(acc_e, eps_p, eps)
-        self.mu = np.where(acc_obs, mu_p, mu)
-        self.sp = np.where(acc_obs, sp_p, sp)
+        rej = ~acc_e
+        rej_obs = rej[codes]
+        np.putmask(eps_p, rej, eps)
+        np.putmask(mu_p, rej_obs, mu)
+        np.putmask(sp_p, rej_obs, sp)
+        self.eps, self.mu, self.sp = eps_p, mu_p, sp_p
         self.sigma2 = gibbs_sigma2(self.eps, self.sigma2_prior, rng)
 
     def adapt(self, beta_hist: np.ndarray) -> None:
@@ -306,7 +312,7 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     n_post = config.samples * config.thin
     kept_beta = np.empty((config.samples, 3))
     kept_sigma2 = np.empty(config.samples)
-    with np.errstate(divide="ignore"):  # see _Chain.sweep
+    with np.errstate(divide="ignore"):  # log(0) of a zero uniform; see the module docstring
         for t in range(config.burn_in):
             chain.sweep(rng)
             beta_hist[t] = chain.beta

@@ -589,8 +589,8 @@ class TestSpindex:
 
 
 class TestOutputBytes:
-    # sha256 of every file the commands write, recorded before the sweep was
-    # last reworked: a kernel change that keeps every draw keeps these bytes
+    # sha256 of every file the commands write: a change to the kernel or to
+    # the writers that keeps every draw and every number keeps these bytes
     DIGESTS = {
         "panel.csv": "03c1327cdc9e6a843ace077f31aea32c70b2fb48ce45307549d487b1dd752731",
         "panel.csv.truth": "e804afb66417a1268a01da2847a1a6de50fad7250dff16e9bf581e78cf261f6e",

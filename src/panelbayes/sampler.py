@@ -14,26 +14,34 @@ One sweep updates, in order:
 
 `run_chain` and `metropolis_sweep` each build one `_Chain` and call its
 `sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
-individual codes, the beta prior means and 2*variances, Xty = X'y and
-y_count (the ones per individual); the state with its cache
-mu = X beta + eps[codes] and sp = softplus(mu), which every move keeps in
-step; the proposal and how it is tuned (`_Chain.adapt`, burn-in only); and
-the acceptance tallies acc_b (beta) and acc_e (eps, per individual), which
-each sweep adds to. A block then costs one softplus pass over the
-observations, and its y*dmu terms reduce to Xty @ d and y_count * d. A
-chain is a pure function of (data, priors, config): identical seeds give
-bit-identical output.
+individual codes, the beta prior means and 2*variances, Xty = X'y,
+y_count (the ones per individual) and the sigma2 full-conditional shape;
+the state with its cache mu = X beta + eps[codes] and sp = softplus(mu),
+which every move keeps in step; the proposal and how it is tuned
+(`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b (beta) and
+acc_e (eps, per individual), which each sweep adds to. A block then costs
+one softplus pass over the observations, and its y*dmu terms reduce to
+Xty . d and y_count * d. A chain is a pure function of (data, priors,
+config): identical seeds give bit-identical output.
 
 At the sizes the study and `spindex` fit, a sweep is bound by how many numpy
-calls it makes, so `sweep` keeps that number small. It builds each proposal
-in place in fresh arrays, puts the current values back into the rejected
-eps entries there (np.putmask), and rebinds the state and its cache to those
-arrays, never writing into the state. It calls ndarray.dot, which reaches
-the same BLAS routines as the @ operator without its dispatch. It computes
-the 3-term beta prior delta with Python floats. It leaves the divide
-warning of log(0) (a zero uniform, which accepts its eps proposal) to the
-one np.errstate that `run_chain` and `metropolis_sweep` each enter around
-all of their sweeps.
+calls it makes. The proposal is fixed within a burn-in adaptation window and
+through the whole sampling phase, so `_Chain.sweep` runs a window of n
+sweeps at once and draws its randomness in one pass per window: the normals
+of both blocks, the uniforms of both accept tests (taking their logs in
+bulk) and the n standard-gamma variates of the sigma2 step. In the same pass
+it builds every proposal term that does not depend on the state: the beta
+steps with their X d rows and Xty . d, and the eps steps with y_count * d
+and d^2/2. These window arrays take O(n * n_obs) memory, allocated once per
+chain for n = _ADAPT_WINDOW, the longest window `run_chain` asks for (the
+sampling phase runs as a series of such windows). Each sweep then does only the
+state-dependent work: the two softplus passes, the bincount, the prior
+deltas, the accept tests and the putmasks. It builds each proposal in place
+in fresh arrays, puts the current values back into the rejected eps entries
+there (np.putmask), and rebinds the state and its cache to those arrays,
+never writing into the state. It computes the 3-term beta prior delta with
+Python floats. Both blocks accept when log u < delta, so a zero uniform
+(log 0 = -inf) accepts.
 """
 
 from __future__ import annotations
@@ -111,13 +119,20 @@ class SummaryStats:
     ess: float
 
 
+def _inverse_gamma(scale: float, g: float) -> float:
+    """The IG(shape, scale) draw made from a standard-gamma variate g of that
+    shape. numpy's gamma(shape, 1/scale) is (1/scale) * standard_gamma(shape),
+    so this is 1/gamma(shape, 1/scale) bit for bit; the floor at tiny keeps
+    sigma2 finite when g is 0."""
+    return 1.0 / max((1.0 / scale) * g, _TINY)
+
+
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
     """Exact draw from IG(shape + I/2, scale + sum(eps^2)/2)."""
     eps = np.asarray(epsilon, dtype=np.float64)
     shape = prior.shape + 0.5 * eps.size
     scale = prior.scale + 0.5 * float(eps.dot(eps))
-    g = rng.gamma(shape, 1.0 / scale)
-    return 1.0 / max(g, _TINY)
+    return _inverse_gamma(scale, float(rng.standard_gamma(shape)))
 
 
 def effective_sample_size(chain) -> float:
@@ -179,63 +194,91 @@ class _Chain:
         y = data.y.astype(np.float64)
         self.Xty = self.X.T @ y
         self.y_count = np.bincount(self.codes, weights=y, minlength=self.n_ind)
-        self.prior_means = [float(p.mean) for p in priors.beta_priors]
-        self.prior_2vars = [2.0 * float(p.variance) for p in priors.beta_priors]
-        self.sigma2_prior = priors.sigma2_prior
+        self.beta_prior = [(float(p.mean), 2.0 * float(p.variance)) for p in priors.beta_priors]
+        self.sigma2_shape = priors.sigma2_prior.shape + 0.5 * self.n_ind
+        self.sigma2_scale = priors.sigma2_prior.scale
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon, state.sigma2
         self.mu = self.X @ self.beta + self.eps[self.codes]
         self.sp = softplus(self.mu)
         self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
+        # the window arrays of `sweep`, allocated once per chain: their pages
+        # are touched once, not once per window
+        w, n_obs = _ADAPT_WINDOW, data.n_obs
+        self.z, self.log_u = np.empty((w, 3 + self.n_ind)), np.empty((w, 1 + self.n_ind))
+        self.dmu_beta = np.empty((w, n_obs))
+        self.y_d, self.half_d2 = np.empty((w, self.n_ind)), np.empty((w, self.n_ind))
+        self.accepted = np.empty((w, self.n_ind), dtype=bool)
 
-    def sweep(self, rng: np.random.Generator) -> None:
-        """Beta block, eps scalars, sigma2 Gibbs, in that order, each adding
-        its acceptances to the tallies. Proposals are built in place in fresh
-        arrays; the state and its cache are rebound, never written into. The
-        caller switches off divide warnings (see the module docstring)."""
-        codes, n_ind, beta = self.codes, self.n_ind, self.beta
-        d = self.chol.dot(rng.standard_normal(3))
-        d *= math.exp(self.log_scale)
-        beta_p = beta + d
-        mu_p = self.X.dot(d)
-        mu_p += self.mu
-        sp_p = softplus(mu_p)
-        dll = float(self.Xty.dot(d)) - (float(sp_p.sum()) - float(self.sp.sum()))
-        # the prior delta in Python floats, summed left to right as numpy sums 3 terms
-        dpr = 0.0
-        for b, b_p, m, v2 in zip(beta.tolist(), beta_p.tolist(), self.prior_means,
-                                 self.prior_2vars):
-            dpr += ((b - m) * (b - m) - (b_p - m) * (b_p - m)) / v2
-        u = rng.random()
-        if u > 0.0 and math.log(u) < dll + dpr:
-            self.beta, self.mu, self.sp = beta_p, mu_p, sp_p
-            self.acc_b += 1
+    def sweep(self, rng: np.random.Generator, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """n <= _ADAPT_WINDOW sweeps at the current proposal, each the beta
+        block, the eps scalars and the sigma2 Gibbs step, in that order,
+        adding its acceptances to the tallies. Returns beta (n, 3) and
+        sigma2 (n,) as they stand after each sweep.
 
-        eps, mu, sp = self.eps, self.mu, self.sp
-        d = rng.standard_normal(n_ind)
-        d *= self.eps_scales
-        mu_p = d[codes]
-        mu_p += mu
-        sp_p = softplus(mu_p)
-        dll = self.y_count * d
-        dll -= np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
-        eps_p = eps + d
-        dpr = eps * eps
-        dpr -= eps_p * eps_p
-        dpr /= 2.0 * self.sigma2
-        dll += dpr
-        log_u = rng.random(n_ind)
-        np.log(log_u, out=log_u)
-        acc_e = log_u < dll
-        self.acc_e += acc_e
-        rej = ~acc_e
-        rej_obs = rej[codes]
-        np.putmask(eps_p, rej, eps)
-        np.putmask(mu_p, rej_obs, mu)
-        np.putmask(sp_p, rej_obs, sp)
-        self.eps, self.mu, self.sp = eps_p, mu_p, sp_p
-        self.sigma2 = gibbs_sigma2(self.eps, self.sigma2_prior, rng)
+        The window's randomness and its state-free proposal terms are made
+        first, in one pass (see the module docstring), with three RNG calls
+        whatever n is. Proposals are built in place in fresh arrays; the
+        state and its cache are rebound, never written into."""
+        n_ind, codes = self.n_ind, self.codes
+        z, log_u = self.z[:n], self.log_u[:n]
+        rng.standard_normal(out=z)
+        rng.random(out=log_u)
+        gammas = rng.standard_gamma(self.sigma2_shape, n).tolist()
+        with np.errstate(divide="ignore"):  # log 0 = -inf, which accepts
+            np.log(log_u, out=log_u)
+        log_u_beta, log_u_eps = log_u[:, 0].tolist(), log_u[:, 1:]
+        d_beta = z[:, :3].dot(self.chol.T)
+        d_beta *= math.exp(self.log_scale)
+        dmu_beta = np.dot(d_beta, self.X.T, out=self.dmu_beta[:n])
+        xty_d = d_beta.dot(self.Xty).tolist()
+        steps = d_beta.tolist()
+        d_eps = z[:, 3:]
+        d_eps *= self.eps_scales
+        y_d = np.multiply(d_eps, self.y_count, out=self.y_d[:n])
+        half_d2 = np.multiply(d_eps, d_eps, out=self.half_d2[:n])
+        half_d2 *= 0.5
+        accepted = self.accepted[:n]
+
+        beta, eps, mu, sp, sigma2 = self.beta.tolist(), self.eps, self.mu, self.sp, self.sigma2
+        betas, sigma2s = [], []
+        for t in range(n):
+            mu_p = mu + dmu_beta[t]
+            sp_p = softplus(mu_p)
+            dll = xty_d[t] - (float(sp_p.sum()) - float(sp.sum()))
+            beta_p = [b + x for b, x in zip(beta, steps[t])]
+            dpr = 0.0  # the prior delta in Python floats
+            for b, b_p, (m, v2) in zip(beta, beta_p, self.beta_prior):
+                dpr += ((b - m) * (b - m) - (b_p - m) * (b_p - m)) / v2
+            if log_u_beta[t] < dll + dpr:
+                beta, mu, sp = beta_p, mu_p, sp_p
+                self.acc_b += 1
+
+            d = d_eps[t]
+            mu_p = d[codes]
+            mu_p += mu
+            sp_p = softplus(mu_p)
+            dll = y_d[t] - np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
+            eps_p = eps + d
+            # (eps^2 - eps_p^2) / (2 sigma2) = -(eps*d + d^2/2) / sigma2
+            dpr = eps * d
+            dpr += half_d2[t]
+            dpr *= 1.0 / sigma2
+            dll -= dpr
+            rej = ~np.less(log_u_eps[t], dll, out=accepted[t])
+            rej_obs = rej[codes]
+            np.putmask(eps_p, rej, eps)
+            np.putmask(mu_p, rej_obs, mu)
+            np.putmask(sp_p, rej_obs, sp)
+            eps, mu, sp = eps_p, mu_p, sp_p
+            sigma2 = _inverse_gamma(self.sigma2_scale + 0.5 * float(eps.dot(eps)), gammas[t])
+            betas.append(beta)
+            sigma2s.append(sigma2)
+
+        self.beta, self.eps, self.mu, self.sp, self.sigma2 = np.array(beta), eps, mu, sp, sigma2
+        self.acc_e += accepted.sum(axis=0)
+        return np.array(betas), np.array(sigma2s)
 
     def adapt(self, beta_hist: np.ndarray) -> None:
         """Tune the proposal at the end of a burn-in window of _ADAPT_WINDOW
@@ -280,8 +323,7 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     scales = (np.ones(data.n_individuals) if eps_scales is None
               else np.asarray(eps_scales, dtype=np.float64))
     chain = _Chain(data, priors, state, beta_log_scale, scales)
-    with np.errstate(divide="ignore"):
-        chain.sweep(rng)
+    chain.sweep(rng)
     return ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
 
 
@@ -309,22 +351,25 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
     # 2.4; proposals are tuned after every window, then frozen for sampling
     chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
     beta_hist = np.empty((config.burn_in, 3))
-    n_post = config.samples * config.thin
+    thin, n_post = config.thin, config.samples * config.thin
     kept_beta = np.empty((config.samples, 3))
     kept_sigma2 = np.empty(config.samples)
-    with np.errstate(divide="ignore"):  # log(0) of a zero uniform; see the module docstring
-        for t in range(config.burn_in):
-            chain.sweep(rng)
-            beta_hist[t] = chain.beta
-            if (t + 1) % _ADAPT_WINDOW == 0:
-                chain.adapt(beta_hist[:t + 1])
-        # burn_in need not be a multiple of the window: drop its last partial tally
-        chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
-        for k in range(config.samples):
-            for _ in range(config.thin):
-                chain.sweep(rng)
-            kept_beta[k] = chain.beta
-            kept_sigma2[k] = chain.sigma2
+    # one sweep call per window of sweeps: burn-in windows end where the
+    # proposal is tuned, the last may be partial and is not tuned
+    for start in range(0, config.burn_in, _ADAPT_WINDOW):
+        stop = min(start + _ADAPT_WINDOW, config.burn_in)
+        beta_hist[start:stop] = chain.sweep(rng, stop - start)[0]
+        if stop % _ADAPT_WINDOW == 0:
+            chain.adapt(beta_hist[:stop])
+    chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
+    for start in range(0, n_post, _ADAPT_WINDOW):
+        betas, sigma2s = chain.sweep(rng, min(_ADAPT_WINDOW, n_post - start))
+        # keep sampling sweeps thin-1, 2*thin-1, ...; draw k is sweep k*thin + thin-1
+        first = (thin - 1 - start) % thin
+        k = (start + first) // thin
+        kept = betas[first::thin]
+        kept_beta[k:k + len(kept)] = kept
+        kept_sigma2[k:k + len(kept)] = sigma2s[first::thin]
 
     return PosteriorSamples(
         beta=kept_beta,

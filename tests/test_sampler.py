@@ -163,6 +163,28 @@ class TestGibbsSigma2:
         for _ in range(100):
             assert gibbs_sigma2(np.array([0.5, -2.0]), InverseGammaPrior(2.0, 1.0), rng) > 0
 
+    def test_matches_numpy_gamma_bit_for_bit(self):
+        # gibbs_sigma2 draws a standard gamma and scales it by 1/scale, which
+        # is how numpy's gamma(shape, 1/scale) computes its variate
+        rng, twin = np.random.default_rng(61), np.random.default_rng(61)
+        for k in range(20000):
+            eps = np.array([0.3 * (k % 7), -1.5, 0.01 * k])[:1 + k % 3]
+            prior = InverseGammaPrior(0.001 + k % 5, 0.001 + 0.5 * (k % 3))
+            shape = prior.shape + 0.5 * eps.size
+            scale = prior.scale + 0.5 * float(eps.dot(eps))
+            expected = 1.0 / max(twin.gamma(shape, 1.0 / scale), np.finfo(np.float64).tiny)
+            assert gibbs_sigma2(eps, prior, rng) == expected
+
+    def test_zero_variate_gives_a_finite_sigma2(self):
+        # a standard-gamma variate of 0 is floored at tiny, in gibbs_sigma2
+        # and in the sweep's sigma2 step alike
+        floor = 1.0 / np.finfo(np.float64).tiny
+        rng = ZeroGammas(np.random.default_rng(2))
+        assert gibbs_sigma2(np.ones(3), InverseGammaPrior(2.0, 1.0), rng) == floor
+        state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
+        new = metropolis_sweep(tiny_panel(), state, default_uninformative(), rng)
+        assert new.sigma2 == floor and math.isfinite(new.sigma2)
+
 
 class TestSummaries:
     def test_constant_chain(self):
@@ -273,6 +295,55 @@ class TestRunChain:
         assert accepts == "15f2d939685e863b33f3caff5913868933c28769862ebdcf13b795d3c77ad105"
         assert s.accept_beta == 160 / 300
 
+    @pytest.mark.parametrize("thin", [2, 3])
+    def test_windows_count_sweeps_not_kept_draws(self, thin):
+        # the sampling phase runs in windows of sweeps, so thinning keeps
+        # every thin-th draw of the unthinned chain
+        data, priors = tiny_panel(), default_uninformative()
+        thinned = run_chain(data, priors, ChainConfig(burn_in=120, samples=70, thin=thin, seed=6))
+        full = run_chain(data, priors, ChainConfig(burn_in=120, samples=70 * thin, seed=6))
+        assert np.array_equal(thinned.beta, full.beta[thin - 1::thin])
+        assert np.array_equal(thinned.sigma2, full.sigma2[thin - 1::thin])
+
+    def test_adapts_once_per_full_burn_in_window(self, monkeypatch):
+        adapt, calls = _Chain.adapt, []
+
+        def counted(chain, beta_hist):
+            calls.append(len(beta_hist))
+            adapt(chain, beta_hist)
+
+        monkeypatch.setattr(_Chain, "adapt", counted)
+        run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=537, samples=20, seed=3))
+        assert calls == [_ADAPT_WINDOW * k for k in range(1, 11)]
+
+    def test_rng_calls_per_window_are_fixed(self, monkeypatch):
+        # every window draws its randomness in the same few calls, whatever
+        # its length: burn-in 537 ends on a 37-sweep window, 120 draws on a 20
+        default_rng, sweep = np.random.default_rng, _Chain.sweep
+        counters, windows = [], []
+
+        def counting(seed):
+            counters.append(CountingRng(default_rng(seed)))
+            return counters[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+
+        def counted(chain, rng, n=1):
+            before = rng.calls
+            out = sweep(chain, rng, n)
+            windows.append((n, rng.calls - before))
+            return out
+
+        monkeypatch.setattr(_Chain, "sweep", counted)
+        run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=537, samples=120, seed=3))
+        assert [n for n, _ in windows] == [50] * 10 + [37] + [50, 50, 20]
+        assert {calls for _, calls in windows} == {3}
+        assert counters[0].calls == 3 * len(windows)
+        rng = CountingRng(default_rng(4))
+        state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
+        metropolis_sweep(tiny_panel(), state, default_uninformative(), rng)
+        assert windows[-1] == (1, 3) and rng.calls == 3
+
     def test_seed_changes_output(self):
         a = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=1))
         b = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=2))
@@ -360,22 +431,51 @@ class TestMetropolisSweep:
         assert a.sigma2 == b.sigma2
 
 
-class ZeroUniforms:
-    """A real Generator whose `random` returns zeros, so that every log(u) is -inf."""
+class Wrapped:
+    """A real Generator with some of its methods replaced."""
 
     def __init__(self, rng):
         self.rng = rng
-
-    def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
+class ZeroUniforms(Wrapped):
+    """`random` fills with zeros, so that every log(u) is -inf."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return 0.0 if size is None else np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+class ZeroGammas(Wrapped):
+    """`standard_gamma` returns zeros."""
+
+    def standard_gamma(self, shape, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+class CountingRng(Wrapped):
+    """Counts the calls made to the Generator's methods."""
+
+    calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 class TestZeroUniforms:
-    # u = 0 rejects the beta proposal (u > 0 is required) and accepts every
-    # eps proposal (log 0 = -inf), without a divide-by-zero warning
+    # u = 0 accepts the beta proposal and every eps proposal (log 0 = -inf
+    # is below any finite delta), without a divide-by-zero warning
     def test_metropolis_sweep(self):
         state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
         with warnings.catch_warnings():
@@ -383,8 +483,7 @@ class TestZeroUniforms:
             new = metropolis_sweep(tiny_panel(), state, default_uninformative(),
                                    ZeroUniforms(np.random.default_rng(3)), eps_scales=[0.5, 2.0])
         twin = np.random.default_rng(3)
-        twin.standard_normal(3)  # the beta proposal
-        assert np.array_equal(new.beta, state.beta)
+        assert np.array_equal(new.beta, twin.standard_normal(3))  # the beta proposal
         assert np.array_equal(new.epsilon, twin.standard_normal(2) * [0.5, 2.0])
 
     def test_run_chain(self, monkeypatch):
@@ -394,7 +493,7 @@ class TestZeroUniforms:
             warnings.simplefilter("error", RuntimeWarning)
             s = run_chain(tiny_panel(), default_uninformative(),
                           ChainConfig(burn_in=100, samples=10, seed=4))
-        assert s.accept_beta == 0.0
+        assert s.accept_beta == 1.0
         assert s.accept_epsilon.tolist() == [1.0, 1.0]
 
 

@@ -32,16 +32,16 @@ of both blocks, the uniforms of both accept tests (taking their logs in
 bulk) and the n standard-gamma variates of the sigma2 step. In the same pass
 it builds every proposal term that does not depend on the state: the beta
 steps with their X d rows and Xty . d, and the eps steps with y_count * d
-and d^2/2. These window arrays take O(n * n_obs) memory, allocated once per
-chain for n = _ADAPT_WINDOW, the longest window `run_chain` asks for (the
-sampling phase runs as a series of such windows). Each sweep then does only the
-state-dependent work: the two softplus passes, the bincount, the prior
-deltas, the accept tests and the putmasks. It builds each proposal in place
-in fresh arrays, puts the current values back into the rejected eps entries
-there (np.putmask), and rebinds the state and its cache to those arrays,
-never writing into the state. It computes the 3-term beta prior delta with
-Python floats. Both blocks accept when log u < delta, so a zero uniform
-(log 0 = -inf) accepts.
+and d^2/2. These window arrays take O(n * n_obs) memory. They are allocated
+once per chain for n = _ADAPT_WINDOW, the longest window `run_chain` asks
+for; the sampling phase runs as a series of such windows. Each sweep then
+does only the state-dependent work: the two softplus passes, the bincount,
+the prior deltas, the accept tests and the putmasks. It builds each
+proposal in place in fresh arrays, puts the current values back into the
+rejected eps entries there (np.putmask), and rebinds the state and its cache
+to those arrays, never writing into the state. It computes the 3-term beta
+prior delta with Python floats. Both blocks accept when log u < delta, so a
+zero uniform (log 0 = -inf) accepts.
 """
 
 from __future__ import annotations
@@ -361,6 +361,7 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> Post
         beta_hist[start:stop] = chain.sweep(rng, stop - start)[0]
         if stop % _ADAPT_WINDOW == 0:
             chain.adapt(beta_hist[:stop])
+    # burn_in need not be a multiple of the window: drop its last partial tally
     chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
     for start in range(0, n_post, _ADAPT_WINDOW):
         betas, sigma2s = chain.sweep(rng, min(_ADAPT_WINDOW, n_post - start))

@@ -442,11 +442,9 @@ class Wrapped:
 
 
 class ZeroUniforms(Wrapped):
-    """`random` fills with zeros, so that every log(u) is -inf."""
+    """`random` fills its `out` with zeros, so that every log(u) is -inf."""
 
-    def random(self, size=None, out=None):
-        if out is None:
-            return 0.0 if size is None else np.zeros(size)
+    def random(self, *, out):
         out[...] = 0.0
         return out
 

@@ -23,6 +23,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -83,14 +84,47 @@ def mse(estimates: Sequence[float], truth: float) -> float:
     return float((e.mean() - truth) ** 2 + e.var(ddof=1))
 
 
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 1: the finite sums in
+    cos^2(theta), theta = atan(t / sqrt(df)), of Abramowitz & Stegun 26.7.3
+    (odd df) and 26.7.4 (even df)."""
+    odd = df % 2
+    c2 = df / (df + t * t)
+    term = total = 1.0 if df > 1 else 0.0  # df = 1 has no sum
+    for k in range(1, df // 2):
+        term *= (2 * k - 1 + odd) / (2 * k + odd) * c2
+        total += term
+    if odd:
+        sin_cos = t * math.sqrt(df) / (df + t * t)
+        return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + sin_cos * total)
+    return t / math.sqrt(df + t * t) * total
+
+
+def _t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer df >= 1.
+
+    Newton's method on P(|T| <= t) = 0.95, with the density from lgamma.
+    That probability is concave in t > 0, so from the normal quantile, which
+    lies below every t quantile, each step lands below the root and t rises
+    until the step is negligible.
+    """
+    half = 0.5 * (df + 1)
+    log_norm = math.lgamma(half) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    t = 1.959963984540054
+    while True:
+        density = math.exp(log_norm - half * math.log1p(t * t / df))
+        step = (0.95 - _t_central(t, df)) / (2.0 * density)
+        t += step
+        if step <= 1e-14 * t:
+            return t
+
+
 def replicate_ci(estimates: Sequence[float]) -> tuple[float, float]:
     """t-based interval across replicates: mean +/- t(0.975, N-1) * SD/sqrt(N)."""
-    from scipy.special import stdtrit  # here, so only study pays its slow import
-
     e = np.asarray(estimates, dtype=np.float64)
     if e.size < 2:
         raise ValueError("need at least 2 estimates")
-    half = float(stdtrit(e.size - 1, 0.975) * e.std(ddof=1) / np.sqrt(e.size))
+    half = float(_t_quantile_975(e.size - 1) * e.std(ddof=1) / np.sqrt(e.size))
     m = float(e.mean())
     return m - half, m + half
 

@@ -1,4 +1,5 @@
 import logging
+import math
 import multiprocessing
 import re
 import time
@@ -6,11 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from panelbayes.datagen import SimConfig, gen_panel, partition
 from panelbayes.errors import ConfigError
-from panelbayes.experiment import (RUNS, execute_run, mse, replicate_ci, run_study, stage_dataset,
-                                   write_tables)
+from panelbayes.experiment import (RUNS, _t_quantile_975, execute_run, mse, replicate_ci,
+                                   run_study, stage_dataset, write_tables)
 from panelbayes.model import PANEL_CSV_HEADER
 from panelbayes.priors import default_uninformative
 from panelbayes.sampler import ChainConfig, run_chain
@@ -79,6 +81,22 @@ class TestReplicateCi:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             replicate_ci([0.5])
+
+
+class TestTQuantile:
+    DFS = range(1, 501)
+
+    def test_matches_scipy(self):
+        for df in self.DFS:
+            assert _t_quantile_975(df) == pytest.approx(sps.t.ppf(0.975, df), rel=1e-13), df
+
+    def test_cauchy_is_exact(self):
+        assert _t_quantile_975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-13)
+
+    def test_falls_towards_the_normal_quantile(self):
+        q = [_t_quantile_975(df) for df in self.DFS]
+        assert all(a > b for a, b in zip(q, q[1:]))
+        assert q[-1] > 1.959963984540054
 
 
 class TestRunTopology:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -54,6 +53,9 @@ def worker_pool(workers: int):
     if workers < 1:
         yield _InParent()
         return
+    # here, so commands that start no pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_leave_stopping_to_parent) as pool:
         try:
             yield pool

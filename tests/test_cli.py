@@ -640,25 +640,14 @@ class TestUsage:
                 "from panelbayes.cli import main\n"
                 f"codes = [main(['gen', '--config', {cfg!r}, '--out', {panel!r}]),\n"
                 f"         main(['fit', '--data', {panel!r}, '--out', {out!r} + '/fit.csv',\n"
-                f"               '--priors-out', {out!r} + '/p.kv'] + {tiny!r}),\n"
-                f"         main(['spindex', '--out', {out!r} + '/sp.csv'] + {tiny!r})]\n"
-                "print(codes, 'scipy' in sys.modules)\n")
+                f"               '--priors-out', {out!r} + '/p.kv'] + {tiny!r})]\n"
+                # gen and fit start no worker pool, so they need no multiprocessing
+                "pool_loaded = 'multiprocessing' in sys.modules\n"
+                f"codes.append(main(['spindex', '--out', {out!r} + '/sp.csv'] + {tiny!r}))\n"
+                "print(codes, pool_loaded, 'scipy' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=src_env(), check=True)
-        assert done.stdout.split("\n")[-2] == "[0, 0, 0] False"
-
-    def test_gen_and_fit_never_load_multiprocessing(self, tmp_path):
-        cfg = write_gen_config(tmp_path / "gen.kv")
-        panel, out = str(tmp_path / "panel.csv"), str(tmp_path)
-        code = ("import sys\n"
-                "from panelbayes.cli import main\n"
-                f"codes = [main(['gen', '--config', {cfg!r}, '--out', {panel!r}]),\n"
-                f"         main(['fit', '--data', {panel!r}, '--out', {out!r} + '/fit.csv',\n"
-                "               '--burn-in', '50', '--samples', '50'])]\n"
-                "print(codes, 'multiprocessing' in sys.modules)\n")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=src_env(), check=True)
-        assert done.stdout.split("\n")[-2] == "[0, 0] False"
+        assert done.stdout.split("\n")[-2] == "[0, 0, 0] False False"
 
     def test_study_runs_without_scipy(self, tmp_path):
         from scipy import stats as sps

@@ -161,7 +161,15 @@ def _exit_on_signal(signum, frame):
 @contextmanager
 def _sigterm_exits():
     """SIGTERM would end this process at once and orphan its pool workers;
-    raised as SystemExit, it lets the pool end them first."""
+    raised as SystemExit, it lets the pool end them first.
+
+    A SystemExit raised while numpy.random initialises is lost, and the
+    command runs on, so the numpy modules a chain and its summary import on
+    first use are loaded before the handler goes in.
+    """
+    import numpy.fft  # noqa: F401
+    import numpy.random  # noqa: F401
+
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         yield

@@ -222,18 +222,24 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
+# softplus's constants as 0-d arrays: numpy converts a Python float operand
+# anew on every call, which costs about as much as the call at small sizes
+_MINUS_ONE, _ZERO = np.array(-1.0), np.array(0.0)
+
+
+def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(x)) elementwise for a float array x, as
-    max(x, 0) + log1p(exp(-|x|)), computed in place in the array it returns.
+    max(x, 0) + log1p(exp(-|x|)), computed in place in `out` (a new array
+    when None, never x itself), which it returns.
 
     exp only ever sees a non-positive argument, so the result is finite for
-    every finite x and keeps the tail of large negative x.
+    every finite x and keeps the tail of large negative x. copysign(x, -1)
+    gives -|x| bit for bit in one call.
     """
-    t = np.abs(x)
-    np.negative(t, out=t)
+    t = np.copysign(x, _MINUS_ONE, out=out)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    t += np.maximum(x, 0.0)
+    t += np.maximum(x, _ZERO)
     return t
 
 

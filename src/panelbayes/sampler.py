@@ -36,12 +36,16 @@ and d^2/2. These window arrays take O(n * n_obs) memory. They are allocated
 once per chain for n = _ADAPT_WINDOW, the longest window `run_chain` asks
 for; the sampling phase runs as a series of such windows. Each sweep then
 does only the state-dependent work: the two softplus passes, the bincount,
-the prior deltas, the accept tests and the putmasks. It builds each
-proposal in place in fresh arrays, puts the current values back into the
-rejected eps entries there (np.putmask), and rebinds the state and its cache
-to those arrays, never writing into the state. It computes the 3-term beta
-prior delta with Python floats. Both blocks accept when log u < delta, so a
-zero uniform (log 0 = -inf) accepts.
+the prior deltas, the accept tests and the masked copies. The chain owns
+its eps and two (mu, sp) rows, the state's and a spare one, plus one
+scratch array each of observation and of individual size. A sweep writes
+into these and allocates no proposal array. Each proposal is built in the
+spare row with ufunc `out=`. An accepted beta proposal swaps the rows; the
+eps block copies its accepted entries into eps and the state's row
+(np.putmask). The sp rows are one (2, n_obs) array, so one sum over axis 1
+totals the current and the proposed sp, bit for bit as two 1-d sums. The
+3-term beta step and prior delta are Python floats. Both blocks accept when
+log u < delta, so a zero uniform (log 0 = -inf) accepts.
 """
 
 from __future__ import annotations
@@ -183,33 +187,49 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> Non
 
 class _Chain:
     """One chain: the fixed arrays of (dataset, priors), the state with its
-    mu = X beta + eps[codes] and sp = softplus(mu) cache, the proposal and
-    the acceptance tallies."""
+    mu = X beta + eps[codes] and sp = softplus(mu) cache, the spare
+    (mu, sp) row and scratch arrays, the proposal and the acceptance
+    tallies."""
 
     def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
                  log_scale: float, eps_scales: np.ndarray):
-        self.n_ind = data.n_individuals
-        self.X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
+        self.n_ind = n_ind = data.n_individuals
+        n_obs = data.n_obs
+        self.X = np.column_stack([np.ones(n_obs), data.x1, data.x2])
         self.codes = data.codes
         y = data.y.astype(np.float64)
         self.Xty = self.X.T @ y
-        self.y_count = np.bincount(self.codes, weights=y, minlength=self.n_ind)
+        self.y_count = np.bincount(self.codes, weights=y, minlength=n_ind)
         self.beta_prior = [(float(p.mean), 2.0 * float(p.variance)) for p in priors.beta_priors]
-        self.sigma2_shape = priors.sigma2_prior.shape + 0.5 * self.n_ind
+        self.sigma2_shape = priors.sigma2_prior.shape + 0.5 * n_ind
         self.sigma2_scale = priors.sigma2_prior.scale
-        self.beta, self.eps, self.sigma2 = state.beta, state.epsilon, state.sigma2
-        self.mu = self.X @ self.beta + self.eps[self.codes]
-        self.sp = softplus(self.mu)
+        # the chain owns its eps and its (mu, sp) rows and writes into them:
+        # row `cur` holds the state's, the other row is the spare pair that
+        # proposals are built in, so one sum over axis 1 totals both sp rows
+        self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
+        self.mus, self.sps, self.cur = np.empty((2, n_obs)), np.empty((2, n_obs)), 0
+        np.add(self.X @ self.beta, self.eps[self.codes], out=self.mus[0])
+        softplus(self.mus[0], out=self.sps[0])
+        # scratch arrays of observation and of individual size
+        self.obs_tmp, self.ind_tmp = np.empty(n_obs), np.empty(n_ind)
         self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
-        self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
+        self.acc_b, self.acc_e = 0, np.zeros(n_ind)
         # the window arrays of `sweep`, allocated once per chain: their pages
         # are touched once, not once per window
-        w, n_obs = _ADAPT_WINDOW, data.n_obs
-        self.z, self.log_u = np.empty((w, 3 + self.n_ind)), np.empty((w, 1 + self.n_ind))
+        w = _ADAPT_WINDOW
+        self.z, self.log_u = np.empty((w, 3 + n_ind)), np.empty((w, 1 + n_ind))
         self.dmu_beta = np.empty((w, n_obs))
-        self.y_d, self.half_d2 = np.empty((w, self.n_ind)), np.empty((w, self.n_ind))
-        self.accepted = np.empty((w, self.n_ind), dtype=bool)
+        self.y_d, self.half_d2 = np.empty((w, n_ind)), np.empty((w, n_ind))
+        self.accepted = np.empty((w, n_ind), dtype=bool)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.mus[self.cur]
+
+    @property
+    def sp(self) -> np.ndarray:
+        return self.sps[self.cur]
 
     def sweep(self, rng: np.random.Generator, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """n <= _ADAPT_WINDOW sweeps at the current proposal, each the beta
@@ -219,21 +239,20 @@ class _Chain:
 
         The window's randomness and its state-free proposal terms are made
         first, in one pass (see the module docstring), with three RNG calls
-        whatever n is. Proposals are built in place in fresh arrays; the
-        state and its cache are rebound, never written into."""
-        n_ind, codes = self.n_ind, self.codes
+        whatever n is. Each proposal is built in the spare (mu, sp) row; an
+        accepted beta proposal swaps the rows, and the eps block writes its
+        accepted entries into the state (np.putmask)."""
+        n_ind, codes, sigma2_scale = self.n_ind, self.codes, self.sigma2_scale
         z, log_u = self.z[:n], self.log_u[:n]
         rng.standard_normal(out=z)
         rng.random(out=log_u)
         gammas = rng.standard_gamma(self.sigma2_shape, n).tolist()
         with np.errstate(divide="ignore"):  # log 0 = -inf, which accepts
             np.log(log_u, out=log_u)
-        log_u_beta, log_u_eps = log_u[:, 0].tolist(), log_u[:, 1:]
         d_beta = z[:, :3].dot(self.chol.T)
         d_beta *= math.exp(self.log_scale)
         dmu_beta = np.dot(d_beta, self.X.T, out=self.dmu_beta[:n])
         xty_d = d_beta.dot(self.Xty).tolist()
-        steps = d_beta.tolist()
         d_eps = z[:, 3:]
         d_eps *= self.eps_scales
         y_d = np.multiply(d_eps, self.y_count, out=self.y_d[:n])
@@ -241,42 +260,50 @@ class _Chain:
         half_d2 *= 0.5
         accepted = self.accepted[:n]
 
-        beta, eps, mu, sp, sigma2 = self.beta.tolist(), self.eps, self.mu, self.sp, self.sigma2
+        (m0, v0), (m1, v1), (m2, v2) = self.beta_prior
+        b0, b1, b2 = self.beta.tolist()
+        eps, mus, sps, cur = self.eps, self.mus, self.sps, self.cur
+        mu, sp, mu_p, sp_p = mus[cur], sps[cur], mus[1 - cur], sps[1 - cur]
+        obs_tmp, ind_tmp, sigma2 = self.obs_tmp, self.ind_tmp, self.sigma2
         betas, sigma2s = [], []
-        for t in range(n):
-            mu_p = mu + dmu_beta[t]
-            sp_p = softplus(mu_p)
-            dll = xty_d[t] - (float(sp_p.sum()) - float(sp.sum()))
-            beta_p = [b + x for b, x in zip(beta, steps[t])]
-            dpr = 0.0  # the prior delta in Python floats
-            for b, b_p, (m, v2) in zip(beta, beta_p, self.beta_prior):
-                dpr += ((b - m) * (b - m) - (b_p - m) * (b_p - m)) / v2
-            if log_u_beta[t] < dll + dpr:
-                beta, mu, sp = beta_p, mu_p, sp_p
+        for (s0, s1, s2), xty_dt, lu_beta, dmu, d, y_dt, half_d2t, lu_eps, acc, g in zip(
+                d_beta.tolist(), xty_d, log_u[:, 0].tolist(), dmu_beta, d_eps, y_d,
+                half_d2, log_u[:, 1:], accepted, gammas):
+            np.add(mu, dmu, out=mu_p)
+            softplus(mu_p, out=sp_p)
+            totals = sps.sum(axis=1).tolist()  # row for row as sp_p.sum(), sp.sum()
+            dll = xty_dt - (totals[1 - cur] - totals[cur])
+            p0, p1, p2 = b0 + s0, b1 + s1, b2 + s2
+            # the prior delta in Python floats
+            dpr = (((b0 - m0) * (b0 - m0) - (p0 - m0) * (p0 - m0)) / v0
+                   + ((b1 - m1) * (b1 - m1) - (p1 - m1) * (p1 - m1)) / v1
+                   + ((b2 - m2) * (b2 - m2) - (p2 - m2) * (p2 - m2)) / v2)
+            if lu_beta < dll + dpr:
+                b0, b1, b2 = p0, p1, p2
+                cur = 1 - cur
+                mu, sp, mu_p, sp_p = mu_p, sp_p, mu, sp
                 self.acc_b += 1
 
-            d = d_eps[t]
-            mu_p = d[codes]
-            mu_p += mu
-            sp_p = softplus(mu_p)
-            dll = y_d[t] - np.bincount(codes, weights=sp_p - sp, minlength=n_ind)
-            eps_p = eps + d
+            np.add(mu, d[codes], out=mu_p)
+            softplus(mu_p, out=sp_p)
+            np.subtract(sp_p, sp, out=obs_tmp)
+            dll = y_dt - np.bincount(codes, weights=obs_tmp, minlength=n_ind)
             # (eps^2 - eps_p^2) / (2 sigma2) = -(eps*d + d^2/2) / sigma2
-            dpr = eps * d
-            dpr += half_d2[t]
-            dpr *= 1.0 / sigma2
-            dll -= dpr
-            rej = ~np.less(log_u_eps[t], dll, out=accepted[t])
-            rej_obs = rej[codes]
-            np.putmask(eps_p, rej, eps)
-            np.putmask(mu_p, rej_obs, mu)
-            np.putmask(sp_p, rej_obs, sp)
-            eps, mu, sp = eps_p, mu_p, sp_p
-            sigma2 = _inverse_gamma(self.sigma2_scale + 0.5 * float(eps.dot(eps)), gammas[t])
-            betas.append(beta)
+            np.multiply(eps, d, out=ind_tmp)
+            ind_tmp += half_d2t
+            ind_tmp *= 1.0 / sigma2
+            dll -= ind_tmp
+            np.less(lu_eps, dll, out=acc)
+            np.add(eps, d, out=ind_tmp)
+            np.putmask(eps, acc, ind_tmp)
+            acc_obs = acc[codes]
+            np.putmask(mu, acc_obs, mu_p)
+            np.putmask(sp, acc_obs, sp_p)
+            sigma2 = _inverse_gamma(sigma2_scale + 0.5 * float(eps.dot(eps)), g)
+            betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
 
-        self.beta, self.eps, self.mu, self.sp, self.sigma2 = np.array(beta), eps, mu, sp, sigma2
+        self.beta, self.sigma2, self.cur = np.array([b0, b1, b2]), sigma2, cur
         self.acc_e += accepted.sum(axis=0)
         return np.array(betas), np.array(sigma2s)
 

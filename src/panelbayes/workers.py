@@ -24,9 +24,12 @@ def usable_cpus() -> int:
 
 def _leave_stopping_to_parent() -> None:
     """Worker set-up: ignore SIGINT and die at once on SIGTERM, so a stopped
-    command is stopped by its parent, which then ends the workers."""
+    command is stopped by its parent, which then ends the workers. A worker
+    starts with SIGTERM blocked, as its parent held it while starting the
+    pool (see `worker_pool`), so it unblocks it here, once SIGTERM kills it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 class _InParent:
@@ -58,6 +61,16 @@ def worker_pool(workers: int):
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_leave_stopping_to_parent) as pool:
         try:
+            # The first submit starts the pool's manager thread and, with
+            # the fork start method, every worker. A SystemExit raised in
+            # the middle of that leaves a thread that can never be joined,
+            # and the command fails with "cannot join thread before it is
+            # started", so SIGTERM waits until the pool is up.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                pool.submit(int)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
             yield pool
         except BaseException:
             # leaving the pool's block waits for the running tasks

@@ -1,9 +1,14 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import panelbayes
 from panelbayes import sampler
 from panelbayes.cli import main
 from panelbayes.workers import worker_pool
@@ -64,6 +69,38 @@ def test_failure_in_the_parent_ends_the_workers():
             raise RuntimeError("the parent failed")
     assert time.monotonic() - start < 30.0
     assert multiprocessing.active_children() == []
+
+
+def blocked_signals():
+    return signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+
+def test_workers_run_with_sigterm_unblocked():
+    # the pool starts its workers with SIGTERM blocked; each must unblock it,
+    # or terminate() could not stop a worker in the middle of a task
+    with worker_pool(1) as pool:
+        assert signal.SIGTERM not in pool.submit(blocked_signals).result()
+    assert signal.SIGTERM not in blocked_signals()
+
+
+def test_sigterm_while_the_pool_starts_exits_143():
+    # SIGTERM arrives as the pool's manager thread is about to start. It must
+    # wait until the pool is up, then end the worker and exit 143; raised
+    # inside the start-up, it left a thread that could not be joined (exit 2)
+    code = ("import os, signal, sys\n"
+            "from concurrent.futures import process\n"
+            "from panelbayes.cli import main\n"
+            "start = process._ExecutorManagerThread.start\n"
+            "def stop_then_start(self):\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    start(self)\n"
+            "process._ExecutorManagerThread.start = stop_then_start\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(main(['spindex', '--burn-in', '50', '--samples', '1000000']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(panelbayes.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (128 + signal.SIGTERM, "")
 
 
 class TestSpindexFailures:

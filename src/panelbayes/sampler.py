@@ -355,10 +355,13 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
 
 
 def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
-    """Deterministic start: beta at prior means, eps at 0, sigma2 at the prior mode."""
+    """Deterministic start: beta at prior means, eps at 0, sigma2 at the prior
+    mean scale/(shape - 1) when shape > 1, and at 1 otherwise. The prior mode
+    of a diffuse IG(0.001, 0.001) is about 0.001, a corner the sigma2 and eps
+    steps climb out of only slowly."""
     beta = np.array([p.mean for p in priors.beta_priors])
     ig = priors.sigma2_prior
-    sigma2 = ig.scale / (ig.shape + 1.0)
+    sigma2 = ig.scale / (ig.shape - 1.0) if ig.shape > 1.0 else 1.0
     if not (sigma2 > 0.0 and math.isfinite(sigma2)):
         sigma2 = 1.0
     return ParameterState(beta=beta, epsilon=np.zeros(data.n_individuals), sigma2=sigma2)

@@ -22,7 +22,7 @@ from .priors import default_uninformative, load_priors, posterior_to_priorset, s
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize, warn_unmixed
 from .spindex import (DEFAULT_SPLIT_YEAR, DEFAULT_THRESHOLD, load_returns, surrogate_path,
                       two_stage_fit, write_comparison_csv)
-from .workers import usable_cpus
+from .workers import usable_cpus, worker_pool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +143,9 @@ def cmd_fit(args) -> int:
         priors = default_uninformative()
     else:
         priors = load_priors(args.priors_in)
-    samples = run_chain(data, priors, _chain_config(args))
+    chain = _chain_config(args)
+    with _sigterm_exits(), worker_pool(1 if usable_cpus() > 1 else 0) as pool:
+        samples = run_chain(data, priors, chain, pool)
     stats = summarize(samples)
     warn_unmixed("fit", stats, samples.n_kept)
     _write_summary(stats, args.out)

@@ -12,8 +12,12 @@ One sweep updates, in order:
   (c) sigma2 exactly, from its inverse-gamma full conditional
       IG(shape + I/2, scale + sum(eps^2)/2).
 
-`run_chain` and `metropolis_sweep` each build one `_Chain` and call its
-`sweep`. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
+`metropolis_sweep` builds one `_Chain` and calls its `sweep`. `run_chain`
+builds one for the burn-in, which tunes the proposal, and then one per
+sampling segment: the sampling phase runs as _SEGMENTS segments, each a
+fresh chain from the burn-in's end state with the tuned proposal frozen and
+a seed of its own, so the segments share no state and may run in another
+process. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
 individual codes, the beta prior means and 2*variances, Xty = X'y,
 y_count (the ones per individual) and the sigma2 full-conditional shape;
 the state with its cache mu = X beta + eps[codes] and sp = softplus(mu),
@@ -22,7 +26,8 @@ which every move keeps in step; the proposal and how it is tuned
 acc_e (eps, per individual), which each sweep adds to. A block then costs
 one softplus pass over the observations, and its y*dmu terms reduce to
 Xty . d and y_count * d. A chain is a pure function of (data, priors,
-config): identical seeds give bit-identical output.
+config): identical seeds give bit-identical output, wherever the segments
+run.
 
 At the sizes the study and `spindex` fit, a sweep is bound by how many numpy
 calls it makes. The proposal is fixed within a burn-in adaptation window and
@@ -34,7 +39,7 @@ it builds every proposal term that does not depend on the state: the beta
 steps with their X d rows and Xty . d, and the eps steps with y_count * d
 and d^2/2. These window arrays take O(n * n_obs) memory. They are allocated
 once per chain for n = _ADAPT_WINDOW, the longest window `run_chain` asks
-for; the sampling phase runs as a series of such windows. Each sweep then
+for; each sampling segment runs as a series of such windows. Each sweep then
 does only the state-dependent work: the two softplus passes, the bincount,
 the prior deltas, the accept tests and the masked copies. The chain owns
 its eps and two (mu, sp) rows, the state's and a spare one, plus one
@@ -59,6 +64,7 @@ import numpy as np
 from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
+from .workers import InParent
 
 _ADAPT_WINDOW = 50            # burn-in iterations per adaptation step
 _TARGET_ACCEPT_BLOCK = 0.234  # optimal-scaling acceptance targets (Roberts, Gelman
@@ -66,6 +72,8 @@ _TARGET_ACCEPT_SCALAR = 0.44  # & Gilks 1997; Roberts & Rosenthal 2001)
 _COV_START = 500              # burn-in iterations before the empirical-covariance
                               # proposal; a multiple of _ADAPT_WINDOW
 _COV_JITTER = 1e-6
+_SEGMENTS = 2                 # sampling-phase segments; a constant, never the CPU
+                              # count, so a seed gives the same draws on any machine
 _TINY = np.finfo(np.float64).tiny
 ESS_FLOOR = 100               # fewer effective draws than this and a fit is reported as unmixed
 PARAMETERS = ("beta0", "beta1", "beta2", "sigma")  # what a fit reports, in this order
@@ -91,7 +99,9 @@ class ChainConfig:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
-    """Kept draws plus acceptance bookkeeping for one chain."""
+    """Kept draws plus acceptance bookkeeping for one chain: the draws of its
+    sampling segments in segment order, and the acceptance rates over all of
+    their sweeps."""
 
     beta: np.ndarray              # (n_kept, 3)
     sigma2: np.ndarray            # (n_kept,)
@@ -192,7 +202,7 @@ class _Chain:
     tallies."""
 
     def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
-                 log_scale: float, eps_scales: np.ndarray):
+                 log_scale: float, eps_scales: np.ndarray, chol: np.ndarray | None = None):
         self.n_ind = n_ind = data.n_individuals
         n_obs = data.n_obs
         self.X = np.column_stack([np.ones(n_obs), data.x1, data.x2])
@@ -212,7 +222,8 @@ class _Chain:
         softplus(self.mus[0], out=self.sps[0])
         # scratch arrays of observation and of individual size
         self.obs_tmp, self.ind_tmp = np.empty(n_obs), np.empty(n_ind)
-        self.chol, self.log_scale, self.eps_scales = np.eye(3), log_scale, eps_scales
+        self.chol = np.eye(3) if chol is None else chol
+        self.log_scale, self.eps_scales = log_scale, eps_scales
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(n_ind)
         # the window arrays of `sweep`, allocated once per chain: their pages
@@ -367,46 +378,75 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
     return ParameterState(beta=beta, epsilon=np.zeros(data.n_individuals), sigma2=sigma2)
 
 
-def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig) -> PosteriorSamples:
-    """Adapt the proposals over burn_in iterations, then freeze them and run
-    samples*thin iterations, keeping every thin-th draw, so the kept draws
-    come from a fixed Markov kernel."""
+def _burn_in(data: PanelDataset, priors: PriorSet,
+             config: ChainConfig) -> tuple[ParameterState, tuple]:
+    """Run the burn_in sweeps from `initial_state`, tuning the proposal after
+    every full window of _ADAPT_WINDOW sweeps (a last partial window is not
+    tuned). Returns the end state and the tuned proposal
+    (log_scale, eps_scales, chol)."""
     rng = np.random.default_rng(derive_seed(config.seed))
-    n_ind = data.n_individuals
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise FloatingPointError("log posterior is not finite at the initial state")
-    # burn-in starts at a beta log scale of log 0.1 and an absolute eps sd of
-    # 2.4; proposals are tuned after every window, then frozen for sampling
-    chain = _Chain(data, priors, state, math.log(0.1), np.full(n_ind, 2.4))
+    # burn-in starts at a beta log scale of log 0.1 and an absolute eps sd of 2.4
+    chain = _Chain(data, priors, state, math.log(0.1), np.full(data.n_individuals, 2.4))
     beta_hist = np.empty((config.burn_in, 3))
-    thin, n_post = config.thin, config.samples * config.thin
-    kept_beta = np.empty((config.samples, 3))
-    kept_sigma2 = np.empty(config.samples)
-    # one sweep call per window of sweeps: burn-in windows end where the
-    # proposal is tuned, the last may be partial and is not tuned
     for start in range(0, config.burn_in, _ADAPT_WINDOW):
         stop = min(start + _ADAPT_WINDOW, config.burn_in)
         beta_hist[start:stop] = chain.sweep(rng, stop - start)[0]
         if stop % _ADAPT_WINDOW == 0:
             chain.adapt(beta_hist[:stop])
-    # burn_in need not be a multiple of the window: drop its last partial tally
-    chain.acc_b, chain.acc_e = 0, np.zeros(n_ind)
+    end = ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
+    return end, (chain.log_scale, chain.eps_scales, chain.chol)
+
+
+def _sample(data: PanelDataset, priors: PriorSet, state: ParameterState, proposal: tuple,
+            seed: int, samples: int, thin: int):
+    """One sampling segment: a fresh chain at `state` with the frozen
+    `proposal` runs samples*thin sweeps on its own seed and keeps sweeps
+    thin-1, 2*thin-1, ... Returns the kept beta (samples, 3) and sigma2
+    (samples,) and the acceptance tallies acc_b and acc_e."""
+    rng = np.random.default_rng(seed)
+    chain = _Chain(data, priors, state, *proposal)
+    n_post = samples * thin
+    kept_beta, kept_sigma2 = np.empty((samples, 3)), np.empty(samples)
     for start in range(0, n_post, _ADAPT_WINDOW):
         betas, sigma2s = chain.sweep(rng, min(_ADAPT_WINDOW, n_post - start))
-        # keep sampling sweeps thin-1, 2*thin-1, ...; draw k is sweep k*thin + thin-1
+        # draw k is sweep k*thin + thin-1
         first = (thin - 1 - start) % thin
         k = (start + first) // thin
         kept = betas[first::thin]
         kept_beta[k:k + len(kept)] = kept
         kept_sigma2[k:k + len(kept)] = sigma2s[first::thin]
+    return kept_beta, kept_sigma2, chain.acc_b, chain.acc_e
 
+
+def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
+              pool=None) -> PosteriorSamples:
+    """Adapt the proposals over burn_in iterations, then freeze them and run
+    samples*thin iterations, keeping every thin-th draw, so the kept draws
+    come from a fixed Markov kernel.
+
+    The sampling phase runs as _SEGMENTS segments, each a fresh chain from
+    the burn-in's end state on its own seed `derive_seed(config.seed, k)`;
+    segment k keeps its share of the samples, the first ones the larger.
+    The kept draws are the segments' in segment order. Given a pool (see
+    `workers.worker_pool`), every segment but the first is submitted to it
+    while this process runs the first; without one they run in turn. The
+    segments share no state, so the pool never changes a draw."""
+    end, proposal = _burn_in(data, priors, config)
+    tasks = [(data, priors, end, proposal, derive_seed(config.seed, k),
+              (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)
+             for k in range(_SEGMENTS)]
+    later = [(pool or InParent()).submit(_sample, *task) for task in tasks[1:]]
+    betas, sigma2s, acc_b, acc_e = zip(_sample(*tasks[0]), *(f.result() for f in later))
+    n_post = config.samples * config.thin
     return PosteriorSamples(
-        beta=kept_beta,
-        sigma2=kept_sigma2,
-        accept_beta=chain.acc_b / n_post,
-        accept_epsilon=chain.acc_e / n_post,
+        beta=np.concatenate(betas),
+        sigma2=np.concatenate(sigma2s),
+        accept_beta=sum(acc_b) / n_post,
+        accept_epsilon=sum(acc_e) / n_post,
     )
 
 

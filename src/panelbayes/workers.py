@@ -32,7 +32,7 @@ def _leave_stopping_to_parent() -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
-class _InParent:
+class InParent:
     """The pool of `worker_pool(0)`: `map` runs its tasks in turn, and a
     submitted task runs when its result is asked for."""
 
@@ -54,7 +54,7 @@ def worker_pool(workers: int):
     SIGTERM -- ends the workers at once instead of waiting for their tasks.
     """
     if workers < 1:
-        yield _InParent()
+        yield InParent()
         return
     # here, so commands that start no pool never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import panelbayes
+from panelbayes import cli
 from panelbayes.cli import main
 from panelbayes.datagen import SimConfig
 from panelbayes.errors import ConfigError
@@ -21,6 +22,11 @@ from panelbayes.model import PANEL_CSV_HEADER, PanelDataset, concat_panels
 from panelbayes.sampler import ChainConfig, PosteriorSamples, SummaryStats
 
 FIT_FLAGS = ["--burn-in", "200", "--samples", "400", "--seed", "7"]
+
+needs_a_worker = pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="reads /proc, and a worker beside the parent needs 2 usable CPUs")
 
 
 def write_gen_config(path, **overrides):
@@ -125,6 +131,31 @@ class TestFit:
         named = [re.match(r"fit: ESS of (\w+) is [0-9.]+ of 50 draws, below 100; ",
                           r.message).group(1) for r in caplog.records]
         assert named == ["beta0", "beta1", "beta2", "sigma"]
+
+    def test_cpu_count_never_changes_the_output(self, tmp_path, panel_csv, monkeypatch):
+        # with 2 CPUs the second sampling segment runs in a worker, with 1 here
+        pools, worker_pool = [], cli.worker_pool
+
+        def recorded(workers):
+            pools.append(workers)
+            return worker_pool(workers)
+
+        monkeypatch.setattr(cli, "worker_pool", recorded)
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+            out, draws = tmp_path / f"summary{cpus}.csv", tmp_path / f"draws{cpus}.csv"
+            assert main(["fit", "--data", str(panel_csv), "--out", str(out),
+                         "--draws-out", str(draws), "--burn-in", "200", "--samples", "301",
+                         "--thin", "3", "--seed", "7"]) == 0
+            written.append((out.read_bytes(), draws.read_bytes()))
+        assert pools == [0, 1]
+        assert written[0] == written[1]
+
+    @needs_a_worker
+    def test_sigterm_stops_the_worker(self, panel_csv):
+        assert_sigterm_stops_the_worker(["fit", "--data", str(panel_csv), "--burn-in", "2000",
+                                         "--samples", "1000", "--thin", "100000"])
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == 1
@@ -295,6 +326,36 @@ def live_children(pid):
 def alive(pid):
     st = proc_stat(pid)
     return st is not None and st[0] != "Z"
+
+
+
+def assert_sigterm_stops_the_worker(args):
+    """Run the CLI with `args`, send it SIGTERM once its one worker is up, and
+    check that it exits 143 and leaves no worker behind."""
+    proc = subprocess.Popen([sys.executable, "-m", "panelbayes.cli"] + args,
+                            env=src_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not workers and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            workers = live_children(proc.pid)
+        assert len(workers) == 1
+        proc.send_signal(signal.SIGTERM)
+        # a chain takes far longer than this, so none may run to its end
+        assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [w for w in workers if alive(w)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for w in workers:
+            if alive(w):
+                os.kill(w, signal.SIGKILL)
 
 
 def write_study_config(path, outdir, **overrides):
@@ -564,35 +625,9 @@ class TestSpindex:
         assert runs[0].stderr == runs[1].stderr
         assert b"uninformative fit: ESS of" in runs[0].stderr
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                        reason="a worker beside the parent needs 2 usable CPUs")
+    @needs_a_worker
     def test_sigterm_stops_the_worker(self):
-        proc = subprocess.Popen([sys.executable, "-m", "panelbayes.cli", "spindex",
-                                 "--burn-in", "2000", "--samples", "1000000"],
-                                env=src_env(), stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
-        workers = []
-        try:
-            deadline = time.monotonic() + 60.0
-            while not workers and time.monotonic() < deadline and proc.poll() is None:
-                time.sleep(0.05)
-                workers = live_children(proc.pid)
-            assert len(workers) == 1
-            proc.send_signal(signal.SIGTERM)
-            # a chain takes far longer than this, so none may run to its end
-            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
-            deadline = time.monotonic() + 5.0
-            while any(map(alive, workers)) and time.monotonic() < deadline:
-                time.sleep(0.1)
-            assert [w for w in workers if alive(w)] == []
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            for w in workers:
-                if alive(w):
-                    os.kill(w, signal.SIGKILL)
+        assert_sigterm_stops_the_worker(["spindex", "--burn-in", "2000", "--samples", "1000000"])
 
     def test_lazy_numpy_modules_load_before_the_sigterm_handler(self):
         # a SystemExit raised while numpy.random initialises is lost
@@ -646,11 +681,11 @@ class TestUsage:
         tiny = ["--burn-in", "50", "--samples", "50", "--seed", "3"]
         code = ("import sys\n"
                 "from panelbayes.cli import main\n"
-                f"codes = [main(['gen', '--config', {cfg!r}, '--out', {panel!r}]),\n"
-                f"         main(['fit', '--data', {panel!r}, '--out', {out!r} + '/fit.csv',\n"
-                f"               '--priors-out', {out!r} + '/p.kv'] + {tiny!r})]\n"
-                # gen and fit start no worker pool, so they need no multiprocessing
+                f"codes = [main(['gen', '--config', {cfg!r}, '--out', {panel!r}])]\n"
+                # gen starts no worker pool, so it needs no multiprocessing
                 "pool_loaded = 'multiprocessing' in sys.modules\n"
+                f"codes.append(main(['fit', '--data', {panel!r}, '--out', {out!r} + '/fit.csv',\n"
+                f"                   '--priors-out', {out!r} + '/p.kv'] + {tiny!r}))\n"
                 f"codes.append(main(['spindex', '--out', {out!r} + '/sp.csv'] + {tiny!r}))\n"
                 "print(codes, pool_loaded, 'scipy' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

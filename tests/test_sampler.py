@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
+from panelbayes import sampler
 from panelbayes.model import PanelDataset, ParameterState, expit, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
 from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_ACCEPT_BLOCK,
@@ -13,6 +14,7 @@ from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_
                                 _chain_stats, draws_to_csv, effective_sample_size, gibbs_sigma2,
                                 initial_state, metropolis_sweep, run_chain, summarize)
 from panelbayes.spindex import DEFAULT_SPLIT_YEAR, load_returns, series_to_panel, surrogate_path
+from panelbayes.workers import worker_pool
 
 
 def empty_panel():
@@ -318,7 +320,8 @@ class TestRunChain:
 
     def test_rng_calls_per_window_are_fixed(self, monkeypatch):
         # every window draws its randomness in the same few calls, whatever
-        # its length: burn-in 537 ends on a 37-sweep window, 120 draws on a 20
+        # its length: burn-in 537 ends on a 37-sweep window, and each of the
+        # two sampling segments of 60 draws on a 10
         default_rng, sweep = np.random.default_rng, _Chain.sweep
         counters, windows = [], []
 
@@ -336,13 +339,43 @@ class TestRunChain:
 
         monkeypatch.setattr(_Chain, "sweep", counted)
         run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=537, samples=120, seed=3))
-        assert [n for n, _ in windows] == [50] * 10 + [37] + [50, 50, 20]
+        assert [n for n, _ in windows] == [50] * 10 + [37] + [50, 10] + [50, 10]
         assert {calls for _, calls in windows} == {3}
-        assert counters[0].calls == 3 * len(windows)
+        # burn-in, then one stream per segment
+        assert [c.calls for c in counters] == [3 * 11, 3 * 2, 3 * 2]
         rng = CountingRng(default_rng(4))
         state = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0, 0.0], sigma2=1.0)
         metropolis_sweep(tiny_panel(), state, default_uninformative(), rng)
         assert windows[-1] == (1, 3) and rng.calls == 3
+
+    @pytest.mark.parametrize("samples", [2, 7])
+    def test_segments_split_the_draws(self, monkeypatch, samples):
+        # the first segment keeps ceil(samples / 2) draws, the second the rest
+        sample, kept = sampler._sample, []
+
+        def recorded(*args):
+            out = sample(*args)
+            kept.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(sampler, "_sample", recorded)
+        s = run_chain(tiny_panel(), default_uninformative(),
+                      ChainConfig(burn_in=60, samples=samples, thin=3, seed=2))
+        assert kept == [(samples + 1) // 2, samples // 2]
+        assert s.n_kept == samples
+
+    def test_a_worker_never_changes_the_draws(self):
+        # the second segment runs in a worker process: it must read only the
+        # burn-in's end state and its own seed, never state the first shares
+        data, priors = ragged_panel(np.random.default_rng(8)), default_uninformative()
+        cfg = ChainConfig(burn_in=120, samples=151, thin=3, seed=4)
+        here = run_chain(data, priors, cfg)
+        with worker_pool(1) as pool:
+            there = run_chain(data, priors, cfg, pool)
+        assert np.array_equal(here.beta, there.beta)
+        assert np.array_equal(here.sigma2, there.sigma2)
+        assert here.accept_beta == there.accept_beta
+        assert np.array_equal(here.accept_epsilon, there.accept_epsilon)
 
     def test_seed_changes_output(self):
         a = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=1))

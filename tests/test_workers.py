@@ -15,6 +15,7 @@ from panelbayes.workers import worker_pool
 
 PARENT = os.getpid()
 real_log_posterior = sampler.log_posterior
+real_sweep = sampler._Chain.sweep
 
 
 def finish_in_reverse(k):
@@ -27,6 +28,12 @@ def first_fails_others_hang(k):
     if k == 0:
         raise ValueError("task 0 failed")
     time.sleep(60.0)
+
+
+def sweep_fails_in_a_worker(chain, rng, n=1):
+    if os.getpid() != PARENT:
+        raise FloatingPointError("the worker's segment failed")
+    return real_sweep(chain, rng, n)
 
 
 def fails_in_a_worker(data, state, priors):
@@ -122,4 +129,19 @@ class TestSpindexFailures:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         assert "runtime failure: the worker's chain failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+class TestFitFailures:
+    # with 2 usable CPUs, `fit` runs its second sampling segment in a worker
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched sweep must reach the worker")
+    def test_worker_segment_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        panel = tmp_path / "panel.csv"
+        (tmp_path / "gen.kv").write_text("individuals = 4\nperiods = 4\nsigma = 1.0\nseed = 99\n")
+        assert main(["gen", "--config", str(tmp_path / "gen.kv"), "--out", str(panel)]) == 0
+        monkeypatch.setattr(sampler._Chain, "sweep", sweep_fails_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["fit", "--data", str(panel), "--burn-in", "50", "--samples", "200"]) == 2
+        assert "runtime failure: the worker's segment failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []

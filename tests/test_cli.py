@@ -651,10 +651,10 @@ class TestOutputBytes:
     DIGESTS = {
         "panel.csv": "03c1327cdc9e6a843ace077f31aea32c70b2fb48ce45307549d487b1dd752731",
         "panel.csv.truth": "e804afb66417a1268a01da2847a1a6de50fad7250dff16e9bf581e78cf261f6e",
-        "summary.csv": "dc9459b517ccc7a558f0d7097eb16e2c2e3667ceaca17bdc8e734a6439fbcee4",
-        "priors.kv": "9d9c4a0de2f90e7a8d4c72fc21692eac77bf80a68741973c48e70eefe5a3a7ea",
-        "draws.csv": "1fa1955ec2a940a977889b05c9c2f91ed45d9dc7a166d706ad130eb15662866d",
-        "spindex.csv": "2a1d73aace19204fc2b9cfb3760279827a360b39011b92551be6af04e785de92",
+        "summary.csv": "eec2874185390e752021a613b56854989b5080a0543ba5d1aa82bcd82f5d2a01",
+        "priors.kv": "c3f30d0d45ee6ff7a1ab58cb1ad93c66faba0a809232be88b785ae0a8af7676a",
+        "draws.csv": "d2bb4a915208647cd7a3616b9e5ef51bc15dea9080040119bfb8bfd0f67116ee",
+        "spindex.csv": "70ac65515388db922e0de89749453ed794d57ee6a809d5d6b605f93dcdfb6665",
     }
 
     def test_outputs_are_pinned(self, tmp_path):

@@ -429,9 +429,10 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     come from a fixed Markov kernel.
 
     The sampling phase runs as _SEGMENTS segments, each a fresh chain from
-    the burn-in's end state on its own seed `derive_seed(config.seed, k)`;
-    segment k keeps its share of the samples, the first ones the larger.
-    The kept draws are the segments' in segment order. Given a pool (see
+    the burn-in's end state on its own seed `derive_seed(config.seed, k)`.
+    Each keeps samples/_SEGMENTS draws, rounded up for the first ones and
+    down for the rest, so the chain runs burn_in + samples*thin sweeps in
+    all. The kept draws are the segments' in segment order. Given a pool (see
     `workers.worker_pool`), every segment but the first is submitted to it
     while this process runs the first; without one they run in turn. The
     segments share no state, so the pool never changes a draw."""
@@ -439,7 +440,8 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     tasks = [(data, priors, end, proposal, derive_seed(config.seed, k),
               (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)
              for k in range(_SEGMENTS)]
-    later = [(pool or InParent()).submit(_sample, *task) for task in tasks[1:]]
+    pool = pool or InParent()
+    later = [pool.submit(_sample, *task) for task in tasks[1:]]
     betas, sigma2s, acc_b, acc_e = zip(_sample(*tasks[0]), *(f.result() for f in later))
     n_post = config.samples * config.thin
     return PosteriorSamples(

@@ -1,9 +1,10 @@
 """Deterministic seed derivation for parallel replicates and chain stages.
 
-Every worker (replicate, run, stage) gets its own RNG stream derived from a
-single master seed: each index is XOR-folded into the running seed and passed
-through the splitmix64 finalizer. The mapping is pure arithmetic, so results
-do not depend on scheduling order or worker count.
+Every worker (replicate, run, stage, sampling segment) gets its own RNG
+stream derived from a single master seed: each index is XOR-folded into the
+running seed and passed through the splitmix64 finalizer. The mapping is
+pure arithmetic, so results do not depend on scheduling order or worker
+count.
 """
 
 MASK64 = (1 << 64) - 1

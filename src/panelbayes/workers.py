@@ -1,9 +1,12 @@
-"""Worker processes for the commands that run independent chains at once.
+"""Worker processes for the commands that run independent chains, or
+independent segments of one chain, at once.
 
-`study` fits its replicates in a pool of workers, and `spindex` fits its
+`study` fits its replicates in a pool of workers, `spindex` fits its
 diffuse-prior stage-2 chain in one worker while the parent fits the other
-two. Every chain has its own seed (see `seeding`), so the worker count never
-changes a result. `usable_cpus` is the count both commands start from.
+two, and `fit` runs the second sampling segment of its chain in one worker
+(see `sampler.run_chain`). Every chain and every segment has its own seed
+(see `seeding`), so the worker count never changes a result. `usable_cpus`
+is the count the three commands start from.
 """
 
 from __future__ import annotations

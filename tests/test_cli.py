@@ -328,7 +328,6 @@ def alive(pid):
     return st is not None and st[0] != "Z"
 
 
-
 def assert_sigterm_stops_the_worker(args):
     """Run the CLI with `args`, send it SIGTERM once its one worker is up, and
     check that it exits 143 and leaves no worker behind."""

@@ -16,9 +16,11 @@ estimate (means from 12 to 12 590 across chain seeds; ROADMAP.md item 2).
 
 `two_stage_fit` runs three chains: stage 1, then the later window under
 diffuse and under carried-over priors. Only the last needs stage 1, so with
-`jobs > 1` the diffuse-prior chain runs in one worker process (see
-`workers`) while this process runs the other two. Every chain keeps its own
-seed, so the CPU count never changes the output.
+`jobs > 1` one worker process (see `workers`) runs the diffuse-prior chain
+and then the second sampling segment of the carried-over chain (see
+`sampler.run_chain`), while this process runs stage 1 and the rest of the
+carried-over chain. Every chain and segment keeps its own seed, so the CPU
+count never changes the output.
 
 The original return series is not redistributable, so the package bundles a
 synthetic surrogate with the same shape (one return per year, 1960..2018,
@@ -108,11 +110,13 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     whose ESS falls below the floor of `warn_unmixed`, in the order stage 1,
     uninformative, informative.
 
-    Only the informative fit needs stage 1. With jobs > 1 the uninformative
-    fit runs in one worker process while this process fits stage 1 and then
-    the informative fit; with jobs = 1 all three run here. Each fit has its
-    own seed, so `jobs` never changes the result, and when more than one fit
-    fails the error raised is that of the first in the order above.
+    Only the informative fit needs stage 1. With jobs > 1 one worker
+    process runs the uninformative fit and then the informative fit's second
+    sampling segment, while this process runs stage 1 and the rest of the
+    informative fit. Stage 1 gets no pool: its segment would wait behind the
+    uninformative fit. With jobs = 1 all three run here. Each fit and segment
+    has its own seed, so `jobs` never changes the result, and when more than
+    one fit fails the error raised is that of the first in the order above.
     """
     early = years <= split_year
     if not early.any():
@@ -136,7 +140,8 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
                                     seeded(2))
         stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
         try:
-            informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3))
+            informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3),
+                                    pool)
         except Exception:
             uninformative.result()  # a failure of the earlier fit comes first
             raise

@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from panelbayes.priors import default_uninformative
 from panelbayes.sampler import ChainConfig
 from panelbayes.spindex import (load_returns, make_surrogate, series_to_panel, surrogate_path,
                                 two_stage_fit)
+from panelbayes.workers import InParent
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
 real_log_posterior = sampler.log_posterior
@@ -23,6 +25,18 @@ def late_diffuse_fit_fails(data, state, priors):
     if data.n_individuals == 14 and priors == default_uninformative():
         raise FloatingPointError("the uninformative fit failed")
     return real_log_posterior(data, state, priors)
+
+
+class RecordingPool(InParent):
+    """Runs every task in this process, as `worker_pool(0)` does, and records
+    each submitted task as (function, priors)."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append((fn, args[1]))
+        return super().submit(fn, *args)
 
 
 class TestBinarize:
@@ -126,6 +140,23 @@ class TestTwoStageFit:
         series = load_returns(surrogate_path())
         assert two_stage_fit(*series, FAST_CHAIN, jobs=1) == two_stage_fit(*series, FAST_CHAIN,
                                                                            jobs=2)
+
+    def test_worker_runs_the_uninformative_fit_then_one_informative_segment(self, monkeypatch):
+        # stage 1 keeps the parent; the worker gets the whole diffuse-prior
+        # fit and the carried-over fit's second sampling segment
+        series = load_returns(surrogate_path())
+        in_turn = two_stage_fit(*series, FAST_CHAIN, jobs=1)
+        pool = RecordingPool()
+
+        @contextmanager
+        def one_recording_worker(workers):
+            assert workers == 1
+            yield pool
+        monkeypatch.setattr("panelbayes.spindex.worker_pool", one_recording_worker)
+        assert two_stage_fit(*series, FAST_CHAIN, jobs=2) == in_turn
+        (first, first_priors), (second, second_priors) = pool.submitted
+        assert (first, first_priors) == (sampler.run_chain, default_uninformative())
+        assert second is sampler._sample and second_priors != default_uninformative()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched log_posterior must reach the worker")

@@ -11,11 +11,13 @@ import pytest
 import panelbayes
 from panelbayes import sampler
 from panelbayes.cli import main
+from panelbayes.priors import default_uninformative
 from panelbayes.workers import worker_pool
 
 PARENT = os.getpid()
 real_log_posterior = sampler.log_posterior
 real_sweep = sampler._Chain.sweep
+real_sample = sampler._sample
 
 
 def finish_in_reverse(k):
@@ -40,6 +42,12 @@ def fails_in_a_worker(data, state, priors):
     if os.getpid() != PARENT:
         raise FloatingPointError("the worker's chain failed")
     return real_log_posterior(data, state, priors)
+
+
+def informative_segment_fails_in_a_worker(data, priors, *args):
+    if os.getpid() != PARENT and priors != default_uninformative():
+        raise FloatingPointError("the informative fit's worker segment failed")
+    return real_sample(data, priors, *args)
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
@@ -129,6 +137,30 @@ class TestSpindexFailures:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         assert "runtime failure: the worker's chain failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched _sample must reach the worker")
+    def test_worker_segment_failure_exits_2(self, monkeypatch, capsys):
+        # the worker runs the informative fit's second sampling segment
+        monkeypatch.setattr(sampler, "_sample", informative_segment_fails_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["spindex"] + self.FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: the informative fit's worker segment failed" in err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched functions must reach the worker")
+    def test_worker_chain_failure_wins_over_a_later_segment_failure(self, monkeypatch, capsys):
+        # both of the worker's tasks fail; the uninformative fit comes first in fit order
+        monkeypatch.setattr("panelbayes.sampler.log_posterior", fails_in_a_worker)
+        monkeypatch.setattr(sampler, "_sample", informative_segment_fails_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["spindex"] + self.FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: the worker's chain failed" in err
+        assert "segment failed" not in err
         assert multiprocessing.active_children() == []
 
 

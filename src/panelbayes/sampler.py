@@ -47,14 +47,15 @@ scratch array each of observation and of individual size. A sweep writes
 into these and allocates no proposal array. Each proposal is built in the
 spare row with ufunc `out=`. An accepted beta proposal swaps the rows; the
 eps block copies its accepted entries into eps and the state's row
-(np.putmask). The sp rows are one (2, n_obs) array, so one sum over axis 1
-totals the current and the proposed sp, bit for bit as two 1-d sums. The
-3-term beta step and prior delta are Python floats. Both blocks accept when
-log u < delta, so a zero uniform (log 0 = -inf) accepts.
+(np.copyto with `where=`). The sp rows are one (2, n_obs) array, so one sum
+over axis 1 totals the current and the proposed sp, bit for bit as two 1-d
+sums. The 3-term beta step and prior delta are Python floats. Both blocks
+accept when log u < delta, so a zero uniform (log 0 = -inf) accepts.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -252,7 +253,7 @@ class _Chain:
         first, in one pass (see the module docstring), with three RNG calls
         whatever n is. Each proposal is built in the spare (mu, sp) row; an
         accepted beta proposal swaps the rows, and the eps block writes its
-        accepted entries into the state (np.putmask)."""
+        accepted entries into the state (np.copyto with `where=`)."""
         n_ind, codes, sigma2_scale = self.n_ind, self.codes, self.sigma2_scale
         z, log_u = self.z[:n], self.log_u[:n]
         rng.standard_normal(out=z)
@@ -306,10 +307,10 @@ class _Chain:
             dll -= ind_tmp
             np.less(lu_eps, dll, out=acc)
             np.add(eps, d, out=ind_tmp)
-            np.putmask(eps, acc, ind_tmp)
+            np.copyto(eps, ind_tmp, where=acc)
             acc_obs = acc[codes]
-            np.putmask(mu, acc_obs, mu_p)
-            np.putmask(sp, acc_obs, sp_p)
+            np.copyto(mu, mu_p, where=acc_obs)
+            np.copyto(sp, sp_p, where=acc_obs)
             sigma2 = _inverse_gamma(sigma2_scale + 0.5 * float(eps.dot(eps)), g)
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
@@ -453,9 +454,11 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
 
 
 def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
-    """Write kept draws as long-form rows `iteration,parameter,value`."""
-    names = ["beta0", "beta1", "beta2", "sigma2"]
-    draws = np.column_stack([samples.beta, samples.sigma2])
+    """Write kept draws as long-form rows `iteration,parameter,value`. The
+    columns are built as Python lists in one numpy call each, so no row
+    costs a numpy call."""
+    names = ("beta0", "beta1", "beta2", "sigma2")
+    values = np.column_stack([samples.beta, samples.sigma2]).ravel().tolist()
+    iterations = np.repeat(np.arange(1, samples.n_kept + 1), len(names)).tolist()
     write_csv(path, ["iteration", "parameter", "value"],
-              ([it + 1, name, value] for it in range(samples.n_kept)
-               for name, value in zip(names, draws[it].tolist())))
+              zip(iterations, itertools.cycle(names), values))

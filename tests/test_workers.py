@@ -143,7 +143,7 @@ class TestSpindexFailures:
                         reason="the patched _sample must reach the worker")
     def test_worker_segment_failure_exits_2(self, monkeypatch, capsys):
         # the worker runs the informative fit's second sampling segment
-        monkeypatch.setattr(sampler, "_sample", informative_segment_fails_in_a_worker)
+        monkeypatch.setattr("panelbayes.sampler._sample", informative_segment_fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         err = capsys.readouterr().err
@@ -155,7 +155,7 @@ class TestSpindexFailures:
     def test_worker_chain_failure_wins_over_a_later_segment_failure(self, monkeypatch, capsys):
         # both of the worker's tasks fail; the uninformative fit comes first in fit order
         monkeypatch.setattr("panelbayes.sampler.log_posterior", fails_in_a_worker)
-        monkeypatch.setattr(sampler, "_sample", informative_segment_fails_in_a_worker)
+        monkeypatch.setattr("panelbayes.sampler._sample", informative_segment_fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         err = capsys.readouterr().err

@@ -669,6 +669,23 @@ class TestOutputBytes:
                    for name in self.DIGESTS}
         assert digests == self.DIGESTS
 
+    STUDY_DIGESTS = {
+        "table_beta0.csv": "b92542a8ac83f791cef76b078fcb43a25c2588fe63969a32ab514efb21b350cd",
+        "table_beta1.csv": "090813b9ce74ed642e114bbfeb311c7a2a76227b0bfe38e4d12b2e2ad4b35ded",
+        "table_beta2.csv": "52ae5dba155b0fce2a5c6c67b90848853e841d707b6dbb9e816ab16821b7be07",
+        "table_sigma.csv": "c2720a9bc0c72ee5f2b30f15cbb273d135689c9c7cfda7109a90be70ec43eb60",
+        "estimates.csv": "fc808ab7af13299a6cbb7772bd6abe35a08f450d4eeafeea7eca00b44447146c",
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_study_outputs_are_pinned(self, tmp_path, jobs):
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), individuals=20,
+                                 replicates=3, burn_in=600, samples=400)
+        assert main(["study", "--config", cfg, "--jobs", jobs]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in self.STUDY_DIGESTS}
+        assert digests == self.STUDY_DIGESTS
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -135,7 +135,22 @@ def _chain_config(args) -> ChainConfig:
     return chain
 
 
+def _check_out_paths(args, *flags: str) -> None:
+    """Reject an output path whose directory is missing, or that is a
+    directory, naming its flag, so the error comes before any chain runs."""
+    for flag in flags:
+        path = getattr(args, flag.replace("-", "_"))
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"--{flag}: directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"--{flag}: {path!r} is a directory")
+
+
 def cmd_fit(args) -> int:
+    _check_out_paths(args, "out", "priors-out", "draws-out")
     data = PanelDataset.from_csv(args.data)
     if data.n_obs == 0:
         raise ConfigError(f"{args.data}: no observations to fit")
@@ -146,13 +161,13 @@ def cmd_fit(args) -> int:
     chain = _chain_config(args)
     with _sigterm_exits(), worker_pool(1 if usable_cpus() > 1 else 0) as pool:
         samples = run_chain(data, priors, chain, pool)
-    stats = summarize(samples)
-    warn_unmixed("fit", stats, samples.n_kept)
-    _write_summary(stats, args.out)
-    if args.priors_out:
-        save_priors(posterior_to_priorset(samples), args.priors_out)
-    if args.draws_out:
-        draws_to_csv(samples, args.draws_out)
+        stats = summarize(samples)
+        warn_unmixed("fit", stats, samples.n_kept)
+        _write_summary(stats, args.out)
+        if args.priors_out:
+            save_priors(posterior_to_priorset(samples), args.priors_out)
+        if args.draws_out:
+            draws_to_csv(samples, args.draws_out, pool)
     return 0
 
 
@@ -202,6 +217,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_spindex(args) -> int:
+    _check_out_paths(args, "out")
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
     chain = _chain_config(args)

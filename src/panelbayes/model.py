@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,18 +31,30 @@ from .priors import PriorSet, log_density_invgamma, log_density_normal
 PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
 
 
-def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write `header` then `rows` as UTF-8 CSV with "\\n" line ends; None means stdout.
+def csv_text(rows: Iterable[Sequence], ncols: int) -> str:
+    """The CSV lines of `rows`, each of `ncols` cells, with "\\n" line ends.
 
-    Cells are written with str(), so Python floats come out as their shortest
-    round-trip repr: pass Python floats (`float(x)`, `.tolist()`), not numpy
-    scalars.
+    Every row goes through one `str.format` template, so each cell is written
+    with str(): Python floats come out as their shortest round-trip repr
+    (pass `float(x)` or `.tolist()`, not numpy scalars). No cell is quoted:
+    every cell written is an int, a float or an identifier such as a
+    parameter or run name, none of which holds a comma, a quote or a line end.
+    """
+    return "".join(itertools.starmap((",".join(["{}"] * ncols) + "\n").format, rows))
+
+
+def write_csv(path: str | None, header: Sequence[str],
+              *parts: Iterable[Sequence] | str) -> None:
+    """Write `header`, then each of `parts` in order, as UTF-8 CSV; None means stdout.
+
+    A part is rows, or the text `csv_text` made of rows, so a caller can
+    build part of a file elsewhere (another process) and write it here.
     """
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="")) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(csv_text([header], len(header)))
+        for part in parts:
+            fh.write(part if isinstance(part, str) else csv_text(part, len(header)))
 
 
 def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

@@ -62,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
+from .model import (PanelDataset, ParameterState, csv_text, expit, log_posterior, softplus,
+                    write_csv)
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 from .workers import InParent
@@ -453,12 +454,25 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     )
 
 
-def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
-    """Write kept draws as long-form rows `iteration,parameter,value`. The
-    columns are built as Python lists in one numpy call each, so no row
-    costs a numpy call."""
+def _draws_text(beta: np.ndarray, sigma2: np.ndarray, first: int) -> str:
+    """The draws CSV lines `iteration,parameter,value` of the kept draws
+    `beta` (n, 3) and `sigma2` (n,), numbered from `first`. The columns are
+    built as Python lists in one numpy call each, so no row costs a numpy
+    call."""
     names = ("beta0", "beta1", "beta2", "sigma2")
-    values = np.column_stack([samples.beta, samples.sigma2]).ravel().tolist()
-    iterations = np.repeat(np.arange(1, samples.n_kept + 1), len(names)).tolist()
-    write_csv(path, ["iteration", "parameter", "value"],
-              zip(iterations, itertools.cycle(names), values))
+    values = np.column_stack([beta, sigma2]).ravel().tolist()
+    iterations = np.repeat(np.arange(first, first + sigma2.size), len(names)).tolist()
+    return csv_text(zip(iterations, itertools.cycle(names), values), 3)
+
+
+def draws_to_csv(samples: PosteriorSamples, path: str, pool=None) -> None:
+    """Write kept draws as long-form rows `iteration,parameter,value`, four
+    per draw. Given a pool (see `workers.worker_pool`), the lines of draws
+    ceil(n/2)+1..n are formatted in it while this process formats the first
+    half; without one the halves are formatted in turn. The file is the same
+    either way."""
+    half = (samples.n_kept + 1) // 2
+    later = (pool or InParent()).submit(_draws_text, samples.beta[half:],
+                                        samples.sigma2[half:], half + 1)
+    first = _draws_text(samples.beta[:half], samples.sigma2[:half], 1)
+    write_csv(path, ["iteration", "parameter", "value"], first, later.result())

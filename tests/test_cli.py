@@ -287,6 +287,23 @@ class TestFit:
         assert captured.err == f"error: {empty}: no observations to fit\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--out", "--priors-out", "--draws-out"])
+    def test_out_path_rejected_before_any_chain(self, tmp_path, panel_csv, capsys,
+                                                 monkeypatch, flag):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        outs = {f: str(tmp_path / f"{f[2:]}.txt") for f in ("--out", "--priors-out", "--draws-out")}
+        missing = tmp_path / "missing"
+        outs[flag] = str(missing / "file.csv")
+        args = [a for f, path in outs.items() for a in (f, path)]
+        assert main(["fit", "--data", str(panel_csv)] + args + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: {flag}: directory {str(missing)!r} does not exist\n"
+        outs[flag] = str(tmp_path)
+        args = [a for f, path in outs.items() for a in (f, path)]
+        assert main(["fit", "--data", str(panel_csv)] + args + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {str(tmp_path)!r} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "panel.csv",
+                                                              "panel.csv.truth"]
+
     def test_non_finite_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         for key, value in [("beta0.mean", "nan"), ("beta0.variance", "inf"),
                            ("sigma2.scale", "inf")]:
@@ -582,6 +599,14 @@ class TestSpindex:
         assert main(["spindex", "--burn-in", "20", "--samples", "20"]) == 2
         assert ("cannot carry beta0 forward: degenerate sample: all values identical"
                 in capsys.readouterr().err)
+
+    def test_out_path_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.two_stage_fit", no_chain)
+        missing = tmp_path / "missing"
+        assert main(["spindex", "--out", str(missing / "sp.csv")] + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: --out: directory {str(missing)!r} does not exist\n"
+        assert main(["spindex", "--out", str(tmp_path)] + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
 
     def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from panelbayes.errors import ConfigError
 from panelbayes.model import (PANEL_CSV_HEADER, PanelDataset, ParameterState, concat_panels,
-                              log_likelihood, log_posterior)
+                              log_likelihood, log_posterior, write_csv)
 from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, log_density_invgamma,
                                log_density_normal)
 
@@ -222,6 +224,21 @@ class TestPanelDataset:
 
         with pytest.raises(ConfigError, match="missing.csv"):
             PanelDataset.from_csv(str(tmp_path / "missing.csv"))
+
+    def test_write_csv_matches_the_csv_module(self, tmp_path, capsys):
+        # the kinds of cell every caller writes: ints, Python floats, and
+        # parameter and run names
+        header = ["run", "N", "parameter", "value"]
+        floats = [-0.0, 0.0, 1e-300, 1e308, 0.1, -2.5, 1.0 / 3.0, 5e-324, 123456789.0]
+        rows = [[f"R{k % 6 + 1}", k - 4, name, x] for k, (name, x) in
+                enumerate(zip(["beta0", "beta1", "beta2", "sigma", "sigma2"] * 2, floats))]
+        expect = io.StringIO()
+        csv.writer(expect, lineterminator="\n").writerows([header] + rows)
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), header, rows)
+        assert path.read_bytes() == expect.getvalue().encode("utf-8")
+        write_csv(None, header, rows)
+        assert capsys.readouterr().out == expect.getvalue()
 
     def test_concat_rejects_overlap(self):
         a = small_panel()

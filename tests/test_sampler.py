@@ -585,3 +585,19 @@ def test_draws_csv_layout(tmp_path):
     # 3 beta + 1 sigma2 rows per kept draw
     assert len(lines) - 1 == 30 * 4
     assert [line.split(",")[1] for line in lines[1:5]] == ["beta0", "beta1", "beta2", "sigma2"]
+
+
+@pytest.mark.parametrize("n_kept", [2, 7, 10000])
+def test_draws_csv_split_in_a_worker_writes_the_same_bytes(tmp_path, n_kept):
+    rng = np.random.default_rng(n_kept)
+    s = PosteriorSamples(beta=rng.normal(0.0, 1.0, (n_kept, 3)),
+                         sigma2=rng.gamma(2.0, 1.0, n_kept), accept_beta=0.3,
+                         accept_epsilon=np.zeros(1))
+    draws_to_csv(s, str(tmp_path / "alone.csv"))
+    with worker_pool(1) as pool:
+        draws_to_csv(s, str(tmp_path / "split.csv"), pool)
+    written = (tmp_path / "split.csv").read_bytes()
+    assert written == (tmp_path / "alone.csv").read_bytes()
+    lines = written.decode().split("\n")
+    assert len(lines) == 1 + 4 * n_kept + 1 and lines[-1] == ""
+    assert [line.split(",")[0] for line in lines[1:-1:4]] == [str(k) for k in range(1, n_kept + 1)]

@@ -18,6 +18,7 @@ PARENT = os.getpid()
 real_log_posterior = sampler.log_posterior
 real_sweep = sampler._Chain.sweep
 real_sample = sampler._sample
+real_draws_text = sampler._draws_text
 
 
 def finish_in_reverse(k):
@@ -36,6 +37,12 @@ def sweep_fails_in_a_worker(chain, rng, n=1):
     if os.getpid() != PARENT:
         raise FloatingPointError("the worker's segment failed")
     return real_sweep(chain, rng, n)
+
+
+def draws_text_fails_in_a_worker(beta, sigma2, first):
+    if os.getpid() != PARENT:
+        raise OSError("the worker's draws failed")
+    return real_draws_text(beta, sigma2, first)
 
 
 def fails_in_a_worker(data, state, priors):
@@ -176,4 +183,19 @@ class TestFitFailures:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["fit", "--data", str(panel), "--burn-in", "50", "--samples", "200"]) == 2
         assert "runtime failure: the worker's segment failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched formatter must reach the worker")
+    def test_worker_draws_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the worker also formats the second half of the draws CSV
+        panel = tmp_path / "panel.csv"
+        (tmp_path / "gen.kv").write_text("individuals = 4\nperiods = 4\nsigma = 1.0\nseed = 99\n")
+        assert main(["gen", "--config", str(tmp_path / "gen.kv"), "--out", str(panel)]) == 0
+        monkeypatch.setattr(sampler, "_draws_text", draws_text_fails_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "summary.csv"),
+                     "--draws-out", str(tmp_path / "draws.csv"),
+                     "--burn-in", "50", "--samples", "200"]) == 2
+        assert "runtime failure: the worker's draws failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []

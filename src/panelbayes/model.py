@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -39,8 +38,14 @@ def csv_text(rows: Iterable[Sequence], ncols: int) -> str:
     (pass `float(x)` or `.tolist()`, not numpy scalars). No cell is quoted:
     every cell written is an int, a float or an identifier such as a
     parameter or run name, none of which holds a comma, a quote or a line end.
+
+    The rows are formatted in a Python loop, not by a `map` that `join`
+    drains in C: the loop lets this process's other threads take the GIL
+    between rows, and a worker pool's threads send tasks and receive results
+    through it (see `sampler.draws_to_csv`).
     """
-    return "".join(itertools.starmap((",".join(["{}"] * ncols) + "\n").format, rows))
+    row = (",".join(["{}"] * ncols) + "\n").format
+    return "".join([row(*cells) for cells in rows])
 
 
 def write_csv(path: str | None, header: Sequence[str],

@@ -2,7 +2,9 @@
 independent segments of one chain, at once.
 
 `study` fits its replicates in a pool of workers. `fit` runs the second
-sampling segment of its chain in one worker (see `sampler.run_chain`).
+sampling segment of its chain in one worker (see `sampler.run_chain`), and
+then has that worker format the second half of its draws CSV (see
+`sampler.draws_to_csv`).
 `spindex` has one worker fit its diffuse-prior stage-2 chain and then run
 the second sampling segment of its carried-over chain, while the parent
 fits stage 1 and the rest of the carried-over chain. Every chain and every

@@ -9,13 +9,13 @@ Grammar (one entry per line):
 `KVFile` reads configs and priors files alike. Parse errors carry
 ``path:line:`` anchors, a number must be `finite` (no nan or inf), and
 `check_all_read` rejects every key the reader did not ask for, so a typo'd
-key is an error, not a dropped setting.
+key is an error, not a dropped setting. `open_input` is the one way the
+package opens a file it reads, these and the CSV inputs alike.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import ConfigError
 
@@ -31,6 +31,16 @@ def finite(text: str) -> float:
 _KINDS = {finite: "a finite number", int: "an integer"}
 
 
+def open_input(path: str, newline: str | None = None):
+    """`path` opened to read as UTF-8 text; ConfigError naming the path and
+    the reason (a missing file, a directory, no permission) when it cannot
+    be opened."""
+    try:
+        return open(path, "r", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
+
+
 class KVFile:
     """A parsed `key = value` file, or no entries at all when the path is None.
 
@@ -44,9 +54,7 @@ class KVFile:
         self.read: set[str] = set()
         if path is None:
             return
-        if not os.path.exists(path):
-            raise ConfigError(f"{path}: file not found")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_input(path) as fh:
             text = fh.read()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .kvconfig import finite
+from .kvconfig import finite, open_input
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
 PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
@@ -66,14 +66,11 @@ def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]
     """(line number, cells) of each non-blank data row of a CSV file.
 
     The first row, with its cells stripped, must equal `header`, and every
-    data row must have as many cells; otherwise, or when the file cannot be
-    opened, ConfigError is raised with a `path:line` anchor.
+    data row must have as many cells; otherwise ConfigError is raised with a
+    `path:line` anchor. A file that cannot be opened raises `open_input`'s
+    ConfigError.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
-    with fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [c.strip() for c in first] != list(header):

@@ -94,7 +94,7 @@ def _chain_config_from(cfg: KVFile, args) -> ChainConfig:
 
 
 def _sim_config_from(cfg: KVFile, args) -> SimConfig:
-    return SimConfig(
+    values = dict(
         individuals=cfg.get("individuals", int),
         periods=cfg.get("periods", int),
         sigma=cfg.get("sigma"),
@@ -102,13 +102,21 @@ def _sim_config_from(cfg: KVFile, args) -> SimConfig:
         replicates=cfg.get("replicates", int, SimConfig.replicates),
         seed=cfg.get("seed", int, SimConfig.seed, args.seed),
     )
+    try:
+        return SimConfig(**values)
+    except ConfigError as exc:  # every field SimConfig checks comes from the file
+        raise ConfigError(f"{cfg.path}: {exc}") from None
 
 
 def cmd_gen(args) -> int:
+    _check_out_paths(args, "out")
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     rep = cfg.get("replicate", int, 0, args.replicate)
     cfg.check_all_read()
+    if rep < 0:
+        raise ConfigError(f"{_source(cfg, 'replicate', args.replicate)}: "
+                          f"replicate must be >= 0, got {rep}")
     panel, true_eps = replicate_panel(sim, rep)
     panel.to_csv(args.out)
     sidecar: dict[str, object] = {
@@ -137,7 +145,8 @@ def _chain_config(args) -> ChainConfig:
 
 def _check_out_paths(args, *flags: str) -> None:
     """Reject an output path whose directory is missing, or that is a
-    directory, naming its flag, so the error comes before any chain runs."""
+    directory, naming its flag, so the error comes before any data is
+    generated or any chain runs."""
     for flag in flags:
         path = getattr(args, flag.replace("-", "_"))
         if path is None:
@@ -210,7 +219,10 @@ def cmd_study(args) -> int:
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
     with _sigterm_exits():
-        result = run_study(sim, run_ids, chain, jobs=min(jobs, cpus))
+        try:
+            result = run_study(sim, run_ids, chain, jobs=min(jobs, cpus))
+        except ConfigError as exc:  # the run ids and replicates come from the file
+            raise ConfigError(f"{cfg.path}: {exc}") from None
     for path in write_tables(result, outdir):
         print(path)
     return 0

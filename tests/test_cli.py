@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import logging
 import os
@@ -71,7 +72,8 @@ class TestGen:
     def test_odd_individuals_is_config_error(self, tmp_path, capsys):
         cfg = write_gen_config(tmp_path / "bad.kv", individuals=5)
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
-        assert "individuals" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: individuals must be even and >= 2, got 5\n")
 
     def test_non_finite_value_is_config_error(self, tmp_path, capsys):
         for key, value in [("sigma", "inf"), ("beta0", "nan")]:
@@ -112,6 +114,27 @@ class TestGen:
         for col in PANEL_CSV_HEADER:
             assert np.array_equal(getattr(fitted[1], col), getattr(written, col))
         assert not np.array_equal(fitted[0].x2, written.x2)
+
+    def test_out_path_rejected_before_anything_is_generated(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr("panelbayes.datagen.gen_panel", no_chain)
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        missing = tmp_path / "missing"
+        assert main(["gen", "--config", cfg, "--out", str(missing / "p.csv")]) == 1
+        assert capsys.readouterr().err == f"error: --out: directory {str(missing)!r} does not exist\n"
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv"]
+
+    def test_negative_replicate_rejected(self, tmp_path, capsys):
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        out = tmp_path / "p.csv"
+        assert main(["gen", "--config", cfg, "--out", str(out), "--replicate", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --replicate: replicate must be >= 0, got -1\n"
+        cfg = write_gen_config(tmp_path / "gen.kv", replicate=-2)
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: replicate must be >= 0, got -2\n"
+        assert not out.exists()
 
 
 class TestFit:
@@ -461,7 +484,8 @@ class TestStudy:
     def test_bad_run_id(self, tmp_path, capsys):
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), runs="R7")
         assert main(["study", "--config", cfg]) == 1
-        assert "R7" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: unknown run id 'R7' (known: R1, R2, R3, R4, R5, R6)\n")
 
     def test_repeated_run_id_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         def no_replicate(*args, **kwargs):
@@ -485,7 +509,8 @@ class TestStudy:
         monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), replicates=1)
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
-        assert "replicates" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {cfg}: replicates must be >= 2 for the "
+                                           f"across-replicate table, got 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
@@ -535,6 +560,14 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
         assert f"{out}' exists and is not a directory" in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
+
+    def test_runtime_failure_in_the_study_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise RuntimeError("replicate 0 failed: boom")
+        monkeypatch.setattr("panelbayes.cli.run_study", fails)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"))
+        assert main(["study", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "runtime failure: replicate 0 failed: boom\n"
 
     def test_config_error_line_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.kv"
@@ -667,6 +700,36 @@ class TestSpindex:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=src_env(), check=True)
         assert done.stdout.split("\n")[0] == "[True, True]"
+
+
+# the command line of each reader of an input file, with {path} for that file
+INPUT_READERS = {
+    "fit --data": ["fit", "--data", "{path}"],
+    "fit --config": ["fit", "--data", "{panel}", "--config", "{path}"],
+    "fit --priors-in": ["fit", "--data", "{panel}", "--priors-in", "{path}"],
+    "gen --config": ["gen", "--config", "{path}", "--out", "{tmp}/p.csv"],
+    "study --config": ["study", "--config", "{path}", "--out", "{tmp}/out"],
+    "spindex --data": ["spindex", "--data", "{path}"],
+    "spindex --config": ["spindex", "--config", "{path}"],
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("reader", INPUT_READERS)
+    def test_unopenable_input_is_config_error(self, tmp_path, panel_csv, capsys, monkeypatch,
+                                              reader):
+        # a missing file and a directory alike exit 1, naming the path and the reason
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        monkeypatch.setattr("panelbayes.spindex.run_chain", no_chain)
+        (tmp_path / "a_dir").mkdir()
+        for name, errnum in (("a_dir", errno.EISDIR), ("missing.kv", errno.ENOENT)):
+            path = tmp_path / name
+            argv = [a.format(path=path, panel=panel_csv, tmp=tmp_path)
+                    for a in INPUT_READERS[reader]]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {path}: cannot open ({os.strerror(errnum)})\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "gen.kv", "panel.csv",
+                                                              "panel.csv.truth"]
 
 
 class TestOutputBytes:

@@ -6,18 +6,11 @@ signatures, so a rename or a changed signature in the package would
 otherwise surface only in a traced benchmark run.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from panelbayes import model, sampler  # noqa: E402
-from panelbayes.cli import main  # noqa: E402
-from perfbench.spans import Tracer  # noqa: E402
+from panelbayes import model, sampler
+from panelbayes.cli import main
+from perfbench.spans import Tracer
 
 
 def test_spindex_records_its_spans_and_probes_run(tmp_path, monkeypatch):

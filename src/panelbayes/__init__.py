@@ -4,8 +4,9 @@ Library surface, imported by module: the observation model (`model`), prior
 handling and posterior-to-prior conversion (`priors`), the adaptive
 Metropolis-within-Gibbs sampler (`sampler`), synthetic panel generation
 (`datagen`), the replicated two-stage study (`experiment`), the
-yearly-index application (`spindex`) and the worker pool those two share
-(`workers`). The `panelbayes` console script exposes all of it.
+yearly-index application (`spindex`) and the worker pool that the CLI opens
+and passes to the fits (`workers`). The `panelbayes` console script exposes
+all of it.
 """
 
 # importing the package loads every layer module

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
-from contextlib import contextmanager
 
 from .datagen import DEFAULT_BETA, SimConfig, replicate_panel
 from .errors import ConfigError
@@ -168,7 +166,7 @@ def cmd_fit(args) -> int:
     else:
         priors = load_priors(args.priors_in)
     chain = _chain_config(args)
-    with _sigterm_exits(), worker_pool(1 if usable_cpus() > 1 else 0) as pool:
+    with worker_pool(1 if usable_cpus() > 1 else 0) as pool:
         samples = run_chain(data, priors, chain, pool)
         stats = summarize(samples)
         warn_unmixed("fit", stats, samples.n_kept)
@@ -180,29 +178,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
-
-
-@contextmanager
-def _sigterm_exits():
-    """SIGTERM would end this process at once and orphan its pool workers;
-    raised as SystemExit, it lets the pool end them first.
-
-    A SystemExit raised while numpy.random initialises is lost, and the
-    command runs on, so the numpy modules a chain and its summary import on
-    first use are loaded before the handler goes in.
-    """
-    import numpy.fft  # noqa: F401
-    import numpy.random  # noqa: F401
-
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
 def cmd_study(args) -> int:
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
@@ -210,17 +185,18 @@ def cmd_study(args) -> int:
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
     cpus = usable_cpus()
-    jobs = cfg.get("jobs", int, cpus, args.jobs)
+    jobs = min(cfg.get("jobs", int, cpus, args.jobs), cpus)  # < 1 only if set < 1
     cfg.check_all_read()
     if jobs < 1:
         raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
     if os.path.exists(outdir) and not os.path.isdir(outdir):
-        raise ConfigError(f"output directory {outdir!r} exists and is not a directory")
-    with _sigterm_exits():
+        raise ConfigError(f"{_source(cfg, 'out', args.out)}: output directory {outdir!r} "
+                          f"exists and is not a directory")
+    with worker_pool(jobs if jobs > 1 else 0) as pool:
         try:
-            result = run_study(sim, run_ids, chain, jobs=min(jobs, cpus))
+            result = run_study(sim, run_ids, chain, pool)
         except ConfigError as exc:  # the run ids and replicates come from the file
             raise ConfigError(f"{cfg.path}: {exc}") from None
     for path in write_tables(result, outdir):
@@ -233,9 +209,8 @@ def cmd_spindex(args) -> int:
     path = args.data if args.data is not None else surrogate_path()
     years, returns = load_returns(path)
     chain = _chain_config(args)
-    with _sigterm_exits():
-        report = two_stage_fit(years, returns, chain, split_year=args.split_year,
-                               threshold=args.threshold, jobs=usable_cpus())
+    with worker_pool(1 if usable_cpus() > 1 else 0) as pool:
+        report = two_stage_fit(years, returns, chain, args.split_year, args.threshold, pool)
     write_comparison_csv(report, args.out)
     return 0
 

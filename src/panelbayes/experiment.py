@@ -16,9 +16,9 @@ Per replicate the stage-2 posterior means of beta0, beta1, beta2 and sigma
 parameter gets Mean, SD, a t-based confidence interval and
 MSE = (Mean - truth)^2 + Var. Each stage-2 fit whose ESS falls below the
 floor of `sampler.warn_unmixed` logs a warning naming its replicate and run.
-Replicates run on independent RNG streams (see `seeding`), in a pool of
-worker processes when `jobs > 1` (see `workers`), so results are identical
-for any worker count.
+Replicates run on independent RNG streams (see `seeding`), through the
+pool `run_study` is given (see `workers`), so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import PARAMETERS, ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
-from .workers import worker_pool
+from .workers import InParent
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,14 @@ class StudyResult:
 
 
 def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: ChainConfig,
-              jobs: int = 1) -> StudyResult:
+              pool=None) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
-    With jobs > 1 the replicates run in a pool of `jobs` worker processes.
-    No run ids, an unknown or repeated run id and fewer than 2 replicates
-    raise ConfigError before any replicate is generated. A failure in any
-    replicate aborts the study (silently dropped replicates would bias the
-    MSE column); with jobs > 1 that failure, or an exception such as
-    KeyboardInterrupt, ends the pool's workers first.
+    The replicates are mapped through `pool` (see `workers.worker_pool`), or
+    run here in turn without one. No run ids, an unknown or repeated run id
+    and fewer than 2 replicates raise ConfigError before any replicate is
+    generated. A failure in any replicate aborts the study (silently dropped
+    replicates would bias the MSE column).
     """
     run_ids = tuple(run_ids)
     if not run_ids:
@@ -196,8 +195,7 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
         raise ConfigError(f"replicates must be >= 2 for the across-replicate table, "
                           f"got {sim_config.replicates}")
     tasks = [(sim_config, run_ids, chain_config, rep) for rep in range(sim_config.replicates)]
-    with worker_pool(jobs if jobs > 1 else 0) as pool:
-        results = list(pool.map(_replicate_worker, tasks))
+    results = list((pool or InParent()).map(_replicate_worker, tasks))
 
     # results[rep][j] is replicate rep's estimate of cells[j]
     cells = [(rid, param) for rid in run_ids for param in PARAMETERS]

@@ -9,8 +9,8 @@ Grammar (one entry per line):
 `KVFile` reads configs and priors files alike. Parse errors carry
 ``path:line:`` anchors, a number must be `finite` (no nan or inf), and
 `check_all_read` rejects every key the reader did not ask for, so a typo'd
-key is an error, not a dropped setting. `open_input` is the one way the
-package opens a file it reads, these and the CSV inputs alike.
+key is an error, not a dropped setting. `read_input` is the one way the
+package reads a file, these and the CSV inputs alike.
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ def finite(text: str) -> float:
 _KINDS = {finite: "a finite number", int: "an integer"}
 
 
-def open_input(path: str, newline: str | None = None):
-    """`path` opened to read as UTF-8 text; ConfigError naming the path and
-    the reason (a missing file, a directory, no permission) when it cannot
-    be opened."""
+def read_input(path: str) -> str:
+    """The text of `path` decoded as UTF-8, its line ends as in the file;
+    ConfigError naming the path and the reason when it cannot be opened (a
+    missing file, a directory, no permission) or is not UTF-8."""
     try:
-        return open(path, "r", encoding="utf-8", newline=newline)
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 class KVFile:
@@ -54,9 +57,7 @@ class KVFile:
         self.read: set[str] = set()
         if path is None:
             return
-        with open_input(path) as fh:
-            text = fh.read()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .kvconfig import finite, open_input
+from .kvconfig import finite, read_input
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
 PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
@@ -67,20 +68,19 @@ def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]
 
     The first row, with its cells stripped, must equal `header`, and every
     data row must have as many cells; otherwise ConfigError is raised with a
-    `path:line` anchor. A file that cannot be opened raises `open_input`'s
+    `path:line` anchor. A file that cannot be read raises `read_input`'s
     ConfigError.
     """
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [c.strip() for c in first] != list(header):
-            raise ConfigError(f"{path}:1: expected header {','.join(header)}")
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{rowno}: expected {len(header)} columns, got {len(row)}")
-            yield rowno, row
+    reader = csv.reader(io.StringIO(read_input(path), newline=""))
+    first = next(reader, None)
+    if first is None or [c.strip() for c in first] != list(header):
+        raise ConfigError(f"{path}:1: expected header {','.join(header)}")
+    for rowno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigError(f"{path}:{rowno}: expected {len(header)} columns, got {len(row)}")
+        yield rowno, row
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -15,12 +15,12 @@ estimate (means from 12 to 12 590 across chain seeds; ROADMAP.md item 2).
 `series_to_panel` makes it one panel.
 
 `two_stage_fit` runs three chains: stage 1, then the later window under
-diffuse and under carried-over priors. Only the last needs stage 1, so with
-`jobs > 1` one worker process (see `workers`) runs the diffuse-prior chain
-and then the second sampling segment of the carried-over chain (see
-`sampler.run_chain`), while this process runs stage 1 and the rest of the
-carried-over chain. Every chain and segment keeps its own seed, so the CPU
-count never changes the output.
+diffuse and under carried-over priors. Only the last needs stage 1, so a
+pool's worker (see `workers`) runs the diffuse-prior chain and then the
+second sampling segment of the carried-over chain (see `sampler.run_chain`),
+while this process runs stage 1 and the rest of the carried-over chain.
+Every chain and segment keeps its own seed, so the pool never changes the
+output.
 
 The original return series is not redistributable, so the package bundles a
 synthetic surrogate with the same shape (one return per year, 1960..2018,
@@ -43,7 +43,7 @@ from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
 from .seeding import derive_seed
-from .workers import worker_pool
+from .workers import InParent
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ def make_surrogate(seed: int = 20180614) -> tuple[np.ndarray, np.ndarray]:
 def two_stage_fit(years, returns, chain_config: ChainConfig,
                   split_year: int = DEFAULT_SPLIT_YEAR,
                   threshold: float = DEFAULT_THRESHOLD,
-                  jobs: int = 1) -> dict[str, dict[str, SummaryStats]]:
+                  pool=None) -> dict[str, dict[str, SummaryStats]]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
     The later window is fitted twice -- once with diffuse priors, once with
@@ -110,13 +110,14 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     whose ESS falls below the floor of `warn_unmixed`, in the order stage 1,
     uninformative, informative.
 
-    Only the informative fit needs stage 1. With jobs > 1 one worker
-    process runs the uninformative fit and then the informative fit's second
-    sampling segment, while this process runs stage 1 and the rest of the
-    informative fit. Stage 1 gets no pool: its segment would wait behind the
-    uninformative fit. With jobs = 1 all three run here. Each fit and segment
-    has its own seed, so `jobs` never changes the result, and when more than
-    one fit fails the error raised is that of the first in the order above.
+    Only the informative fit needs stage 1. Given a one-worker pool (see
+    `workers.worker_pool`), the worker runs the uninformative fit and then
+    the informative fit's second sampling segment, while this process runs
+    stage 1 and the rest of the informative fit. Stage 1 gets no pool: its
+    segment would wait behind the uninformative fit. Without a pool all
+    three run here. Each fit and segment has its own seed, so the pool never
+    changes the result, and when more than one fit fails the error raised is
+    that of the first in the order above.
     """
     early = years <= split_year
     if not early.any():
@@ -135,18 +136,16 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     def seeded(k: int) -> ChainConfig:
         return replace(chain_config, seed=derive_seed(chain_config.seed, k))
 
-    with worker_pool(1 if jobs > 1 else 0) as pool:
-        uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(),
-                                    seeded(2))
-        stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
-        try:
-            informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3),
-                                    pool)
-        except Exception:
-            uninformative.result()  # a failure of the earlier fit comes first
-            raise
-        fits = {"stage 1": stage1, "uninformative": uninformative.result(),
-                "informative": informative}
+    pool = pool or InParent()
+    uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(), seeded(2))
+    stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
+    try:
+        informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3), pool)
+    except Exception:
+        uninformative.result()  # a failure of the earlier fit comes first
+        raise
+    fits = {"stage 1": stage1, "uninformative": uninformative.result(),
+            "informative": informative}
 
     report = {}
     for run, samples in fits.items():

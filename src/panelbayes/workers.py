@@ -1,15 +1,18 @@
 """Worker processes for the commands that run independent chains, or
 independent segments of one chain, at once.
 
-`study` fits its replicates in a pool of workers. `fit` runs the second
-sampling segment of its chain in one worker (see `sampler.run_chain`), and
-then has that worker format the second half of its draws CSV (see
-`sampler.draws_to_csv`).
+The CLI opens one `worker_pool` per command, which also makes SIGTERM exit
+143, and passes it to the library functions; given no pool, they run their
+tasks in this process. `study` maps its replicates through it (see
+`experiment.run_study`). `fit` runs the second sampling segment of its
+chain in one worker (see `sampler.run_chain`), and then has that worker
+format the second half of its draws CSV (see `sampler.draws_to_csv`).
 `spindex` has one worker fit its diffuse-prior stage-2 chain and then run
 the second sampling segment of its carried-over chain, while the parent
-fits stage 1 and the rest of the carried-over chain. Every chain and every
-segment has its own seed (see `seeding`), so the worker count never changes
-a result. `usable_cpus` is the count the three commands start from.
+fits stage 1 and the rest of the carried-over chain (see
+`spindex.two_stage_fit`). Every chain and every segment has its own seed
+(see `seeding`), so the worker count never changes a result. `usable_cpus`
+is the count the three commands start from.
 """
 
 from __future__ import annotations
@@ -49,38 +52,55 @@ class InParent:
         return SimpleNamespace(result=functools.partial(fn, *args))
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 @contextmanager
 def worker_pool(workers: int):
     """A pool of `workers` processes, or with 0 a stand-in that runs every
     task in this process; `map` gives results in task order.
 
-    Tasks must be module-level callables with picklable arguments. Any
-    exception that leaves the block -- a task's failure, a failure of the
-    parent's own work, KeyboardInterrupt, or the SystemExit the CLI makes of
-    SIGTERM -- ends the workers at once instead of waiting for their tasks.
+    Tasks must be module-level callables with picklable arguments. Enter it
+    from the main thread: for the whole block, with or without workers,
+    SIGTERM raises SystemExit(143), and the previous handler is restored when
+    the block ends. Any exception that leaves the block -- a task's failure,
+    a failure of the parent's own work, KeyboardInterrupt, or that
+    SystemExit -- ends the workers at once instead of waiting for their tasks.
     """
-    if workers < 1:
-        yield InParent()
-        return
-    # here, so commands that start no pool never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # A SystemExit raised while numpy.random initialises is lost, and the
+    # command runs on, so the numpy modules a chain and its summary import
+    # on first use are loaded before the handler goes in.
+    import numpy.fft  # noqa: F401
+    import numpy.random  # noqa: F401
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_leave_stopping_to_parent) as pool:
-        try:
-            # The first submit starts the pool's manager thread and, with
-            # the fork start method, every worker. A SystemExit raised in
-            # the middle of that leaves a thread that can never be joined,
-            # and the command fails with "cannot join thread before it is
-            # started", so SIGTERM waits until the pool is up.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        if workers < 1:
+            yield InParent()
+            return
+        # here, so commands that start no pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_leave_stopping_to_parent) as pool:
             try:
-                pool.submit(int)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            yield pool
-        except BaseException:
-            # leaving the pool's block waits for the running tasks
-            # (Python 3.14 has this as pool.terminate_workers())
-            for proc in list(pool._processes.values()):
-                proc.terminate()
-            raise
+                # The first submit starts the pool's manager thread and, with
+                # the fork start method, every worker. A SystemExit raised in
+                # the middle of that leaves a thread that can never be joined,
+                # and the command fails with "cannot join thread before it is
+                # started", so SIGTERM waits until the pool is up.
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+                try:
+                    pool.submit(int)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                yield pool
+            except BaseException:
+                # leaving the pool's block waits for the running tasks
+                # (Python 3.14 has this as pool.terminate_workers())
+                for proc in list(pool._processes.values()):
+                    proc.terminate()
+                raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -18,6 +18,7 @@ from panelbayes.model import PanelDataset, ParameterState
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, fit_invgamma, fit_normal
 from panelbayes.sampler import (ChainConfig, effective_sample_size, gibbs_sigma2, metropolis_sweep,
                                 run_chain)
+from panelbayes.workers import worker_pool
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
 
@@ -133,7 +134,8 @@ def test_criterion_4_joint_distribution():
 
 def test_criterion_5_desk_scale_ordering():
     sim = SimConfig(individuals=100, periods=12, sigma=1.0, replicates=10, seed=202)
-    res = run_study(sim, ("R2", "R6"), ChainConfig(), jobs=JOBS)
+    with worker_pool(JOBS if JOBS > 1 else 0) as pool:
+        res = run_study(sim, ("R2", "R6"), ChainConfig(), pool)
     m = {(r.run_id, r.parameter): r.mse for r in res.rows}
     ok = (m[("R2", "beta1")] < m[("R6", "beta1")]
           and m[("R2", "beta2")] < m[("R6", "beta2")])
@@ -144,7 +146,8 @@ def test_criterion_5_desk_scale_ordering():
 
 def test_criterion_6_long_window_contrast():
     sim = SimConfig(individuals=50, periods=100, sigma=1.0, replicates=5, seed=202)
-    res = run_study(sim, ("R2", "R6"), ChainConfig(), jobs=JOBS)
+    with worker_pool(JOBS if JOBS > 1 else 0) as pool:
+        res = run_study(sim, ("R2", "R6"), ChainConfig(), pool)
     m = {(r.run_id, r.parameter): r.mse for r in res.rows}
     mean = {(r.run_id, r.parameter): r.mean for r in res.rows}
     ok = (m[("R6", "beta2")] > m[("R2", "beta2")]

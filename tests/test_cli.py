@@ -46,6 +46,17 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def record_worker_pools(monkeypatch):
+    """The worker count of every pool the CLI opens from now on, in order."""
+    pools, worker_pool = [], cli.worker_pool
+
+    def recorded(workers):
+        pools.append(workers)
+        return worker_pool(workers)
+    monkeypatch.setattr(cli, "worker_pool", recorded)
+    return pools
+
+
 @pytest.fixture()
 def panel_csv(tmp_path):
     cfg = write_gen_config(tmp_path / "gen.kv")
@@ -108,7 +119,7 @@ class TestGen:
             return {p: SummaryStats(0.0, 1.0, -1.0, 1.0, 1e9) for p in PARAMETERS}
         monkeypatch.setattr("panelbayes.experiment.execute_run", capture)
         sim = SimConfig(individuals=4, periods=4, sigma=1.0, replicates=2, seed=99)
-        run_study(sim, ("R4",), ChainConfig(burn_in=10, samples=10), jobs=1)
+        run_study(sim, ("R4",), ChainConfig(burn_in=10, samples=10))
         written = PanelDataset.from_csv(str(out))
         assert len(fitted) == 2  # one R4 fit per replicate, replicate 0 first
         for col in PANEL_CSV_HEADER:
@@ -157,13 +168,7 @@ class TestFit:
 
     def test_cpu_count_never_changes_the_output(self, tmp_path, panel_csv, monkeypatch):
         # with 2 CPUs the second sampling segment runs in a worker, with 1 here
-        pools, worker_pool = [], cli.worker_pool
-
-        def recorded(workers):
-            pools.append(workers)
-            return worker_pool(workers)
-
-        monkeypatch.setattr(cli, "worker_pool", recorded)
+        pools = record_worker_pools(monkeypatch)
         written = []
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
@@ -406,6 +411,34 @@ def write_study_config(path, outdir, **overrides):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["fit", "spindex", "study"])
+def test_sigterm_on_one_cpu_exits_143(tmp_path, panel_csv, command):
+    # on one CPU every chain runs in this process; SIGTERM arrives in the first sweep
+    argv = {"fit": ["fit", "--data", str(panel_csv)] + FIT_FLAGS,
+            "spindex": ["spindex"] + FIT_FLAGS,
+            "study": ["study", "--config", write_study_config(tmp_path / "study.kv",
+                                                              str(tmp_path / "out")),
+                      "--jobs", "1"]}[command]
+    code = ("import os, signal, sys\n"
+            "from panelbayes import sampler\n"
+            "from panelbayes.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "sweep = sampler._Chain.sweep\n"
+            "def stop_then_sweep(*args, **kwargs):\n"
+            "    sampler._Chain.sweep = sweep\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return sweep(*args, **kwargs)\n"
+            "sampler._Chain.sweep = stop_then_sweep\n"
+            "try:\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    print('multiprocessing' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (128 + signal.SIGTERM, "", "False\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestStudy:
     def test_emits_tables(self, tmp_path, capsys):
         import time
@@ -438,16 +471,15 @@ class TestStudy:
                 == (tmp_path / "j2" / "estimates.csv").read_bytes())
 
     def test_jobs_capped_by_cpu_affinity(self, tmp_path, monkeypatch):
-        jobs_seen = []
-
-        def record(sim, run_ids, chain, jobs=1):
-            jobs_seen.append(jobs)
-            raise ConfigError("recorded")
-        monkeypatch.setattr("panelbayes.cli.run_study", record)
+        def stop(sim, run_ids, chain, pool):
+            raise ConfigError("stopped")
+        monkeypatch.setattr("panelbayes.cli.run_study", stop)
+        pools = record_worker_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), jobs=2)
         assert main(["study", "--config", cfg]) == 1
-        assert jobs_seen == [1]
+        assert main(["study", "--config", cfg, "--jobs", "2"]) == 1
+        assert pools == [0, 0]  # one CPU: the replicates run in this process
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -558,7 +590,12 @@ class TestStudy:
         out.write_text("not a directory\n")
         cfg = write_study_config(tmp_path / "study.kv", str(out))
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
-        assert f"{out}' exists and is not a directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {cfg}: output directory {str(out)!r} "
+                                           f"exists and is not a directory\n")
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "elsewhere"))
+        assert main(["study", "--config", cfg, "--jobs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: --out: output directory {str(out)!r} "
+                                           f"exists and is not a directory\n")
         assert out.read_text() == "not a directory\n"
 
     def test_runtime_failure_in_the_study_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -656,17 +693,15 @@ class TestSpindex:
         assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_follow_cpu_affinity(self, monkeypatch):
-        jobs_seen = []
-
-        def record(*args, jobs=1, **kwargs):
-            jobs_seen.append(jobs)
-            raise ConfigError("recorded")
-        monkeypatch.setattr("panelbayes.cli.two_stage_fit", record)
+        def stop(*args):
+            raise ConfigError("stopped")
+        monkeypatch.setattr("panelbayes.cli.two_stage_fit", stop)
+        pools = record_worker_pools(monkeypatch)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
             assert main(["spindex"] + FIT_FLAGS) == 1
-        assert jobs_seen == [1, 2]
+        assert pools == [0, 1]
 
     def test_cpu_count_never_changes_the_output(self):
         # real stdout and stderr: the warnings reach stderr through logging
@@ -689,10 +724,10 @@ class TestSpindex:
     def test_lazy_numpy_modules_load_before_the_sigterm_handler(self):
         # a SystemExit raised while numpy.random initialises is lost
         code = ("import signal, sys\n"
-                "from panelbayes import cli\n"
+                "from panelbayes import cli, workers\n"
                 "install = signal.signal\n"
                 "def record(signum, handler):\n"
-                "    if handler is cli._exit_on_signal:\n"
+                "    if handler is workers._exit_on_signal:\n"
                 "        print([m in sys.modules for m in ('numpy.random', 'numpy.fft')])\n"
                 "    return install(signum, handler)\n"
                 "signal.signal = record\n"
@@ -729,6 +764,20 @@ class TestInputFiles:
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {path}: cannot open ({os.strerror(errnum)})\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "gen.kv", "panel.csv",
+                                                              "panel.csv.truth"]
+
+    @pytest.mark.parametrize("reader", INPUT_READERS)
+    def test_non_utf8_input_is_config_error(self, tmp_path, panel_csv, capsys, monkeypatch,
+                                            reader):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        monkeypatch.setattr("panelbayes.spindex.run_chain", no_chain)
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"seed = 1\nyear,return\n1990,\xff\n")
+        argv = [a.format(path=path, panel=panel_csv, tmp=tmp_path) for a in INPUT_READERS[reader]]
+        assert main(argv) == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}: not UTF-8 text (byte 26: invalid start byte)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "latin1.txt", "panel.csv",
                                                               "panel.csv.truth"]
 
 

@@ -17,6 +17,7 @@ from panelbayes.model import PANEL_CSV_HEADER
 from panelbayes.priors import default_uninformative
 from panelbayes.sampler import ChainConfig, run_chain
 from panelbayes.seeding import derive_seed
+from panelbayes.workers import InParent, worker_pool
 
 
 def with_moments(mean, sd, n):
@@ -32,7 +33,7 @@ SMOKE_CHAIN = ChainConfig(burn_in=150, samples=250, seed=0)
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    return run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, jobs=1)
+    return run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN)
 
 
 class TestMse:
@@ -167,7 +168,7 @@ class TestRunStudy:
     def test_unmixed_stage2_fits_warn(self, caplog, monkeypatch):
         # 250 draws on a 2x2 m22 window stay below 100 effective draws
         with caplog.at_level(logging.WARNING, logger="panelbayes.sampler"):
-            res = run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN, jobs=1)
+            res = run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN)
         labels = {re.match(r"(replicate \d+ R\d): ESS of \w+ is", r.message).group(1)
                   for r in caplog.records}
         assert labels == {"replicate 0 R4", "replicate 1 R4"}
@@ -175,14 +176,27 @@ class TestRunStudy:
         caplog.clear()
         monkeypatch.setattr("panelbayes.sampler.ESS_FLOOR", 0)
         with caplog.at_level(logging.WARNING, logger="panelbayes.sampler"):
-            quiet = run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN, jobs=1)
+            quiet = run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN)
         assert not caplog.records
         assert quiet.rows == res.rows
 
     def test_parallel_matches_serial(self, smoke_result):
-        par = run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, jobs=2)
+        with worker_pool(2) as pool:
+            par = run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, pool)
         for a, b in zip(smoke_result.rows, par.rows):
             assert a == b
+
+    def test_every_replicate_goes_through_the_pool(self, smoke_result):
+        class RecordingPool(InParent):
+            def __init__(self):
+                self.mapped = []
+
+            def map(self, fn, tasks):
+                self.mapped += [task[-1] for task in tasks]  # each task's replicate
+                return map(fn, tasks)
+        pool = RecordingPool()
+        assert run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, pool).rows == smoke_result.rows
+        assert pool.mapped == list(range(SMOKE_SIM.replicates))
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched execute_run must reach the workers")
@@ -196,7 +210,8 @@ class TestRunStudy:
         monkeypatch.setattr("panelbayes.experiment.execute_run", fail_or_hang)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="replicate 0 failed: boom"):
-            run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN, jobs=2)
+            with worker_pool(2) as pool:
+                run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN, pool)
         assert time.monotonic() - start < 30.0
 
     def test_replicate_order_invariance(self):

@@ -2,7 +2,6 @@ import logging
 import math
 import multiprocessing
 import re
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from panelbayes.priors import default_uninformative
 from panelbayes.sampler import ChainConfig
 from panelbayes.spindex import (load_returns, make_surrogate, series_to_panel, surrogate_path,
                                 two_stage_fit)
-from panelbayes.workers import InParent
+from panelbayes.workers import InParent, worker_pool
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
 real_log_posterior = sampler.log_posterior
@@ -138,36 +137,32 @@ class TestTwoStageFit:
 
     def test_jobs_do_not_change_the_report(self):
         series = load_returns(surrogate_path())
-        assert two_stage_fit(*series, FAST_CHAIN, jobs=1) == two_stage_fit(*series, FAST_CHAIN,
-                                                                           jobs=2)
+        with worker_pool(1) as pool:
+            assert two_stage_fit(*series, FAST_CHAIN) == two_stage_fit(*series, FAST_CHAIN,
+                                                                       pool=pool)
 
-    def test_worker_runs_the_uninformative_fit_then_one_informative_segment(self, monkeypatch):
+    def test_worker_runs_the_uninformative_fit_then_one_informative_segment(self):
         # stage 1 keeps the parent; the worker gets the whole diffuse-prior
         # fit and the carried-over fit's second sampling segment
         series = load_returns(surrogate_path())
-        in_turn = two_stage_fit(*series, FAST_CHAIN, jobs=1)
+        in_turn = two_stage_fit(*series, FAST_CHAIN)
         pool = RecordingPool()
-
-        @contextmanager
-        def one_recording_worker(workers):
-            assert workers == 1
-            yield pool
-        monkeypatch.setattr("panelbayes.spindex.worker_pool", one_recording_worker)
-        assert two_stage_fit(*series, FAST_CHAIN, jobs=2) == in_turn
+        assert two_stage_fit(*series, FAST_CHAIN, pool=pool) == in_turn
         (first, first_priors), (second, second_priors) = pool.submitted
         assert (first, first_priors) == (sampler.run_chain, default_uninformative())
         assert second is sampler._sample and second_priors != default_uninformative()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched log_posterior must reach the worker")
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_first_failure_in_fit_order_wins(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_first_failure_in_fit_order_wins(self, monkeypatch, workers):
         def no_carry_over(samples):
             raise ValueError("cannot carry over")
         monkeypatch.setattr("panelbayes.sampler.log_posterior", late_diffuse_fit_fails)
         monkeypatch.setattr("panelbayes.spindex.posterior_to_priorset", no_carry_over)
         with pytest.raises(FloatingPointError, match="the uninformative fit failed"):
-            two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN, jobs=jobs)
+            with worker_pool(workers) as pool:
+                two_stage_fit(*load_returns(surrogate_path()), FAST_CHAIN, pool=pool)
 
     def test_empty_stage_rejected(self):
         series = load_returns(surrogate_path())

@@ -105,6 +105,17 @@ def test_workers_run_with_sigterm_unblocked():
     assert signal.SIGTERM not in blocked_signals()
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_sigterm_exits_143_for_the_block_only(workers):
+    before = signal.getsignal(signal.SIGTERM)
+    with worker_pool(workers):
+        handler = signal.getsignal(signal.SIGTERM)
+    assert signal.getsignal(signal.SIGTERM) is before
+    with pytest.raises(SystemExit) as stopped:
+        handler(signal.SIGTERM, None)
+    assert stopped.value.code == 128 + signal.SIGTERM
+
+
 def test_sigterm_while_the_pool_starts_exits_143():
     # SIGTERM arrives as the pool's manager thread is about to start. It must
     # wait until the pool is up, then end the worker and exit 143; raised

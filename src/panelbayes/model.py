@@ -250,6 +250,11 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     exp only ever sees a non-positive argument, so the result is finite for
     every finite x and keeps the tail of large negative x. copysign(x, -1)
     gives -|x| bit for bit in one call.
+
+    A sweep of `sampler._Chain` uses this five-call form only in a window whose
+    bound on mu reaches 700, a margin under 709.78, where exp overflows; below
+    it, it computes log1p(exp(x)) in two calls, which gives the same bits for
+    x <= 0 and is within 2 ulp above.
     """
     t = np.copysign(x, _MINUS_ONE, out=out)
     np.exp(t, out=t)

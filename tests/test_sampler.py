@@ -539,6 +539,14 @@ class TestSoftplus:
             out = softplus(np.array([-1e308, 1e308]))
         assert np.array_equal(out, [0.0, 1e308])
 
+    def test_two_call_form_below_the_sweep_bound(self):
+        # the form a sweep uses in a window that cannot overflow exp: the same
+        # bits for x <= 0, within 2 ulp above
+        x = np.linspace(-745.0, 700.0, 1_000_001)
+        two_call, ref = np.log1p(np.exp(x)), softplus(x)
+        assert np.array_equal(two_call[x <= 0.0], ref[x <= 0.0])
+        assert np.all(np.abs(two_call - ref) <= 2 * np.spacing(ref))
+
 
 class TestExpit:
     def test_matches_scipy(self):
@@ -568,10 +576,30 @@ class TestKernelCache:
         # both blocks accepted some moves and rejected others
         assert 0 < chain.acc_b < 200
         assert np.all(chain.acc_e > 0) and np.all(chain.acc_e < 200)
-        assert np.array_equal(chain.sp, softplus(chain.mu))
+        # every window here is below the overflow bound, so the sweep wrote
+        # every sp entry in the two-call form
+        assert np.array_equal(chain.sp, np.log1p(np.exp(chain.mu)))
         X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
         np.testing.assert_allclose(chain.mu, X @ chain.beta + chain.eps[data.codes],
                                    rtol=0.0, atol=1e-9)
+
+    def test_window_that_could_overflow_uses_softplus(self):
+        # mu starts near 690 (x2 = 100, beta2 = 6.9), and eps steps of sd 10
+        # under a sigma2 held near 1e4 carry it past 709.78, where exp
+        # overflows: the window must take `model.softplus`, under the suite's
+        # RuntimeWarning filter
+        n_ind = 8
+        data = PanelDataset(np.repeat(np.arange(n_ind), 2), np.tile([1, 2], n_ind),
+                            np.ones(2 * n_ind, dtype=int), np.zeros(2 * n_ind),
+                            np.full(2 * n_ind, 100.0))
+        priors = PriorSet(beta_priors=tuple(NormalPrior(0.0, 100.0) for _ in range(3)),
+                          sigma2_prior=InverseGammaPrior(1e4, 1e8))
+        state = ParameterState(beta=[0.0, 0.0, 6.9], epsilon=np.zeros(n_ind), sigma2=1e4)
+        chain = _Chain(data, priors, state, math.log(0.01), 10.0)
+        chain.sweep(np.random.default_rng(5), _ADAPT_WINDOW)
+        assert chain.mu.max() > 709.78
+        assert np.all(np.isfinite(chain.sp))
+        assert np.array_equal(chain.sp, softplus(chain.mu))
 
 
 def test_draws_csv_layout(tmp_path):

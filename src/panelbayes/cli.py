@@ -107,7 +107,7 @@ def _sim_config_from(cfg: KVFile, args) -> SimConfig:
 
 
 def cmd_gen(args) -> int:
-    _check_out_paths(args, "out")
+    _check_out_paths(args, "out", sidecar=".truth")
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     rep = cfg.get("replicate", int, 0, args.replicate)
@@ -141,19 +141,23 @@ def _chain_config(args) -> ChainConfig:
     return chain
 
 
-def _check_out_paths(args, *flags: str) -> None:
-    """Reject an output path whose directory is missing, or that is a
-    directory, naming its flag, so the error comes before any data is
-    generated or any chain runs."""
+def _check_out_paths(args, *flags: str, sidecar: str = "") -> None:
+    """Reject an output path that is empty, whose directory is missing, or
+    that is a directory, naming its flag, so the error comes before any data
+    is generated or any chain runs. Given a `sidecar` suffix, the path with
+    that suffix appended, written beside it, must not be a directory either."""
     for flag in flags:
         path = getattr(args, flag.replace("-", "_"))
         if path is None:
             continue
+        if not path:
+            raise ConfigError(f"--{flag}: empty path")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"--{flag}: directory {folder!r} does not exist")
-        if os.path.isdir(path):
-            raise ConfigError(f"--{flag}: {path!r} is a directory")
+        for target in [path, path + sidecar] if sidecar else [path]:
+            if os.path.isdir(target):
+                raise ConfigError(f"--{flag}: {target!r} is a directory")
 
 
 def cmd_fit(args) -> int:
@@ -171,9 +175,9 @@ def cmd_fit(args) -> int:
         stats = summarize(samples)
         warn_unmixed("fit", stats, samples.n_kept)
         _write_summary(stats, args.out)
-        if args.priors_out:
+        if args.priors_out is not None:
             save_priors(posterior_to_priorset(samples), args.priors_out)
-        if args.draws_out:
+        if args.draws_out is not None:
             draws_to_csv(samples, args.draws_out, pool)
     return 0
 

@@ -10,7 +10,8 @@ Grammar (one entry per line):
 ``path:line:`` anchors, a number must be `finite` (no nan or inf), and
 `check_all_read` rejects every key the reader did not ask for, so a typo'd
 key is an error, not a dropped setting. `read_input` is the one way the
-package reads a file, these and the CSV inputs alike.
+package reads a file, these and the CSV inputs alike, and `KINDS` words
+the error for a value, a key's or a CSV cell's, that its parser rejects.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ def finite(text: str) -> float:
     return value
 
 
-_KINDS = {finite: "a finite number", int: "an integer"}
+def binary(text: str) -> int:
+    """0 or 1 from exactly "0" or "1", blanks around it allowed; ValueError otherwise."""
+    text = text.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {text!r}")
+    return int(text)
+
+
+KINDS = {finite: "a finite number", int: "an integer", binary: "0 or 1"}
 
 
 def read_input(path: str) -> str:
@@ -72,8 +81,8 @@ class KVFile:
             self.kv[key] = value.strip()
 
     def get(self, key: str, parse=finite, default=None, flag=None):
-        """`flag` when given, else `parse` (finite, int or str) of the file's
-        value, else `default`; the key is required when `default` is None."""
+        """`flag` when given, else `parse` (a key of `KINDS`, or str) of the
+        file's value, else `default`; the key is required when `default` is None."""
         self.read.add(key)
         if flag is not None:
             return flag
@@ -84,7 +93,7 @@ class KVFile:
         try:
             value = parse(self.kv[key])
         except ValueError:
-            raise ConfigError(f"{self.path}: key {key!r} is not {_KINDS[parse]}: "
+            raise ConfigError(f"{self.path}: key {key!r} is not {KINDS[parse]}: "
                               f"{self.kv[key]!r}") from None
         return value
 

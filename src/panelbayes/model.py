@@ -20,15 +20,16 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .kvconfig import finite, read_input
+from .kvconfig import KINDS, binary, finite, read_input
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
-PANEL_CSV_HEADER = ["individual", "time", "y", "x1", "x2"]
+PANEL_COLUMNS = [("individual", int), ("time", int), ("y", binary), ("x1", finite), ("x2", finite)]
+PANEL_CSV_HEADER = [name for name, _ in PANEL_COLUMNS]
 
 
 def csv_text(rows: Iterable[Sequence], ncols: int) -> str:
@@ -63,24 +64,36 @@ def write_csv(path: str | None, header: Sequence[str],
             fh.write(part if isinstance(part, str) else csv_text(part, len(header)))
 
 
-def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each non-blank data row of a CSV file.
+def read_csv(path: str, columns: Sequence[tuple[str, Callable[[str], object]]]) -> list[list]:
+    """One list per column of `columns`, (name, parser) pairs, holding the
+    parsed cells of every non-blank data row of a CSV file, in file order.
 
-    The first row, with its cells stripped, must equal `header`, and every
-    data row must have as many cells; otherwise ConfigError is raised with a
-    `path:line` anchor. A file that cannot be read raises `read_input`'s
-    ConfigError.
+    The first row, with its cells stripped, must equal the column names, and
+    every data row must have as many cells. Each cell goes to its column's
+    parser, a key of `kvconfig.KINDS`, which allows blanks around it. Any of
+    these failing raises ConfigError with a `path:line` anchor; a cell that
+    its parser rejects, the first in file order, raises
+    `path:line: column 'name' is not <kind>: 'cell'`. A file that cannot be
+    read raises `read_input`'s ConfigError.
     """
+    header = [name for name, _ in columns]
     reader = csv.reader(io.StringIO(read_input(path), newline=""))
     first = next(reader, None)
-    if first is None or [c.strip() for c in first] != list(header):
+    if first is None or [c.strip() for c in first] != header:
         raise ConfigError(f"{path}:1: expected header {','.join(header)}")
+    values: list[list] = [[] for _ in columns]
     for rowno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise ConfigError(f"{path}:{rowno}: expected {len(header)} columns, got {len(row)}")
-        yield rowno, row
+        if len(row) != len(columns):
+            raise ConfigError(f"{path}:{rowno}: expected {len(columns)} columns, got {len(row)}")
+        for (name, parse), cell, dest in zip(columns, row, values):
+            try:
+                dest.append(parse(cell))
+            except ValueError:
+                raise ConfigError(f"{path}:{rowno}: column {name!r} is not {KINDS[parse]}: "
+                                  f"{cell!r}") from None
+    return values
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -181,25 +194,8 @@ class PanelDataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "PanelDataset":
-        ind, tim, y, x1, x2 = [], [], [], [], []
-        for rowno, row in read_csv(path, PANEL_CSV_HEADER):
-            try:
-                ind.append(int(row[0]))
-                tim.append(int(row[1]))
-            except ValueError:
-                raise ConfigError(f"{path}:{rowno}: individual/time must be integers") from None
-            if row[2] not in ("0", "1"):
-                raise ConfigError(f"{path}:{rowno}: column 'y' must be 0 or 1, got {row[2]!r}")
-            y.append(int(row[2]))
-            for col, name, dest in [(3, "x1", x1), (4, "x2", x2)]:
-                try:
-                    dest.append(finite(row[col]))
-                except ValueError:
-                    raise ConfigError(f"{path}:{rowno}: column {name!r} is not a finite number: "
-                                      f"{row[col]!r}") from None
         try:
-            return cls(np.array(ind, dtype=np.int64), np.array(tim, dtype=np.int64),
-                       np.array(y, dtype=np.int64), np.array(x1), np.array(x2))
+            return cls(*read_csv(path, PANEL_COLUMNS))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

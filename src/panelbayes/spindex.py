@@ -69,19 +69,10 @@ def series_to_panel(years, returns, threshold: float = DEFAULT_THRESHOLD) -> Pan
 
 def load_returns(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The `year,return` CSV as (years, returns); years must strictly increase."""
-    years, rets = [], []
-    for rowno, row in read_csv(path, ["year", "return"]):
-        try:
-            years.append(int(row[0]))
-        except ValueError:
-            raise ConfigError(f"{path}:{rowno}: column 'year' must be an integer") from None
-        try:
-            rets.append(finite(row[1]))
-        except ValueError:
-            raise ConfigError(f"{path}:{rowno}: column 'return' is not a finite number") from None
+    years, returns = read_csv(path, [("year", int), ("return", finite)])
     if np.any(np.diff(years) <= 0):
         raise ConfigError(f"{path}: years must be strictly increasing (no duplicates)")
-    return np.array(years, dtype=np.int64), np.array(rets, dtype=np.float64)
+    return np.array(years, dtype=np.int64), np.array(returns, dtype=np.float64)
 
 
 def surrogate_path() -> str:

@@ -130,12 +130,19 @@ class TestGen:
                                                             monkeypatch):
         monkeypatch.setattr("panelbayes.datagen.gen_panel", no_chain)
         cfg = write_gen_config(tmp_path / "gen.kv")
+        assert main(["gen", "--config", cfg, "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out: empty path\n"
         missing = tmp_path / "missing"
         assert main(["gen", "--config", cfg, "--out", str(missing / "p.csv")]) == 1
         assert capsys.readouterr().err == f"error: --out: directory {str(missing)!r} does not exist\n"
         assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv"]
+        truth = tmp_path / "p.csv.truth"
+        truth.mkdir()
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == f"error: --out: {str(truth)!r} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "p.csv.truth"]
+        assert list(truth.iterdir()) == []
 
     def test_negative_replicate_rejected(self, tmp_path, capsys):
         cfg = write_gen_config(tmp_path / "gen.kv")
@@ -320,6 +327,10 @@ class TestFit:
                                                  monkeypatch, flag):
         monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
         outs = {f: str(tmp_path / f"{f[2:]}.txt") for f in ("--out", "--priors-out", "--draws-out")}
+        outs[flag] = ""
+        args = [a for f, path in outs.items() for a in (f, path)]
+        assert main(["fit", "--data", str(panel_csv)] + args + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: {flag}: empty path\n"
         missing = tmp_path / "missing"
         outs[flag] = str(missing / "file.csv")
         args = [a for f, path in outs.items() for a in (f, path)]
@@ -331,6 +342,15 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {flag}: {str(tmp_path)!r} is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "panel.csv",
                                                               "panel.csv.truth"]
+
+    def test_bad_cell_is_config_error_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("individual,time,y,x1,x2\n1,1,1,0.5,0.2\n1,2,yes,0.5,0.2\n")
+        assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "s.csv")]
+                    + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == f"error: {panel}:3: column 'y' is not 0 or 1: 'yes'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
 
     def test_non_finite_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         for key, value in [("beta0.mean", "nan"), ("beta0.variance", "inf"),
@@ -654,7 +674,8 @@ class TestSpindex:
         series = tmp_path / "series.csv"
         series.write_text("year,return\n1990,0.5\n1991,nan\n1992,2.0\n1993,1.0\n")
         assert main(["spindex", "--data", str(series), "--split-year", "1992"] + FIT_FLAGS) == 1
-        assert f"{series}:3: column 'return' is not a finite number" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == f"error: {series}:3: column 'return' is not a finite number: 'nan'\n")
 
     def test_degenerate_carry_over_names_the_parameter(self, capsys, monkeypatch):
         # a stage-1 chain that accepted no beta move: every kept beta0 draw is
@@ -672,11 +693,14 @@ class TestSpindex:
 
     def test_out_path_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("panelbayes.cli.two_stage_fit", no_chain)
+        assert main(["spindex", "--out", ""] + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == "error: --out: empty path\n"
         missing = tmp_path / "missing"
         assert main(["spindex", "--out", str(missing / "sp.csv")] + FIT_FLAGS) == 1
         assert capsys.readouterr().err == f"error: --out: directory {str(missing)!r} does not exist\n"
         assert main(["spindex", "--out", str(tmp_path)] + FIT_FLAGS) == 1
         assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0

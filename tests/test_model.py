@@ -207,23 +207,41 @@ class TestPanelDataset:
         with pytest.raises(ConfigError, match="a.csv:1"):
             PanelDataset.from_csv(str(bad_header))
 
-        bad_y = tmp_path / "b.csv"
-        bad_y.write_text("individual,time,y,x1,x2\n1,1,1,0.0,0.0\n1,2,7,0.0,0.0\n")
-        with pytest.raises(ConfigError, match="b.csv:3.*'y'"):
-            PanelDataset.from_csv(str(bad_y))
+        short = tmp_path / "short.csv"
+        short.write_text("individual,time,y,x1,x2\n1,1,1,0.0,0.0\n1,2,1,0.0\n")
+        with pytest.raises(ConfigError) as exc:
+            PanelDataset.from_csv(str(short))
+        assert str(exc.value) == f"{short}:3: expected 5 columns, got 4"
 
-        bad_x = tmp_path / "c.csv"
-        bad_x.write_text("individual,time,y,x1,x2\n1,1,1,zap,0.0\n")
-        with pytest.raises(ConfigError, match="c.csv:2.*'x1'"):
-            PanelDataset.from_csv(str(bad_x))
-
-        inf_x = tmp_path / "d.csv"
-        inf_x.write_text("individual,time,y,x1,x2\n1,1,1,0.0,0.0\n1,2,1,0.0,inf\n")
-        with pytest.raises(ConfigError, match="d.csv:3: column 'x2' is not a finite number: 'inf'"):
-            PanelDataset.from_csv(str(inf_x))
+        # every column's bad cell, after a good row; the raw cell is quoted,
+        # and the first bad cell in file order is the one named
+        bad_rows = {
+            "individual": ("1.5,2,1,0.0,0.0", "column 'individual' is not an integer: '1.5'"),
+            "time": ("1,two,1,0.0,0.0", "column 'time' is not an integer: 'two'"),
+            "y": ("1,2,7,0.0,0.0", "column 'y' is not 0 or 1: '7'"),
+            "y_float": ("1,2, 1.0 ,0.0,0.0", "column 'y' is not 0 or 1: ' 1.0 '"),
+            "x1": ("1,2,1,zap,0.0", "column 'x1' is not a finite number: 'zap'"),
+            "x2": ("1,2,1,0.0,inf", "column 'x2' is not a finite number: 'inf'"),
+            "first": ("1,x,7,nan,0.0", "column 'time' is not an integer: 'x'"),
+        }
+        for name, (row, message) in bad_rows.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"individual,time,y,x1,x2\n1,1,1,0.0,0.0\n{row}\n")
+            with pytest.raises(ConfigError) as exc:
+                PanelDataset.from_csv(str(path))
+            assert str(exc.value) == f"{path}:3: {message}"
 
         with pytest.raises(ConfigError, match="missing.csv"):
             PanelDataset.from_csv(str(tmp_path / "missing.csv"))
+
+    def test_csv_allows_blanks_around_every_cell(self, tmp_path):
+        clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+        clean.write_text("individual,time,y,x1,x2\n1,1,1,0.5,0.2\n")
+        padded.write_text("individual,time,y,x1,x2\n 1 ,\t1 , 1\t, 0.5 ,0.2 \n")
+        a, b = PanelDataset.from_csv(str(clean)), PanelDataset.from_csv(str(padded))
+        for col in PANEL_CSV_HEADER:
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+            assert getattr(a, col).dtype == getattr(b, col).dtype
 
     def test_write_csv_matches_the_csv_module(self, tmp_path, capsys):
         # the kinds of cell every caller writes: ints, Python floats, and

@@ -94,20 +94,33 @@ class TestReturnSeries:
 class TestLoadReturns:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("year,return\n1990,1.5\n1991,-0.25\n")
+        path.write_text("year,return\n1990,1.5\n 1991 , -0.25 \n")
         years, returns = load_returns(str(path))
         assert list(years) == [1990, 1991]
         assert list(returns) == [1.5, -0.25]
 
     def test_anchored_errors(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("year,return\n1990,1.5\n1991,zap\n")
-        with pytest.raises(ConfigError, match="bad.csv:3"):
-            load_returns(str(bad))
+        bad_rows = {
+            "year": ("1991.0,0.5", "column 'year' is not an integer: '1991.0'"),
+            "return": ("1991,zap", "column 'return' is not a finite number: 'zap'"),
+            "return_nan": ("1991, nan", "column 'return' is not a finite number: ' nan'"),
+            "first": ("x,zap", "column 'year' is not an integer: 'x'"),
+        }
+        for name, (row, message) in bad_rows.items():
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text(f"year,return\n1990,1.5\n{row}\n")
+            with pytest.raises(ConfigError) as exc:
+                load_returns(str(bad))
+            assert str(exc.value) == f"{bad}:3: {message}"
         noheader = tmp_path / "nh.csv"
         noheader.write_text("y,r\n1,2\n")
         with pytest.raises(ConfigError, match="nh.csv:1"):
             load_returns(str(noheader))
+        unsorted = tmp_path / "unsorted.csv"
+        unsorted.write_text("year,return\n1991,1.5\n1990,0.5\n")
+        with pytest.raises(ConfigError) as exc:
+            load_returns(str(unsorted))
+        assert str(exc.value) == f"{unsorted}: years must be strictly increasing (no duplicates)"
 
 
 def test_bundled_surrogate_matches_recipe():

@@ -14,7 +14,7 @@ import sys
 from .datagen import DEFAULT_BETA, SimConfig, replicate_panel
 from .errors import ConfigError
 from .experiment import RUNS, run_study, write_tables
-from .kvconfig import KVFile, finite, write_kv_file
+from .kvconfig import KVFile, finite, integer, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
 from .sampler import ChainConfig, draws_to_csv, run_chain, summarize, warn_unmixed
@@ -29,10 +29,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--burn-in", type=integer, default=None)
+    p.add_argument("--samples", type=integer, default=None)
+    p.add_argument("--thin", type=integer, default=None)
+    p.add_argument("--seed", type=integer, default=None, help="override the config seed")
 
 
 def build_parser() -> _Parser:
@@ -43,8 +43,9 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate one replicate's synthetic panel")
     p_gen.add_argument("--config", required=True, help="key=value file with individuals/periods/sigma")
     p_gen.add_argument("--out", required=True, help="panel CSV path (truth sidecar goes to <out>.truth)")
-    p_gen.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_gen.add_argument("--replicate", type=int, default=None, help="replicate stream index (default 0)")
+    p_gen.add_argument("--seed", type=integer, default=None, help="override the config seed")
+    p_gen.add_argument("--replicate", type=integer, default=None,
+                       help="replicate stream index (default 0)")
 
     p_fit = sub.add_parser("fit", help="fit one panel CSV")
     p_fit.add_argument("--data", required=True, help="panel CSV (individual,time,y,x1,x2)")
@@ -60,14 +61,14 @@ def build_parser() -> _Parser:
     p_study = sub.add_parser("study", help="run the replicated R1..R6 study")
     p_study.add_argument("--config", required=True, help="study config (key=value)")
     p_study.add_argument("--out", default=None, help="override the config output directory")
-    p_study.add_argument("--jobs", type=int, default=None, help="override the worker count")
+    p_study.add_argument("--jobs", type=integer, default=None, help="override the worker count")
     _add_chain_flags(p_study)
 
     p_sp = sub.add_parser("spindex", help="two-stage fit of a yearly return series")
     p_sp.add_argument("--data", default=None,
                       help="year,return CSV (default: bundled synthetic surrogate)")
     p_sp.add_argument("--config", default=None, help="optional key=value file with chain settings")
-    p_sp.add_argument("--split-year", type=int, default=DEFAULT_SPLIT_YEAR)
+    p_sp.add_argument("--split-year", type=integer, default=DEFAULT_SPLIT_YEAR)
     p_sp.add_argument("--threshold", type=finite, default=DEFAULT_THRESHOLD)
     p_sp.add_argument("--out", default=None, help="comparison CSV path (default: stdout)")
     _add_chain_flags(p_sp)
@@ -82,7 +83,7 @@ def _source(cfg: KVFile, key: str, flag) -> str:
 
 
 def _chain_config_from(cfg: KVFile, args) -> ChainConfig:
-    values = {key: cfg.get(key, int, getattr(ChainConfig, key), getattr(args, key))
+    values = {key: cfg.get(key, integer, getattr(ChainConfig, key), getattr(args, key))
               for key in ("burn_in", "samples", "thin", "seed")}
     try:
         return ChainConfig(**values)
@@ -93,12 +94,12 @@ def _chain_config_from(cfg: KVFile, args) -> ChainConfig:
 
 def _sim_config_from(cfg: KVFile, args) -> SimConfig:
     values = dict(
-        individuals=cfg.get("individuals", int),
-        periods=cfg.get("periods", int),
+        individuals=cfg.get("individuals", integer),
+        periods=cfg.get("periods", integer),
         sigma=cfg.get("sigma"),
         beta_true=tuple(cfg.get(f"beta{k}", default=DEFAULT_BETA[k]) for k in range(3)),
-        replicates=cfg.get("replicates", int, SimConfig.replicates),
-        seed=cfg.get("seed", int, SimConfig.seed, args.seed),
+        replicates=cfg.get("replicates", integer, SimConfig.replicates),
+        seed=cfg.get("seed", integer, SimConfig.seed, args.seed),
     )
     try:
         return SimConfig(**values)
@@ -110,7 +111,7 @@ def cmd_gen(args) -> int:
     _check_out_paths(args, "out", sidecar=".truth")
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
-    rep = cfg.get("replicate", int, 0, args.replicate)
+    rep = cfg.get("replicate", integer, 0, args.replicate)
     cfg.check_all_read()
     if rep < 0:
         raise ConfigError(f"{_source(cfg, 'replicate', args.replicate)}: "
@@ -189,7 +190,7 @@ def cmd_study(args) -> int:
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
     cpus = usable_cpus()
-    jobs = min(cfg.get("jobs", int, cpus, args.jobs), cpus)  # < 1 only if set < 1
+    jobs = min(cfg.get("jobs", integer, cpus, args.jobs), cpus)  # < 1 only if set < 1
     cfg.check_all_read()
     if jobs < 1:
         raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")

@@ -7,11 +7,17 @@ Grammar (one entry per line):
                                  value: everything after '=', stripped
 
 `KVFile` reads configs and priors files alike. Parse errors carry
-``path:line:`` anchors, a number must be `finite` (no nan or inf), and
-`check_all_read` rejects every key the reader did not ask for, so a typo'd
-key is an error, not a dropped setting. `read_input` is the one way the
-package reads a file, these and the CSV inputs alike, and `KINDS` words
-the error for a value, a key's or a CSV cell's, that its parser rejects.
+``path:line:`` anchors, a number must be `finite` (no nan or inf) or an
+`integer`, and `check_all_read` rejects every key the reader did not ask
+for, so a typo'd key is an error, not a dropped setting. `read_input` is
+the one way the package reads a file, these and the CSV inputs alike.
+
+The parsers `finite`, `integer`, `int64` and `binary` read a value, a key's,
+a CSV cell's or a flag's. A number is an ASCII sign, ASCII digits with at
+most one point, and an exponent, with blanks around it: no digit-group
+underscores or non-ASCII digits, which float() and int() would take. A
+parser that rejects its text raises ValueError whose message words what the
+text is not ("not an integer"), for the caller to anchor.
 """
 
 from __future__ import annotations
@@ -20,12 +26,45 @@ import math
 
 from .errors import ConfigError
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _spelled_in_ascii(text: str) -> bool:
+    """No non-ASCII character and no underscore in `text`. Beyond an ASCII
+    sign, digits, point and exponent with blanks around them, float() and
+    int() take only digit-group underscores, non-ASCII digits and blanks,
+    which this rules out, and (float) nan and inf, which `finite` rejects."""
+    return text.isascii() and "_" not in text
+
 
 def finite(text: str) -> float:
-    """The float `text` spells; ValueError for nan, inf or no number at all."""
-    value = float(text)
+    """The float `text` spells, blanks around it allowed; ValueError for nan,
+    inf, a value that overflows or no decimal number at all."""
+    try:
+        value = float(text) if _spelled_in_ascii(text) else math.nan
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+        raise ValueError("not a finite number")
+    return value
+
+
+def integer(text: str) -> int:
+    """The int `text` spells, blanks around it allowed; ValueError otherwise."""
+    try:
+        if _spelled_in_ascii(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError("not an integer")
+
+
+def int64(text: str) -> int:
+    """`integer` within the range of the int64 arrays that hold the CSV
+    integer columns; ValueError otherwise."""
+    value = integer(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError("not a 64-bit integer")
     return value
 
 
@@ -33,20 +72,18 @@ def binary(text: str) -> int:
     """0 or 1 from exactly "0" or "1", blanks around it allowed; ValueError otherwise."""
     text = text.strip()
     if text not in ("0", "1"):
-        raise ValueError(f"not 0 or 1: {text!r}")
+        raise ValueError("not 0 or 1")
     return int(text)
 
 
-KINDS = {finite: "a finite number", int: "an integer", binary: "0 or 1"}
-
-
 def read_input(path: str) -> str:
-    """The text of `path` decoded as UTF-8, its line ends as in the file;
-    ConfigError naming the path and the reason when it cannot be opened (a
-    missing file, a directory, no permission) or is not UTF-8."""
+    """The text of `path` decoded as UTF-8, less one leading byte-order mark
+    (spreadsheets write one), its line ends as in the file; ConfigError
+    naming the path and the reason when it cannot be opened (a missing file,
+    a directory, no permission) or is not UTF-8."""
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot open ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -81,8 +118,9 @@ class KVFile:
             self.kv[key] = value.strip()
 
     def get(self, key: str, parse=finite, default=None, flag=None):
-        """`flag` when given, else `parse` (a key of `KINDS`, or str) of the
-        file's value, else `default`; the key is required when `default` is None."""
+        """`flag` when given, else `parse` (one of this module's parsers, or
+        str) of the file's value, else `default`; the key is required when
+        `default` is None."""
         self.read.add(key)
         if flag is not None:
             return flag
@@ -91,11 +129,9 @@ class KVFile:
                 raise ConfigError(f"{self.path}: missing required key {key!r}")
             return default
         try:
-            value = parse(self.kv[key])
-        except ValueError:
-            raise ConfigError(f"{self.path}: key {key!r} is not {KINDS[parse]}: "
-                              f"{self.kv[key]!r}") from None
-        return value
+            return parse(self.kv[key])
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: key {key!r} is {exc}: {self.kv[key]!r}") from None
 
     def check_all_read(self) -> None:
         unread = [key for key in self.kv if key not in self.read]

@@ -25,10 +25,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .kvconfig import KINDS, binary, finite, read_input
+from .kvconfig import binary, finite, int64, read_input
 from .priors import PriorSet, log_density_invgamma, log_density_normal
 
-PANEL_COLUMNS = [("individual", int), ("time", int), ("y", binary), ("x1", finite), ("x2", finite)]
+PANEL_COLUMNS = [("individual", int64), ("time", int64), ("y", binary),
+                 ("x1", finite), ("x2", finite)]
 PANEL_CSV_HEADER = [name for name, _ in PANEL_COLUMNS]
 
 
@@ -70,7 +71,7 @@ def read_csv(path: str, columns: Sequence[tuple[str, Callable[[str], object]]]) 
 
     The first row, with its cells stripped, must equal the column names, and
     every data row must have as many cells. Each cell goes to its column's
-    parser, a key of `kvconfig.KINDS`, which allows blanks around it. Any of
+    parser, one of `kvconfig`'s, which allows blanks around it. Any of
     these failing raises ConfigError with a `path:line` anchor; a cell that
     its parser rejects, the first in file order, raises
     `path:line: column 'name' is not <kind>: 'cell'`. A file that cannot be
@@ -90,9 +91,8 @@ def read_csv(path: str, columns: Sequence[tuple[str, Callable[[str], object]]]) 
         for (name, parse), cell, dest in zip(columns, row, values):
             try:
                 dest.append(parse(cell))
-            except ValueError:
-                raise ConfigError(f"{path}:{rowno}: column {name!r} is not {KINDS[parse]}: "
-                                  f"{cell!r}") from None
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{rowno}: column {name!r} is {exc}: {cell!r}") from None
     return values
 
 
@@ -233,11 +233,6 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-# softplus's constants as 0-d arrays: numpy converts a Python float operand
-# anew on every call, which costs about as much as the call at small sizes
-_MINUS_ONE, _ZERO = np.array(-1.0), np.array(0.0)
-
-
 def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(x)) elementwise for a float array x, as
     max(x, 0) + log1p(exp(-|x|)), computed in place in `out` (a new array
@@ -246,16 +241,11 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     exp only ever sees a non-positive argument, so the result is finite for
     every finite x and keeps the tail of large negative x. copysign(x, -1)
     gives -|x| bit for bit in one call.
-
-    A sweep of `sampler._Chain` uses this five-call form only in a window whose
-    bound on mu reaches 700, a margin under 709.78, where exp overflows; below
-    it, it computes log1p(exp(x)) in two calls, which gives the same bits for
-    x <= 0 and is within 2 ulp above.
     """
-    t = np.copysign(x, _MINUS_ONE, out=out)
+    t = np.copysign(x, -1.0, out=out)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    t += np.maximum(x, _ZERO)
+    t += np.maximum(x, 0.0)
     return t
 
 

@@ -43,21 +43,26 @@ at 600 and 3000 observations, not even the (n, n_obs) X d rows. Each
 sampling segment runs as a series of windows of at most _ADAPT_WINDOW
 sweeps. Each sweep then does only the state-dependent work: the two
 softplus passes, the bincount, the prior deltas, the accept tests and the
-masked copies. A softplus pass costs two calls, log1p(exp(mu)), in a window
-whose mu cannot reach _EXP_SAFE = 700, a margin under 709.78, where exp
-overflows. The window bounds mu by the state's largest mu plus every upward
-step it could accept: |d_beta| . max|X| and max(0, max d_eps), summed over
-its sweeps. A window whose bound reaches 700 takes the overflow-safe
-`model.softplus`, five calls. The two forms agree bit for bit at mu <= 0 and
-within 2 ulp above. A sweep makes 23 numpy calls under the bound and 29 over
-it. The chain owns its eps and two (mu, sp) rows, the state's and a spare
-one, plus one scratch array each of observation and of individual size. A
-sweep writes into these and allocates no proposal array. Each proposal is
-built in the spare row with ufunc `out=`. An accepted beta proposal swaps
-the rows; the eps block copies its accepted entries into eps and the state's
-row (np.copyto with `where=`). The sp rows are one (2, n_obs) array, so one
-sum over axis 1 totals the current and the proposed sp, bit for bit as two
-1-d sums. The 3-term beta step and prior delta are Python floats. Both
+masked copies.
+
+The chain owns its eps and one (2, 2, n_obs) array `rows` of (mu, sp)
+pairs: rows[cur] is the state's and rows[1 - cur] the spare pair, plus one
+scratch array each of observation and of individual size. A sweep writes
+into these and allocates no proposal array. Each proposal is built in the
+spare pair with ufunc `out=`. An accepted beta proposal flips `cur`; the
+eps block copies its accepted entries into eps and copies both fields of
+the accepted observations into the state's pair with one np.copyto with
+`where=`. The beta block totals both sp rows with one sum over
+rows[:, 1], bit for bit as two 1-d sums.
+
+Each window picks its softplus form once. It bounds every mu it can
+propose by the state's largest mu plus every upward step it could accept:
+|d_beta| . max|X| and max(0, max d_eps), summed over its sweeps. Below
+_EXP_SAFE = 700, a margin under 709.78, where exp overflows, a softplus
+pass is log1p(exp(mu)), two calls; otherwise it is the overflow-safe
+`model.softplus`, five calls. The two forms agree bit for bit at mu <= 0
+and within 2 ulp above. A sweep makes 22 numpy calls under the bound and
+28 over it. The 3-term beta step and prior delta are Python floats. Both
 blocks accept when log u < delta, so a zero uniform (log 0 = -inf) accepts.
 """
 
@@ -152,6 +157,13 @@ def _inverse_gamma(scale: float, g: float) -> float:
     return 1.0 / max((1.0 / scale) * g, _TINY)
 
 
+def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softplus as log1p(exp(x)) in two calls, in place in `out`; exp
+    overflows for x above 709.78, so `_Chain.sweep` takes it only in a window
+    whose bound on mu stays below _EXP_SAFE."""
+    return np.log1p(np.exp(x, out=out), out=out)
+
+
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
     """Exact draw from IG(shape + I/2, scale + sum(eps^2)/2)."""
     eps = np.asarray(epsilon, dtype=np.float64)
@@ -209,7 +221,7 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> Non
 class _Chain:
     """One chain: the fixed arrays of (dataset, priors), the state with its
     mu = X beta + eps[codes] and sp = softplus(mu) cache, the spare
-    (mu, sp) row and scratch arrays, the proposal and the acceptance
+    (mu, sp) pair and scratch arrays, the proposal and the acceptance
     tallies."""
 
     def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
@@ -227,12 +239,12 @@ class _Chain:
         self.sigma2_shape = priors.sigma2_prior.shape + 0.5 * n_ind
         self.sigma2_scale = priors.sigma2_prior.scale
         # the chain owns its eps and its (mu, sp) rows and writes into them:
-        # row `cur` holds the state's, the other row is the spare pair that
-        # proposals are built in, so one sum over axis 1 totals both sp rows
+        # rows[cur] holds the state's, rows[1 - cur] is the spare pair that
+        # proposals are built in
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
-        self.mus, self.sps, self.cur = np.empty((2, n_obs)), np.empty((2, n_obs)), 0
-        np.add(self.X @ self.beta, self.eps[self.codes], out=self.mus[0])
-        softplus(self.mus[0], out=self.sps[0])
+        self.rows, self.cur = np.empty((2, 2, n_obs)), 0
+        np.add(self.X @ self.beta, self.eps[self.codes], out=self.rows[0, 0])
+        softplus(self.rows[0, 0], out=self.rows[0, 1])
         # scratch arrays of observation and of individual size
         self.obs_tmp, self.ind_tmp = np.empty(n_obs), np.empty(n_ind)
         self.chol = np.eye(3) if chol is None else chol
@@ -242,11 +254,11 @@ class _Chain:
 
     @property
     def mu(self) -> np.ndarray:
-        return self.mus[self.cur]
+        return self.rows[self.cur, 0]
 
     @property
     def sp(self) -> np.ndarray:
-        return self.sps[self.cur]
+        return self.rows[self.cur, 1]
 
     def sweep(self, rng: np.random.Generator, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """n <= _ADAPT_WINDOW sweeps at the current proposal, each the beta
@@ -254,11 +266,12 @@ class _Chain:
         adding its acceptances to the tallies. Returns beta (n, 3) and
         sigma2 (n,) as they stand after each sweep.
 
-        The window's randomness and its state-free proposal terms are made
-        first, in one pass (see the module docstring), with three RNG calls
-        whatever n is. Each proposal is built in the spare (mu, sp) row; an
-        accepted beta proposal swaps the rows, and the eps block writes its
-        accepted entries into the state (np.copyto with `where=`)."""
+        The window's randomness, its state-free proposal terms and its
+        softplus form are fixed first, in one pass (see the module
+        docstring), with three RNG calls whatever n is. Each proposal is
+        built in the spare (mu, sp) pair; an accepted beta proposal flips
+        `cur`, and the eps block copies its accepted observations into the
+        state's pair with one masked copy."""
         n_ind, codes, sigma2_scale = self.n_ind, self.codes, self.sigma2_scale
         z = rng.standard_normal((n, 3 + n_ind))
         log_u = rng.random((n, 1 + n_ind))
@@ -276,26 +289,24 @@ class _Chain:
         half_d2 *= 0.5
         accepted = np.empty((n, n_ind), dtype=bool)
         # no mu this window proposes exceeds the state's largest mu plus every
-        # upward beta and eps step it could accept; below _EXP_SAFE, exp(mu)
-        # cannot overflow and log1p(exp(mu)) is softplus in two calls
+        # upward beta and eps step it could accept
         bound = (self.mu.max(initial=-math.inf) + float(np.abs(d_beta).dot(self.x_max).sum())
                  + float(d_eps.max(axis=1, initial=0.0).sum()))
-        fast = bound < _EXP_SAFE
+        sp_of = _log1p_exp if bound < _EXP_SAFE else softplus
 
         (m0, v0), (m1, v1), (m2, v2) = self.beta_prior
         b0, b1, b2 = self.beta.tolist()
-        eps, mus, sps, cur = self.eps, self.mus, self.sps, self.cur
-        mu, sp, mu_p, sp_p = mus[cur], sps[cur], mus[1 - cur], sps[1 - cur]
+        eps, rows, cur = self.eps, self.rows, self.cur
+        sps = rows[:, 1]
+        state, spare = rows[cur], rows[1 - cur]
+        (mu, sp), (mu_p, sp_p) = state, spare
         obs_tmp, ind_tmp, sigma2 = self.obs_tmp, self.ind_tmp, self.sigma2
         betas, sigma2s = [], []
         for (s0, s1, s2), xty_dt, lu_beta, dmu, d, y_dt, half_d2t, lu_eps, acc, g in zip(
                 d_beta.tolist(), xty_d, log_u[:, 0].tolist(), dmu_beta, d_eps, y_d,
                 half_d2, log_u[:, 1:], accepted, gammas):
             np.add(mu, dmu, out=mu_p)
-            if fast:
-                np.log1p(np.exp(mu_p, out=sp_p), out=sp_p)
-            else:
-                softplus(mu_p, out=sp_p)
+            sp_of(mu_p, out=sp_p)
             totals = sps.sum(axis=1).tolist()  # row for row as sp_p.sum(), sp.sum()
             dll = xty_dt - (totals[1 - cur] - totals[cur])
             p0, p1, p2 = b0 + s0, b1 + s1, b2 + s2
@@ -306,14 +317,11 @@ class _Chain:
             if lu_beta < dll + dpr:
                 b0, b1, b2 = p0, p1, p2
                 cur = 1 - cur
-                mu, sp, mu_p, sp_p = mu_p, sp_p, mu, sp
+                state, mu, sp, spare, mu_p, sp_p = spare, mu_p, sp_p, state, mu, sp
                 self.acc_b += 1
 
             np.add(mu, d[codes], out=mu_p)
-            if fast:
-                np.log1p(np.exp(mu_p, out=sp_p), out=sp_p)
-            else:
-                softplus(mu_p, out=sp_p)
+            sp_of(mu_p, out=sp_p)
             np.subtract(sp_p, sp, out=obs_tmp)
             dll = y_dt - np.bincount(codes, weights=obs_tmp, minlength=n_ind)
             # (eps^2 - eps_p^2) / (2 sigma2) = -(eps*d + d^2/2) / sigma2
@@ -324,9 +332,7 @@ class _Chain:
             np.less(lu_eps, dll, out=acc)
             np.add(eps, d, out=ind_tmp)
             np.copyto(eps, ind_tmp, where=acc)
-            acc_obs = acc[codes]
-            np.copyto(mu, mu_p, where=acc_obs)
-            np.copyto(sp, sp_p, where=acc_obs)
+            np.copyto(state, spare, where=acc[codes])
             sigma2 = _inverse_gamma(sigma2_scale + 0.5 * float(eps.dot(eps)), g)
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)

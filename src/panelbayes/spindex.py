@@ -38,7 +38,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .kvconfig import finite
+from .kvconfig import finite, int64
 from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
@@ -69,7 +69,7 @@ def series_to_panel(years, returns, threshold: float = DEFAULT_THRESHOLD) -> Pan
 
 def load_returns(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The `year,return` CSV as (years, returns); years must strictly increase."""
-    years, returns = read_csv(path, [("year", int), ("return", finite)])
+    years, returns = read_csv(path, [("year", int64), ("return", finite)])
     if np.any(np.diff(years) <= 0):
         raise ConfigError(f"{path}: years must be strictly increasing (no duplicates)")
     return np.array(years, dtype=np.int64), np.array(returns, dtype=np.float64)

@@ -81,8 +81,9 @@ def test_criterion_3_quadrature_oracle():
 
 
 def test_criterion_4_joint_distribution():
-    # compare E[beta0] under (prior, data) sampled forward against the chain
-    # that alternates one fixed-kernel sweep with a data redraw
+    # compare E[beta0], E[beta1], E[beta2] and E[log sigma2] under (prior,
+    # data) sampled forward against the chain that alternates one
+    # fixed-kernel sweep with a data redraw
     ind = np.array([1, 1, 2, 2])
     tim = np.array([1, 2, 1, 2])
     x1 = np.array([0.0, 0.0, 1.0, 1.0])
@@ -103,16 +104,18 @@ def test_criterion_4_joint_distribution():
         mu = X @ state.beta + np.asarray(state.epsilon)[codes]
         return (rng.random(4) < expit(mu)).astype(int)
 
+    def means_of(state):
+        return (*state.beta, math.log(state.sigma2))
+
     m_draws = 50000
-    prior_b0 = np.empty(m_draws)
+    prior_draws = np.empty((m_draws, 4))
     for m in range(m_draws):
         st = draw_state()
         draw_y(st)
-        prior_b0[m] = st.beta[0]
-    se_prior = prior_b0.std(ddof=1) / math.sqrt(m_draws)
+        prior_draws[m] = means_of(st)
 
     sweeps = 52000
-    chain_b0 = np.empty(sweeps)
+    chain_draws = np.empty((sweeps, 4))
     st = draw_state()
     y = draw_y(st)
     for t in range(sweeps):
@@ -121,15 +124,21 @@ def test_criterion_4_joint_distribution():
                               beta_log_scale=math.log(0.6),
                               eps_scales=np.array([0.8, 0.8]))
         y = draw_y(st)
-        chain_b0[t] = st.beta[0]
-    chain_b0 = chain_b0[2000:]
-    se_chain = chain_b0.std(ddof=1) / math.sqrt(effective_sample_size(chain_b0))
+        chain_draws[t] = means_of(st)
+    chain_draws = chain_draws[2000:]
 
-    diff = abs(float(prior_b0.mean()) - float(chain_b0.mean()))
-    budget = 4.0 * math.sqrt(se_prior ** 2 + se_chain ** 2)
-    _report(4, "prior-path and successive-conditional E[beta0] agree", diff <= budget,
-            f"(prior={prior_b0.mean():+.4f}, chain={chain_b0.mean():+.4f}, "
-            f"diff={diff:.4f}, 4*se={budget:.4f})")
+    ok, details = True, []
+    for name, prior_k, chain_k in zip(("beta0", "beta1", "beta2", "log sigma2"),
+                                      prior_draws.T, chain_draws.T):
+        se_prior = prior_k.std(ddof=1) / math.sqrt(m_draws)
+        se_chain = chain_k.std(ddof=1) / math.sqrt(effective_sample_size(chain_k))
+        diff = abs(float(prior_k.mean()) - float(chain_k.mean()))
+        budget = 4.0 * math.sqrt(se_prior ** 2 + se_chain ** 2)
+        ok = ok and diff <= budget
+        details.append(f"{name}: prior={prior_k.mean():+.4f}, chain={chain_k.mean():+.4f}, "
+                       f"diff={diff:.4f}, 4*se={budget:.4f}")
+    _report(4, "prior-path and successive-conditional means of beta0, beta1, beta2 "
+            "and log sigma2 agree", ok, "(" + "; ".join(details) + ")")
 
 
 def test_criterion_5_desk_scale_ordering():

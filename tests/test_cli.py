@@ -93,6 +93,24 @@ class TestGen:
             assert f"{cfg}: key {key!r} is not a finite number" in capsys.readouterr().err
             assert not (tmp_path / "p.csv").exists()
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # a config saved with a leading UTF-8 byte-order mark reads as without it
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        marked = tmp_path / "bom.kv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(cfg).read_bytes())
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["gen", "--config", str(marked), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_takes_any_integer(self, tmp_path):
+        # seeds are masked to 64 bits, so one beyond int64 is the same stream
+        cfg = write_gen_config(tmp_path / "gen.kv", seed=2 ** 64 + 99)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["gen", "--config", cfg, "--out", str(b), "--seed", "99"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_determinism(self, tmp_path):
         cfg = write_gen_config(tmp_path / "gen.kv")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -346,11 +364,36 @@ class TestFit:
     def test_bad_cell_is_config_error_before_any_chain(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
         panel = tmp_path / "panel.csv"
-        panel.write_text("individual,time,y,x1,x2\n1,1,1,0.5,0.2\n1,2,yes,0.5,0.2\n")
-        assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "s.csv")]
-                    + FIT_FLAGS) == 1
-        assert capsys.readouterr().err == f"error: {panel}:3: column 'y' is not 0 or 1: 'yes'\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+        for row, message in [
+                ("1,2,yes,0.5,0.2", "column 'y' is not 0 or 1: 'yes'"),
+                # beyond int64, where the panel's integer columns are held
+                ("99999999999999999999,2,1,0.5,0.2",
+                 "column 'individual' is not a 64-bit integer: '99999999999999999999'")]:
+            panel.write_text(f"individual,time,y,x1,x2\n1,1,1,0.5,0.2\n{row}\n")
+            assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "s.csv")]
+                        + FIT_FLAGS) == 1
+            assert capsys.readouterr().err == f"error: {panel}:3: {message}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+    def test_numbers_take_ascii_digits_only(self, tmp_path, panel_csv, capsys, monkeypatch):
+        # digit-group underscores and non-ASCII digits, which int() and
+        # float() take, are no number in a flag or a key
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        fit = ["fit", "--data", str(panel_csv)]
+        for flag, value in [("--burn-in", "1_0"), ("--samples", "\u0661\u0660"),
+                            ("--thin", "1_0"), ("--seed", "1_0")]:
+            assert main(fit + [flag, value]) == 1
+            assert (capsys.readouterr().err
+                    == f"error: usage error: argument {flag}: invalid integer value: {value!r}\n")
+        cfg = tmp_path / "chain.kv"
+        cfg.write_text("samples = 1_0\n")
+        assert main(fit + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: key 'samples' is not an integer: '1_0'\n"
+        priors = tmp_path / "priors.kv"
+        priors.write_text(priors_text(**{"beta0.mean": "0_5"}))
+        assert main(fit + ["--priors-in", str(priors)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {priors}: key 'beta0.mean' is not a finite number: '0_5'\n")
 
     def test_non_finite_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         for key, value in [("beta0.mean", "nan"), ("beta0.variance", "inf"),
@@ -676,6 +719,16 @@ class TestSpindex:
         assert main(["spindex", "--data", str(series), "--split-year", "1992"] + FIT_FLAGS) == 1
         assert (capsys.readouterr().err
                 == f"error: {series}:3: column 'return' is not a finite number: 'nan'\n")
+
+    def test_year_beyond_int64_is_config_error_before_any_chain(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr("panelbayes.spindex.run_chain", no_chain)
+        series = tmp_path / "series.csv"
+        series.write_text("year,return\n1990,0.5\n99999999999999999999,2.0\n")
+        assert main(["spindex", "--data", str(series), "--out", str(tmp_path / "sp.csv")]) == 1
+        assert (capsys.readouterr().err == f"error: {series}:3: column 'year' is not "
+                                           f"a 64-bit integer: '99999999999999999999'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
     def test_degenerate_carry_over_names_the_parameter(self, capsys, monkeypatch):
         # a stage-1 chain that accepted no beta move: every kept beta0 draw is

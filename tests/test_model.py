@@ -223,10 +223,24 @@ class TestPanelDataset:
             "x1": ("1,2,1,zap,0.0", "column 'x1' is not a finite number: 'zap'"),
             "x2": ("1,2,1,0.0,inf", "column 'x2' is not a finite number: 'inf'"),
             "first": ("1,x,7,nan,0.0", "column 'time' is not an integer: 'x'"),
+            # beyond the int64 arrays the integer columns are held in
+            "individual_int64": ("99999999999999999999,2,1,0.0,0.0", "column 'individual' is "
+                                 "not a 64-bit integer: '99999999999999999999'"),
+            "time_int64": ("1,-9223372036854775809,1,0.0,0.0",
+                           "column 'time' is not a 64-bit integer: '-9223372036854775809'"),
+            # digit-group underscores and non-ASCII digits, which int() and
+            # float() take
+            "individual_underscore": ("1_0,2,1,0.0,0.0",
+                                      "column 'individual' is not an integer: '1_0'"),
+            "time_arabic_indic": ("1,\u0661\u0660,1,0.0,0.0",
+                                  "column 'time' is not an integer: '\u0661\u0660'"),
+            "x1_underscore": ("1,2,1,0_5,0.0", "column 'x1' is not a finite number: '0_5'"),
+            "x2_arabic_indic": ("1,2,1,0.0,\u0665.0",
+                                "column 'x2' is not a finite number: '\u0665.0'"),
         }
         for name, (row, message) in bad_rows.items():
             path = tmp_path / f"{name}.csv"
-            path.write_text(f"individual,time,y,x1,x2\n1,1,1,0.0,0.0\n{row}\n")
+            path.write_text(f"individual,time,y,x1,x2\n1,1,1,0.0,0.0\n{row}\n", encoding="utf-8")
             with pytest.raises(ConfigError) as exc:
                 PanelDataset.from_csv(str(path))
             assert str(exc.value) == f"{path}:3: {message}"
@@ -242,6 +256,31 @@ class TestPanelDataset:
         for col in PANEL_CSV_HEADER:
             assert np.array_equal(getattr(a, col), getattr(b, col))
             assert getattr(a, col).dtype == getattr(b, col).dtype
+
+    def test_csv_reads_every_ascii_number_form(self, tmp_path):
+        # a sign, a point, an exponent and the int64 range's ends all read
+        good = tmp_path / "good.csv"
+        good.write_text("individual,time,y,x1,x2\n"
+                        "+1,007,1,.5,-2.E+1\n-0,1,0,5.,1e-3\n"
+                        "9223372036854775807,-9223372036854775808,1,0.0,0.0\n")
+        data = PanelDataset.from_csv(str(good))
+        assert data.individual.tolist() == [0, 1, 2 ** 63 - 1]
+        assert data.time.tolist() == [1, 7, -2 ** 63]
+        assert data.x1.tolist() == [5.0, 0.5, 0.0] and data.x2.tolist() == [0.001, -20.0, 0.0]
+
+    def test_csv_drops_one_leading_byte_order_mark(self, tmp_path):
+        text = "individual,time,y,x1,x2\n1,1,1,0.5,0.2\n1,2,0,0.5,0.2\n"
+        clean, marked, twice = tmp_path / "clean.csv", tmp_path / "bom.csv", tmp_path / "two.csv"
+        clean.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")  # what spreadsheets save as CSV UTF-8
+        twice.write_text("\ufeff" + text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = PanelDataset.from_csv(str(clean)), PanelDataset.from_csv(str(marked))
+        for col in PANEL_CSV_HEADER:
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+        with pytest.raises(ConfigError) as exc:
+            PanelDataset.from_csv(str(twice))
+        assert str(exc.value) == f"{twice}:1: expected header individual,time,y,x1,x2"
 
     def test_write_csv_matches_the_csv_module(self, tmp_path, capsys):
         # the kinds of cell every caller writes: ints, Python floats, and

@@ -105,6 +105,10 @@ class TestLoadReturns:
             "return": ("1991,zap", "column 'return' is not a finite number: 'zap'"),
             "return_nan": ("1991, nan", "column 'return' is not a finite number: ' nan'"),
             "first": ("x,zap", "column 'year' is not an integer: 'x'"),
+            "year_int64": ("99999999999999999999,0.5",
+                           "column 'year' is not a 64-bit integer: '99999999999999999999'"),
+            "year_underscore": ("1_991,0.5", "column 'year' is not an integer: '1_991'"),
+            "return_underscore": ("1991,0_5", "column 'return' is not a finite number: '0_5'"),
         }
         for name, (row, message) in bad_rows.items():
             bad = tmp_path / f"{name}.csv"

@@ -13,57 +13,37 @@ One sweep updates, in order:
       IG(shape + I/2, scale + sum(eps^2)/2).
 
 `metropolis_sweep` builds one `_Chain` and calls its `sweep`. `run_chain`
-builds one for the burn-in, which tunes the proposal, and then one per
-sampling segment: the sampling phase runs as _SEGMENTS segments, each a
-fresh chain from the burn-in's end state with the tuned proposal frozen and
-a seed of its own, so the segments share no state and may run in another
-process. A `_Chain` holds the fixed arrays of (dataset, priors): X, the
-individual codes, the beta prior means and 2*variances, Xty = X'y,
-y_count (the ones per individual) and the sigma2 full-conditional shape;
-the state with its cache mu = X beta + eps[codes] and sp = softplus(mu),
-which every move keeps in step; the proposal and how it is tuned
-(`_Chain.adapt`, burn-in only); and the acceptance tallies acc_b (beta) and
-acc_e (eps, per individual), which each sweep adds to. A block then costs
-one softplus pass over the observations, and its y*dmu terms reduce to
-Xty . d and y_count * d. A chain is a pure function of (data, priors,
-config): identical seeds give bit-identical output, wherever the segments
-run.
+builds one for the burn-in, which tunes the proposal (`_Chain.adapt`), then
+one per sampling segment, each on its own seed, with the proposal frozen.
+Identical seeds give bit-identical output, wherever the segments run.
 
-At the sizes the study and `spindex` fit, a sweep is bound by how many numpy
-calls it makes. The proposal is fixed within a burn-in adaptation window and
-through the whole sampling phase, so `_Chain.sweep` runs a window of n
-sweeps at once and draws its randomness in one pass per window: the normals
-of both blocks, the uniforms of both accept tests (taking their logs in
-bulk) and the n standard-gamma variates of the sigma2 step. In the same pass
-it builds every proposal term that does not depend on the state: the beta
-steps with their X d rows and Xty . d, and the eps steps with y_count * d
-and d^2/2. These window arrays are made afresh in each window. Kept once
-per chain instead, they made no chain measurably faster in paired timings
-at 600 and 3000 observations, not even the (n, n_obs) X d rows. Each
-sampling segment runs as a series of windows of at most _ADAPT_WINDOW
-sweeps. Each sweep then does only the state-dependent work: the two
-softplus passes, the bincount, the prior deltas, the accept tests and the
-masked copies.
+A `_Chain` lays the observations on a time-major grid (`_grid`): each
+individual's go down a column in time order, the first H in column i and
+each further run of up to H in an overflow column that i owns. Padding
+cells hold X = 0 and mu = -inf, whose softplus is exactly 0; every move
+keeps them at -inf. The state is eps, the mu = X beta + eps cells and S,
+each column's sum of softplus(mu): `mus` and `sums` hold the state's at
+[cur] and a spare at [1 - cur]. A block builds its proposal in the spare
+cells with ufunc `out=` and sums its softplus down the columns into the
+spare S row with one gemv; its y*dmu terms are Xty . d and y_count * d.
+The beta block totals both S rows and flips `cur` when it accepts. The eps
+block proposes mu + d, d a row over the columns. Only a grid with overflow
+columns folds their S changes into their owners' with a bincount and
+gathers d and the accept mask through `owner`. It adds d * accepted to eps
+and mu, the proposal's bits or the state's plus 0, and copies the accepted
+columns of S with one np.copyto.
 
-The chain owns its eps and one (2, 2, n_obs) array `rows` of (mu, sp)
-pairs: rows[cur] is the state's and rows[1 - cur] the spare pair, plus one
-scratch array each of observation and of individual size. A sweep writes
-into these and allocates no proposal array. Each proposal is built in the
-spare pair with ufunc `out=`. An accepted beta proposal flips `cur`; the
-eps block copies its accepted entries into eps and copies both fields of
-the accepted observations into the state's pair with one np.copyto with
-`where=`. The beta block totals both sp rows with one sum over
-rows[:, 1], bit for bit as two 1-d sums.
-
-Each window picks its softplus form once. It bounds every mu it can
-propose by the state's largest mu plus every upward step it could accept:
-|d_beta| . max|X| and max(0, max d_eps), summed over its sweeps. Below
-_EXP_SAFE = 700, a margin under 709.78, where exp overflows, a softplus
-pass is log1p(exp(mu)), two calls; otherwise it is the overflow-safe
-`model.softplus`, five calls. The two forms agree bit for bit at mu <= 0
-and within 2 ulp above. A sweep makes 22 numpy calls under the bound and
-28 over it. The 3-term beta step and prior delta are Python floats. Both
-blocks accept when log u < delta, so a zero uniform (log 0 = -inf) accepts.
+A sweep is bound by its numpy calls at the sizes the study and `spindex`
+fit. The proposal is fixed within a window of up to _ADAPT_WINDOW sweeps, so
+`sweep` first draws the window's randomness (three RNG calls) and every
+state-free term: the beta steps with their X d rows and Xty . d, and the
+eps steps with y_count * d and d^2/2. Each window picks its softplus form
+once: it bounds every mu it can propose by the state's largest mu plus
+every upward step it could accept, |d_beta| . max|X| and max(0, max d_eps)
+summed over its sweeps. Below _EXP_SAFE = 700 (exp overflows at 709.78) a
+softplus pass is log1p(exp(mu)), two calls, else the overflow-safe
+`model.softplus`; the two agree bit for bit at mu <= 0 and within 2 ulp
+above. Both blocks accept when log u < delta, so u = 0 accepts.
 """
 
 from __future__ import annotations
@@ -90,6 +70,9 @@ _COV_JITTER = 1e-6
 _SEGMENTS = 2                 # sampling-phase segments; a constant, never the CPU
                               # count, so a seed gives the same draws on any machine
 _TINY = np.finfo(np.float64).tiny
+_EYE = np.eye(3)              # the first beta proposal factor, shared read-only
+_EYE.flags.writeable = False
+_CHAIN_BYTES = 2 ** 30
 _EXP_SAFE = 700.0             # below log(largest float64) = 709.78, where exp overflows
 ESS_FLOOR = 100               # fewer effective draws than this and a fit is reported as unmixed
 PARAMETERS = ("beta0", "beta1", "beta2", "sigma")  # what a fit reports, in this order
@@ -99,6 +82,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """A chain keeps 24 bytes per burn-in sweep and 32 per kept draw, so
+    burn_in <= 44 739 242 and samples <= 33 554 432 keep _CHAIN_BYTES (1 GiB)
+    each at most. thin costs time, not memory, and is unbounded."""
+
     burn_in: int = 2000
     samples: int = 10000
     thin: int = 1
@@ -111,6 +98,10 @@ class ChainConfig:
             raise ValueError("samples must be >= 2")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        for name, size in (("burn_in", 24), ("samples", 32)):
+            if getattr(self, name) > _CHAIN_BYTES // size:
+                raise ValueError(f"{name} must be <= {_CHAIN_BYTES // size} "
+                                 f"({size} bytes each, at most 1 GiB)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,17 +141,14 @@ class SummaryStats:
 
 
 def _inverse_gamma(scale: float, g: float) -> float:
-    """The IG(shape, scale) draw made from a standard-gamma variate g of that
-    shape. numpy's gamma(shape, 1/scale) is (1/scale) * standard_gamma(shape),
-    so this is 1/gamma(shape, 1/scale) bit for bit; the floor at tiny keeps
-    sigma2 finite when g is 0."""
+    """The IG(shape, scale) draw from a standard-gamma variate g of that shape,
+    bit for bit 1/gamma(shape, 1/scale); the floor keeps it finite at g = 0."""
     return 1.0 / max((1.0 / scale) * g, _TINY)
 
 
 def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """softplus as log1p(exp(x)) in two calls, in place in `out`; exp
-    overflows for x above 709.78, so `_Chain.sweep` takes it only in a window
-    whose bound on mu stays below _EXP_SAFE."""
+    """softplus as log1p(exp(x)), in place in `out`; exp overflows above
+    709.78, so a window takes it only below _EXP_SAFE."""
     return np.log1p(np.exp(x, out=out), out=out)
 
 
@@ -218,61 +206,75 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> Non
 # core updates
 
 
+def _grid(codes: np.ndarray, n_ind: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The time-major grid of a panel sorted by individual, then time: its
+    height h, each observation's cell as the flat index row * width + column,
+    and each column's owner. Column i holds individual i's first h
+    observations, each further run of up to h one overflow column after the
+    first n_ind. h is the individual count giving the fewest cells plus
+    columns, the largest on a tie (a sweep costs about as much per cell as
+    per column); so there are fewer than 2 * n_obs cells."""
+    counts = np.bincount(codes, minlength=n_ind)
+    n, owner = codes.size, np.arange(n_ind)
+    if not n_ind or counts.min() * n_ind == n:  # balanced
+        h = n // n_ind if n_ind else 0
+        return h, np.arange(n).reshape(h, n_ind).T.ravel(), owner
+    u, m = np.unique(counts, return_counts=True)
+    cost = (u + 1) * (-(-u // u[:, None]) @ m)
+    h = int(u[cost.size - 1 - np.argmin(cost[::-1])])
+    extra = (counts - 1) // h
+    run, row = np.divmod(np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts), h)
+    col = np.where(run > 0, (np.cumsum(extra) - extra + n_ind - 1)[codes] + run, codes)
+    owner = np.concatenate([owner, np.repeat(owner, extra)])
+    return h, row * owner.size + col, owner
+
+
 class _Chain:
-    """One chain: the fixed arrays of (dataset, priors), the state with its
-    mu = X beta + eps[codes] and sp = softplus(mu) cache, the spare
-    (mu, sp) pair and scratch arrays, the proposal and the acceptance
-    tallies."""
+    """One chain: its fixed arrays, grid state, proposal and tallies."""
 
     def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
                  log_scale: float, eps_scales: float | np.ndarray,
                  chol: np.ndarray | None = None):
         self.n_ind = n_ind = data.n_individuals
-        n_obs = data.n_obs
-        self.X = np.column_stack([np.ones(n_obs), data.x1, data.x2])
-        self.x_max = np.abs(self.X).max(axis=0, initial=0.0)
-        self.codes = data.codes
+        X = np.empty((data.n_obs, 3))
+        X[:, 0], X[:, 1], X[:, 2] = 1.0, data.x1, data.x2
         y = data.y.astype(np.float64)
-        self.Xty = self.X.T @ y
-        self.y_count = np.bincount(self.codes, weights=y, minlength=n_ind)
+        self.Xty = X.T @ y
+        self.y_count = np.bincount(data.codes, weights=y, minlength=n_ind)
+        self.x_max = np.abs(X).max(axis=0, initial=0.0)
+        h, cells, self.owner = _grid(data.codes, n_ind)
+        self.grid = h, c = h, self.owner.size
+        shape = self.grid if h > 1 else (c,)  # sweep one row as 1-d arrays
         self.beta_prior = [(float(p.mean), 2.0 * float(p.variance)) for p in priors.beta_priors]
         self.sigma2_shape = priors.sigma2_prior.shape + 0.5 * n_ind
         self.sigma2_scale = priors.sigma2_prior.scale
-        # the chain owns its eps and its (mu, sp) rows and writes into them:
-        # rows[cur] holds the state's, rows[1 - cur] is the spare pair that
-        # proposals are built in
+        # X' on the grid, and the chain's own eps, mu cells and column sums
+        self.X = np.zeros((3, h * c))
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
-        self.rows, self.cur = np.empty((2, 2, n_obs)), 0
-        np.add(self.X @ self.beta, self.eps[self.codes], out=self.rows[0, 0])
-        softplus(self.rows[0, 0], out=self.rows[0, 1])
-        # scratch arrays of observation and of individual size
-        self.obs_tmp, self.ind_tmp = np.empty(n_obs), np.empty(n_ind)
-        self.chol = np.eye(3) if chol is None else chol
+        self.mus, self.sums, self.cur = np.empty((2, *shape)), np.empty((2, c)), 0
+        mu = self.mus[0].reshape(-1)
+        if h * c > cells.size:
+            mu[:] = -math.inf
+        for dest, values in zip((*self.X, mu), (*X.T, X @ self.beta + self.eps[data.codes])):
+            dest[cells] = values
+        self.ones = np.ones(h)  # for the column sums' gemv
+        np.dot(self.ones, softplus(self.mus[0].reshape(self.grid)), out=self.sums[0])
+        self.cell_tmp, self.col_tmp, self.ind_tmp = np.empty(shape), np.empty(c), np.empty(n_ind)
+        self.chol = _EYE if chol is None else chol
         self.log_scale, self.eps_scales = log_scale, eps_scales
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(n_ind)
 
     @property
     def mu(self) -> np.ndarray:
-        return self.rows[self.cur, 0]
-
-    @property
-    def sp(self) -> np.ndarray:
-        return self.rows[self.cur, 1]
+        return self.mus[self.cur]
 
     def sweep(self, rng: np.random.Generator, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """n <= _ADAPT_WINDOW sweeps at the current proposal, each the beta
-        block, the eps scalars and the sigma2 Gibbs step, in that order,
-        adding its acceptances to the tallies. Returns beta (n, 3) and
-        sigma2 (n,) as they stand after each sweep.
-
-        The window's randomness, its state-free proposal terms and its
-        softplus form are fixed first, in one pass (see the module
-        docstring), with three RNG calls whatever n is. Each proposal is
-        built in the spare (mu, sp) pair; an accepted beta proposal flips
-        `cur`, and the eps block copies its accepted observations into the
-        state's pair with one masked copy."""
-        n_ind, codes, sigma2_scale = self.n_ind, self.codes, self.sigma2_scale
+        """n <= _ADAPT_WINDOW sweeps at the current proposal, adding their
+        acceptances to the tallies; returns beta (n, 3) and sigma2 (n,) as
+        they stand after each sweep."""
+        n_ind, owner, sigma2_scale = self.n_ind, self.owner, self.sigma2_scale
+        fold, tall = owner.size > n_ind, self.grid[0] > 1
         z = rng.standard_normal((n, 3 + n_ind))
         log_u = rng.random((n, 1 + n_ind))
         gammas = rng.standard_gamma(self.sigma2_shape, n).tolist()
@@ -280,34 +282,35 @@ class _Chain:
             np.log(log_u, out=log_u)
         d_beta = z[:, :3].dot(self.chol.T)
         d_beta *= math.exp(self.log_scale)
-        dmu_beta = d_beta.dot(self.X.T)
+        dmu_beta = d_beta.dot(self.X).reshape(n, *self.cell_tmp.shape)
         xty_d = d_beta.dot(self.Xty).tolist()
         d_eps = z[:, 3:]
         d_eps *= self.eps_scales
+        d_cols = d_eps[:, owner] if fold else d_eps
         y_d = d_eps * self.y_count
         half_d2 = d_eps * d_eps
         half_d2 *= 0.5
         accepted = np.empty((n, n_ind), dtype=bool)
-        # no mu this window proposes exceeds the state's largest mu plus every
-        # upward beta and eps step it could accept
+        # no mu this window proposes exceeds this bound
         bound = (self.mu.max(initial=-math.inf) + float(np.abs(d_beta).dot(self.x_max).sum())
                  + float(d_eps.max(axis=1, initial=0.0).sum()))
         sp_of = _log1p_exp if bound < _EXP_SAFE else softplus
 
         (m0, v0), (m1, v1), (m2, v2) = self.beta_prior
         b0, b1, b2 = self.beta.tolist()
-        eps, rows, cur = self.eps, self.rows, self.cur
-        sps = rows[:, 1]
-        state, spare = rows[cur], rows[1 - cur]
-        (mu, sp), (mu_p, sp_p) = state, spare
-        obs_tmp, ind_tmp, sigma2 = self.obs_tmp, self.ind_tmp, self.sigma2
+        eps, sums, cur = self.eps, self.sums, self.cur
+        mu, mu_p, s, s_p = self.mus[cur], self.mus[1 - cur], sums[cur], sums[1 - cur]
+        sp, col_tmp, ind_tmp, sigma2 = self.cell_tmp, self.col_tmp, self.ind_tmp, self.sigma2
+        ones = self.ones
         betas, sigma2s = [], []
-        for (s0, s1, s2), xty_dt, lu_beta, dmu, d, y_dt, half_d2t, lu_eps, acc, g in zip(
-                d_beta.tolist(), xty_d, log_u[:, 0].tolist(), dmu_beta, d_eps, y_d,
+        for (s0, s1, s2), xty_dt, lu_beta, dmu, d, d_col, y_dt, half_d2t, lu_eps, acc, g in zip(
+                d_beta.tolist(), xty_d, log_u[:, 0].tolist(), dmu_beta, d_eps, d_cols, y_d,
                 half_d2, log_u[:, 1:], accepted, gammas):
             np.add(mu, dmu, out=mu_p)
-            sp_of(mu_p, out=sp_p)
-            totals = sps.sum(axis=1).tolist()  # row for row as sp_p.sum(), sp.sum()
+            sp_of(mu_p, out=sp if tall else s_p)
+            if tall:
+                np.dot(ones, sp, out=s_p)
+            totals = np.add.reduce(sums, 1).tolist()
             dll = xty_dt - (totals[1 - cur] - totals[cur])
             p0, p1, p2 = b0 + s0, b1 + s1, b2 + s2
             # the prior delta in Python floats
@@ -317,22 +320,27 @@ class _Chain:
             if lu_beta < dll + dpr:
                 b0, b1, b2 = p0, p1, p2
                 cur = 1 - cur
-                state, mu, sp, spare, mu_p, sp_p = spare, mu_p, sp_p, state, mu, sp
+                mu, mu_p, s, s_p = mu_p, mu, s_p, s
                 self.acc_b += 1
 
-            np.add(mu, d[codes], out=mu_p)
-            sp_of(mu_p, out=sp_p)
-            np.subtract(sp_p, sp, out=obs_tmp)
-            dll = y_dt - np.bincount(codes, weights=obs_tmp, minlength=n_ind)
+            np.add(mu, d_col, out=mu_p)
+            sp_of(mu_p, out=sp if tall else s_p)
+            if tall:
+                np.dot(ones, sp, out=s_p)
+            np.subtract(s_p, s, out=col_tmp)
+            # an overflow column's change adds to its owner's
+            dll = y_dt - (np.bincount(owner, col_tmp, n_ind) if fold else col_tmp)
             # (eps^2 - eps_p^2) / (2 sigma2) = -(eps*d + d^2/2) / sigma2
             np.multiply(eps, d, out=ind_tmp)
             ind_tmp += half_d2t
             ind_tmp *= 1.0 / sigma2
             dll -= ind_tmp
             np.less(lu_eps, dll, out=acc)
-            np.add(eps, d, out=ind_tmp)
-            np.copyto(eps, ind_tmp, where=acc)
-            np.copyto(state, spare, where=acc[codes])
+            # an accepted step adds d, a rejected one 0, which leaves every bit
+            np.multiply(d, acc, out=ind_tmp)
+            eps += ind_tmp
+            mu += ind_tmp[owner] if fold else ind_tmp
+            np.copyto(s, s_p, where=acc[owner] if fold else acc)
             sigma2 = _inverse_gamma(sigma2_scale + 0.5 * float(eps.dot(eps)), g)
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
@@ -342,20 +350,17 @@ class _Chain:
         return np.array(betas), np.array(sigma2s)
 
     def adapt(self, beta_hist: np.ndarray) -> None:
-        """Tune the proposal at the end of a burn-in window of _ADAPT_WINDOW
-        sweeps, given the burn-in beta draws so far, then clear the tallies.
+        """Tune the proposal at the end of a burn-in window, given the beta
+        draws so far, then clear the tallies.
 
         The window's acceptance rates nudge the log scales toward the
-        optimal-scaling targets 0.234 (block) and 0.44 (scalar) with the
-        diminishing step 0.1/sqrt(window). The beta proposal starts as the
-        identity; from _COV_START draws on, it is the Cholesky factor of the
-        empirical covariance of the trailing half of the draws (plus diagonal
-        jitter), so the early phase stops pinning it down, and at _COV_START
-        its log scale restarts at log(2.38/sqrt(3)). Each eps scale is an adapted multiple of the
-        conditional-sd estimate 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), so it
-        stays usable whether sigma2 is diffuse or pinned near zero. Its p_ij
-        is `model.expit` of the cached mu_ij, the logistic exp(-softplus(-mu)),
-        so p(1-p) stays finite and warning-free at any finite mu.
+        optimal-scaling targets 0.234 (block) and 0.44 (scalar) by
+        0.1/sqrt(window). From _COV_START draws on, the beta proposal is the
+        Cholesky factor of the trailing half's covariance plus jitter, and at
+        _COV_START its log scale restarts at log(2.38/sqrt(3)). Each eps scale
+        is an adapted multiple of 1/sqrt(1/sigma2 + sum_j p_ij(1-p_ij)), the
+        conditional sd, usable whether sigma2 is diffuse or near zero; p_ij
+        is `model.expit` of the mu cells, finite and warning-free.
         """
         n = len(beta_hist)
         step = 0.1 / math.sqrt(n // _ADAPT_WINDOW)
@@ -366,8 +371,9 @@ class _Chain:
             if n == _COV_START:
                 self.log_scale = math.log(2.38 / math.sqrt(3.0))
         self.eps_log_mult += step * (self.acc_e / _ADAPT_WINDOW - _TARGET_ACCEPT_SCALAR)
-        p = expit(self.mu)
-        fisher = np.bincount(self.codes, weights=p * (1.0 - p), minlength=self.n_ind)
+        p = expit(self.mu).reshape(self.grid)
+        p *= 1.0 - p  # summed down each individual's cells in time order
+        fisher = np.bincount(np.repeat(self.owner, self.grid[0]), p.T.ravel(), self.n_ind)
         self.eps_scales = np.exp(self.eps_log_mult) * (1.0 / np.sqrt(1.0 / self.sigma2 + fisher))
         self.acc_b, self.acc_e = 0, np.zeros(self.n_ind)
 
@@ -426,9 +432,8 @@ def _burn_in(data: PanelDataset, priors: PriorSet,
 def _sample(data: PanelDataset, priors: PriorSet, state: ParameterState, proposal: tuple,
             seed: int, samples: int, thin: int):
     """One sampling segment: a fresh chain at `state` with the frozen
-    `proposal` runs samples*thin sweeps on its own seed and keeps sweeps
-    thin-1, 2*thin-1, ... Returns the kept beta (samples, 3) and sigma2
-    (samples,) and the acceptance tallies acc_b and acc_e."""
+    `proposal` runs samples*thin sweeps on `seed`, keeping sweeps thin-1,
+    2*thin-1, ...; returns the kept beta and sigma2 and the tallies."""
     rng = np.random.default_rng(seed)
     chain = _Chain(data, priors, state, *proposal)
     n_post = samples * thin
@@ -444,18 +449,14 @@ def _sample(data: PanelDataset, priors: PriorSet, state: ParameterState, proposa
 
 def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
               pool=None) -> PosteriorSamples:
-    """Adapt the proposals over burn_in iterations, then freeze them and run
-    samples*thin iterations, keeping every thin-th draw, so the kept draws
-    come from a fixed Markov kernel.
+    """Adapt the proposals over burn_in sweeps, then freeze them and run
+    samples*thin, keeping every thin-th draw, from a fixed Markov kernel.
 
-    The sampling phase runs as _SEGMENTS segments, each a fresh chain from
-    the burn-in's end state on its own seed `derive_seed(config.seed, k)`.
-    Each keeps samples/_SEGMENTS draws, rounded up for the first ones and
-    down for the rest, so the chain runs burn_in + samples*thin sweeps in
-    all. The kept draws are the segments' in segment order. Given a pool (see
-    `workers.worker_pool`), every segment but the first is submitted to it
-    while this process runs the first; without one they run in turn. The
-    segments share no state, so the pool never changes a draw."""
+    Segment k of the _SEGMENTS runs on seed `derive_seed(config.seed, k)`
+    and keeps samples/_SEGMENTS draws, rounded up for the first ones; the
+    kept draws are in segment order. Given a pool (`workers.worker_pool`),
+    every segment but the first runs in it while this process runs the
+    first; they share no state, so the pool never changes a draw."""
     end, proposal = _burn_in(data, priors, config)
     tasks = [(data, priors, end, proposal, derive_seed(config.seed, k),
               (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)

@@ -318,6 +318,37 @@ class TestFit:
                          "--samples", "50", flag, value]) == 1
             assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
+    def test_chain_lengths_beyond_the_memory_bound_are_config_errors(self, tmp_path, panel_csv,
+                                                                     capsys, monkeypatch):
+        # a chain keeps 24 bytes per burn-in sweep and 32 per kept draw, at
+        # most 1 GiB each; a larger setting names its flag or file, exit 1
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        burn_in = "burn_in must be <= 44739242 (24 bytes each, at most 1 GiB)"
+        samples = "samples must be <= 33554432 (32 bytes each, at most 1 GiB)"
+        for args, message in [(["--burn-in", "99999999999999999999", "--samples", "10"],
+                               f"--burn-in: {burn_in}"),
+                              (["--burn-in", "44739243"], f"--burn-in: {burn_in}"),
+                              (["--samples", "33554433"], f"--samples: {samples}")]:
+            assert main(["fit", "--data", str(panel_csv)] + args) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = tmp_path / "chain.kv"
+        cfg.write_text("burn_in = 99999999999999999999\n")
+        assert main(["fit", "--data", str(panel_csv), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {burn_in}\n"
+
+    def test_long_individual_beside_singles_fits(self, tmp_path, capsys):
+        # one individual of 200 observations beside 400 of one
+        rng = np.random.default_rng(13)
+        counts = np.r_[200, np.ones(400, dtype=int)]
+        ind = np.repeat(np.arange(counts.size), counts)
+        time = np.concatenate([np.arange(1, c + 1) for c in counts])
+        panel = tmp_path / "ragged.csv"
+        PanelDataset(ind, time, rng.integers(0, 2, ind.size), rng.normal(0.0, 2.0, ind.size),
+                     rng.normal(0.0, 1.0, ind.size)).to_csv(str(panel))
+        out = tmp_path / "summary.csv"
+        assert main(["fit", "--data", str(panel), "--out", str(out)] + FIT_FLAGS) == 0
+        assert [r[0] for r in read_csv(out)[1:]] == ["beta0", "beta1", "beta2", "sigma"]
+
     def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
         # finite but extreme IG parameters overflow the starting log posterior
         huge_priors = tmp_path / "huge.kv"

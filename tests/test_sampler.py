@@ -7,7 +7,7 @@ import pytest
 from scipy import special, stats as sps
 
 from panelbayes import sampler
-from panelbayes.model import PanelDataset, ParameterState, expit, softplus
+from panelbayes.model import PanelDataset, ParameterState, expit, log_likelihood, softplus
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, default_uninformative
 from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_ACCEPT_BLOCK,
                                 _TARGET_ACCEPT_SCALAR, ChainConfig, PosteriorSamples, _Chain,
@@ -37,6 +37,52 @@ def ragged_panel(rng, n_ind=40):
                         rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
 
 
+def staggered_panel(rng, n_ind=100, periods=12):
+    """Individual i enters at a random period and stays to the last."""
+    entry = rng.integers(1, periods + 1, n_ind)
+    ind = np.repeat(np.arange(n_ind), periods + 1 - entry)
+    time = np.concatenate([np.arange(e, periods + 1) for e in entry])
+    return PanelDataset(ind, time, rng.integers(0, 2, ind.size),
+                        rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
+
+
+def long_beside_singles(rng, long=200, singles=400):
+    """One individual observed `long` times beside `singles` observed once."""
+    counts = np.r_[long, np.ones(singles, dtype=int)]
+    ind = np.repeat(np.arange(counts.size), counts)
+    time = np.concatenate([np.arange(1, c + 1) for c in counts])
+    return PanelDataset(ind, time, rng.integers(0, 2, ind.size),
+                        rng.normal(0.0, 2.0, ind.size), rng.normal(0.0, 1.0, ind.size))
+
+
+def observed(chain, data):
+    """The chain's mu cell of each observation, in observation order, and
+    the mask of its padding cells, through the grid `_Chain` builds."""
+    _, cells, _ = sampler._grid(data.codes, data.n_individuals)
+    pad = np.ones(chain.mu.size, dtype=bool)
+    pad[cells] = False
+    return chain.mu.reshape(-1)[cells], pad
+
+
+def check_sums(chain, data, form):
+    """Each column sum S of the state is the gemv sum of its cells' softplus
+    in `form`, the one its windows took, bit for bit; padding is -inf in the
+    state and the spare; each individual's S is the sum of `model.softplus`
+    over its observations; and sum(S) - y.mu = -log_likelihood."""
+    h, c = chain.grid
+    S = chain.sums[chain.cur]
+    assert np.all(np.isfinite(S))
+    assert np.array_equal(S, np.dot(np.ones(h), form(chain.mu.reshape(h, c))))
+    mu, pad = observed(chain, data)
+    assert np.all(chain.mus.reshape(2, -1)[:, pad] == -np.inf)
+    per_ind = np.bincount(chain.owner, S, data.n_individuals)
+    np.testing.assert_allclose(per_ind, np.bincount(data.codes, softplus(mu), data.n_individuals),
+                               rtol=1e-13, atol=0.0)
+    state = ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
+    assert per_ind.sum() - data.y @ mu == pytest.approx(-log_likelihood(data, state), rel=1e-12)
+    return mu
+
+
 def sha256(*arrays):
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
@@ -48,10 +94,13 @@ def synthetic_samples(beta0_chain):
                             accept_beta=0.25, accept_epsilon=np.zeros(0))
 
 
-def three_individual_chain(log_scale=0.0):
-    data = PanelDataset([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2], [1, 0, 0, 0, 1, 1],
+def three_individual_panel():
+    return PanelDataset([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2], [1, 0, 0, 0, 1, 1],
                         [1.0, 1.0, 0.0, 0.0, 0.5, 0.5], [0.2, -0.3, 0.4, 0.1, 0.0, 0.6])
-    priors = default_uninformative()
+
+
+def three_individual_chain(log_scale=0.0):
+    data, priors = three_individual_panel(), default_uninformative()
     return _Chain(data, priors, initial_state(data, priors), log_scale, np.ones(3))
 
 
@@ -106,8 +155,9 @@ class TestChainAdapt:
     def test_eps_scales_are_multiples_of_the_conditional_sd(self):
         chain = three_individual_chain()
         chain.adapt(np.zeros((_ADAPT_WINDOW, 3)))
-        p = special.expit(chain.mu)
-        fisher = np.bincount(chain.codes, weights=p * (1.0 - p))
+        data = three_individual_panel()
+        p = special.expit(observed(chain, data)[0])
+        fisher = np.bincount(data.codes, weights=p * (1.0 - p))
         cond_sd = 1.0 / np.sqrt(1.0 / chain.sigma2 + fisher)
         assert chain.eps_scales == pytest.approx(np.exp(chain.eps_log_mult) * cond_sd, rel=1e-14)
 
@@ -297,6 +347,23 @@ class TestRunChain:
         assert accepts == "ff0639a0554c610679abe3d582ea6b40e9254e02762fa3e678fc6f2cf99384e7"
         assert s.accept_beta == 65 / 300
 
+    @pytest.mark.parametrize("make, seed, draws, accepts", [
+        (staggered_panel, 12, "67fad7cc62877270591eb172b53f0b0f826490c56254bc71ce3d27440b77be54",
+         "4fa769fb091d1180648ba26de34a56812b911045e3cc8bfdd460b6b2a05ea164"),
+        (long_beside_singles, 13,
+         "7f7174f5e0be5844afefe186b8c75fa21473f001019f9589b1739233771448d6",
+         "4801e919acdd737ea6b96ccdd109359c24de30201bee7f11a37891df2cb7eca7"),
+    ], ids=["staggered_entry", "long_individual_beside_singles"])
+    def test_pinned_digest_ragged(self, make, seed, draws, accepts):
+        # two ragged panels `fit` accepts: 100 individuals entering over 12
+        # periods (608 observations), and one individual of 200 observations
+        # beside 400 of one
+        s = run_chain(make(np.random.default_rng(seed)), default_uninformative(),
+                      ChainConfig(burn_in=600, samples=400, seed=seed))
+        assert sha256(s.beta, s.sigma2) == draws
+        assert sha256(s.accept_epsilon) == accepts
+        assert s.accept_beta == 0.33
+
     @pytest.mark.parametrize("thin", [2, 3])
     def test_windows_count_sweeps_not_kept_draws(self, thin):
         # the sampling phase runs in windows of sweeps, so thinning keeps
@@ -408,6 +475,15 @@ class TestRunChain:
             ChainConfig(samples=1)  # every summary needs 2 kept draws
         with pytest.raises(ValueError):
             ChainConfig(thin=0)
+
+    def test_chain_lengths_are_bounded_by_the_memory_kept(self):
+        # 24 bytes per burn-in sweep and 32 per kept draw, 1 GiB each; thin
+        # costs no memory and has no upper bound
+        ChainConfig(burn_in=2 ** 30 // 24, samples=2 ** 30 // 32, thin=10 ** 30)
+        for key, size, value in [("burn_in", 24, 2 ** 30 // 24 + 1), ("burn_in", 24, 10 ** 20),
+                                 ("samples", 32, 2 ** 30 // 32 + 1)]:
+            with pytest.raises(ValueError, match=f"^{key} must be <= {2 ** 30 // size} "):
+                ChainConfig(**{key: value})
 
     def test_no_data_samples_the_prior(self):
         # beta marginal must reproduce N(0,1) when there is no likelihood term
@@ -576,12 +652,13 @@ class TestKernelCache:
         # both blocks accepted some moves and rejected others
         assert 0 < chain.acc_b < 200
         assert np.all(chain.acc_e > 0) and np.all(chain.acc_e < 200)
-        # every window here is below the overflow bound, so the sweep wrote
-        # every sp entry in the two-call form
-        assert np.array_equal(chain.sp, np.log1p(np.exp(chain.mu)))
+        # every window here is below the overflow bound, so the sweep summed
+        # every column in the two-call form; the grid has overflow columns
+        # and padding (its height is 2)
+        assert chain.grid[0] == 2 and chain.owner.size > data.n_individuals
+        mu = check_sums(chain, data, lambda x: np.log1p(np.exp(x)))
         X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
-        np.testing.assert_allclose(chain.mu, X @ chain.beta + chain.eps[data.codes],
-                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(mu, X @ chain.beta + chain.eps[data.codes], rtol=0.0, atol=1e-9)
 
     def test_window_that_could_overflow_uses_softplus(self):
         # mu starts near 690 (x2 = 100, beta2 = 6.9), and eps steps of sd 10
@@ -598,8 +675,81 @@ class TestKernelCache:
         chain = _Chain(data, priors, state, math.log(0.01), 10.0)
         chain.sweep(np.random.default_rng(5), _ADAPT_WINDOW)
         assert chain.mu.max() > 709.78
-        assert np.all(np.isfinite(chain.sp))
-        assert np.array_equal(chain.sp, softplus(chain.mu))
+        check_sums(chain, data, softplus)
+
+
+def one_per_individual(rng, n_ind=45):
+    return PanelDataset(np.arange(n_ind), np.ones(n_ind, dtype=int), rng.integers(0, 2, n_ind),
+                        rng.normal(0.0, 1.0, n_ind), rng.normal(0.0, 1.0, n_ind))
+
+
+GRID_PANELS = {"tiny": lambda rng: tiny_panel(), "ragged": ragged_panel,
+               "staggered": staggered_panel, "long_beside_singles": long_beside_singles,
+               "one_per_individual": one_per_individual, "empty": lambda rng: empty_panel()}
+
+
+class TestGrid:
+    @pytest.mark.parametrize("name", GRID_PANELS)
+    def test_layout(self, name):
+        # every observation has its own cell, in a column its individual
+        # owns, in time order down its first column and then its overflow
+        # columns; fewer than 2 cells per observation
+        data = GRID_PANELS[name](np.random.default_rng(3))
+        h, cells, owner = sampler._grid(data.codes, data.n_individuals)
+        c = owner.size
+        assert np.array_equal(owner[:data.n_individuals], np.arange(data.n_individuals))
+        assert np.unique(cells).size == data.n_obs and np.all((cells >= 0) & (cells < h * c))
+        assert h * c < 2 * data.n_obs or data.n_obs == 0
+        row, col = np.divmod(cells, c) if c else (cells, cells)
+        assert np.array_equal(owner[col], data.codes)
+        order = np.lexsort((row, np.where(col < data.n_individuals, -1, col), data.codes))
+        assert np.array_equal(order, np.arange(data.n_obs))
+        if name in ("tiny", "one_per_individual", "empty"):  # balanced: no overflow column
+            assert c == data.n_individuals and h * c == data.n_obs
+
+    def test_any_counts_give_fewer_cells_than_twice_the_observations(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            counts = rng.integers(1, rng.integers(2, 60), rng.integers(1, 40))
+            codes = np.repeat(np.arange(counts.size), counts)
+            h, cells, owner = sampler._grid(codes, counts.size)
+            assert h * owner.size < 2 * codes.size
+            assert np.unique(cells).size == codes.size
+            assert np.array_equal(owner[cells % owner.size], codes)
+
+    @pytest.mark.parametrize("name", GRID_PANELS)
+    def test_sweeps_keep_padding_and_sums(self, name):
+        # two windows at chain-like scales: no RuntimeWarning fires, padding
+        # stays -inf and every column sum matches its cells
+        rng = np.random.default_rng(9)
+        data = GRID_PANELS[name](rng)
+        state = ParameterState(beta=rng.normal(0.0, 1.0, 3),
+                               epsilon=rng.normal(0.0, 1.0, data.n_individuals), sigma2=1.5)
+        chain = _Chain(data, default_uninformative(), state, math.log(0.2), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(2):
+                chain.sweep(rng, _ADAPT_WINDOW)
+            chain.adapt(np.zeros((_ADAPT_WINDOW, 3)))
+        check_sums(chain, data, lambda x: np.log1p(np.exp(x)))
+        assert not hasattr(chain, "codes") and not hasattr(chain, "rows")
+
+    @pytest.mark.parametrize("name, folds", [("tiny", False), ("long_beside_singles", True)])
+    def test_balanced_sweep_folds_nothing(self, monkeypatch, name, folds):
+        # a balanced panel's sweep runs without bincount; a ragged one with
+        # overflow columns needs it to fold them into their owners
+        data, priors = GRID_PANELS[name](np.random.default_rng(1)), default_uninformative()
+        chain = _Chain(data, priors, initial_state(data, priors), 0.0, 1.0)
+
+        def no_bincount(*args, **kwargs):
+            raise AssertionError("bincount called")
+
+        monkeypatch.setattr(np, "bincount", no_bincount)
+        if folds:
+            with pytest.raises(AssertionError, match="bincount called"):
+                chain.sweep(np.random.default_rng(2), 5)
+        else:
+            chain.sweep(np.random.default_rng(2), 5)
 
 
 def test_draws_csv_layout(tmp_path):

@@ -108,7 +108,7 @@ def _sim_config_from(cfg: KVFile, args) -> SimConfig:
 
 
 def cmd_gen(args) -> int:
-    _check_out_paths(args, "out", sidecar=".truth")
+    _check_out_paths(args, ["out"], ["config"], sidecar=".truth")
     cfg = KVFile(args.config)
     sim = _sim_config_from(cfg, args)
     rep = cfg.get("replicate", integer, 0, args.replicate)
@@ -142,13 +142,18 @@ def _chain_config(args) -> ChainConfig:
     return chain
 
 
-def _check_out_paths(args, *flags: str, sidecar: str = "") -> None:
-    """Reject an output path that is empty, whose directory is missing, or
-    that is a directory, naming its flag, so the error comes before any data
-    is generated or any chain runs. Given a `sidecar` suffix, the path with
-    that suffix appended, written beside it, must not be a directory either."""
-    for flag in flags:
-        path = getattr(args, flag.replace("-", "_"))
+def _check_out_paths(args, outs, reads=(), sidecar: str = "") -> None:
+    """Reject an output path that is empty, whose directory is missing, that
+    is a directory, or that names the same file (by `os.path.realpath`) as
+    another output or as an input the command reads, naming its flag and
+    the other's, so the error comes before any data is generated, any chain
+    runs or any file is written. `outs` and `reads` are flags; one not given
+    is skipped. Given a `sidecar` suffix, each output's path with it
+    appended, written beside it, is checked in the same way."""
+    paths = {flag: getattr(args, flag.replace("-", "_")) for flag in (*reads, *outs)}
+    taken = {os.path.realpath(paths[flag]): flag for flag in reads if paths[flag] is not None}
+    for flag in outs:
+        path = paths[flag]
         if path is None:
             continue
         if not path:
@@ -159,10 +164,14 @@ def _check_out_paths(args, *flags: str, sidecar: str = "") -> None:
         for target in [path, path + sidecar] if sidecar else [path]:
             if os.path.isdir(target):
                 raise ConfigError(f"--{flag}: {target!r} is a directory")
+            other = taken.setdefault(os.path.realpath(target), flag)
+            if other != flag:
+                raise ConfigError(f"--{flag}: {target!r} is the same file as --{other}")
 
 
 def cmd_fit(args) -> int:
-    _check_out_paths(args, "out", "priors-out", "draws-out")
+    reads = ["data", "config"] + ([] if args.priors_in == "uninformative" else ["priors-in"])
+    _check_out_paths(args, ["out", "priors-out", "draws-out"], reads)
     data = PanelDataset.from_csv(args.data)
     if data.n_obs == 0:
         raise ConfigError(f"{args.data}: no observations to fit")
@@ -179,7 +188,7 @@ def cmd_fit(args) -> int:
         if args.priors_out is not None:
             save_priors(posterior_to_priorset(samples), args.priors_out)
         if args.draws_out is not None:
-            draws_to_csv(samples, args.draws_out, pool)
+            draws_to_csv(samples, args.draws_out)
     return 0
 
 
@@ -210,9 +219,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_spindex(args) -> int:
-    _check_out_paths(args, "out")
-    path = args.data if args.data is not None else surrogate_path()
-    years, returns = load_returns(path)
+    if args.data is None:
+        args.data = surrogate_path()
+    _check_out_paths(args, ["out"], ["data", "config"])
+    years, returns = load_returns(args.data)
     chain = _chain_config(args)
     with worker_pool(1 if usable_cpus() > 1 else 0) as pool:
         report = two_stage_fit(years, returns, chain, args.split_year, args.threshold, pool)

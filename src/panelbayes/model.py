@@ -33,36 +33,24 @@ PANEL_COLUMNS = [("individual", int64), ("time", int64), ("y", binary),
 PANEL_CSV_HEADER = [name for name, _ in PANEL_COLUMNS]
 
 
-def csv_text(rows: Iterable[Sequence], ncols: int) -> str:
-    """The CSV lines of `rows`, each of `ncols` cells, with "\\n" line ends.
+def write_csv(path: str | None, header: Sequence[str],
+              *parts: Iterable[Sequence] | str) -> None:
+    """Write `header`, then each of `parts` in order, as UTF-8 CSV with "\\n"
+    line ends; None means stdout. A part is rows, each of len(header) cells,
+    or text already in this form, such as `sampler.draws_to_csv` builds.
 
     Every row goes through one `str.format` template, so each cell is written
     with str(): Python floats come out as their shortest round-trip repr
     (pass `float(x)` or `.tolist()`, not numpy scalars). No cell is quoted:
     every cell written is an int, a float or an identifier such as a
     parameter or run name, none of which holds a comma, a quote or a line end.
-
-    The rows are formatted in a Python loop, not by a `map` that `join`
-    drains in C: the loop lets this process's other threads take the GIL
-    between rows, and a worker pool's threads send tasks and receive results
-    through it (see `sampler.draws_to_csv`).
     """
-    row = (",".join(["{}"] * ncols) + "\n").format
-    return "".join([row(*cells) for cells in rows])
-
-
-def write_csv(path: str | None, header: Sequence[str],
-              *parts: Iterable[Sequence] | str) -> None:
-    """Write `header`, then each of `parts` in order, as UTF-8 CSV; None means stdout.
-
-    A part is rows, or the text `csv_text` made of rows, so a caller can
-    build part of a file elsewhere (another process) and write it here.
-    """
+    row = (",".join(["{}"] * len(header)) + "\n").format
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="")) as fh:
-        fh.write(csv_text([header], len(header)))
+        fh.write(row(*header))
         for part in parts:
-            fh.write(part if isinstance(part, str) else csv_text(part, len(header)))
+            fh.write(part if isinstance(part, str) else "".join([row(*cells) for cells in part]))
 
 
 def read_csv(path: str, columns: Sequence[tuple[str, Callable[[str], object]]]) -> list[list]:

@@ -48,15 +48,13 @@ above. Both blocks accept when log u < delta, so u = 0 accepts.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PanelDataset, ParameterState, csv_text, expit, log_posterior, softplus,
-                    write_csv)
+from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 from .workers import InParent
@@ -219,11 +217,12 @@ def _grid(codes: np.ndarray, n_ind: int) -> tuple[int, np.ndarray, np.ndarray]:
     if not n_ind or counts.min() * n_ind == n:  # balanced
         h = n // n_ind if n_ind else 0
         return h, np.arange(n).reshape(h, n_ind).T.ravel(), owner
-    u, m = np.unique(counts, return_counts=True)
-    cost = (u + 1) * (-(-u // u[:, None]) @ m)
+    m = np.bincount(counts)  # the multiplicity of each distinct count u
+    u = np.flatnonzero(m)
+    cost = (u + 1) * (-(-u // u[:, None]) @ m[u])
     h = int(u[cost.size - 1 - np.argmin(cost[::-1])])
     extra = (counts - 1) // h
-    run, row = np.divmod(np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts), h)
+    run, row = np.divmod(np.arange(n) - (np.cumsum(counts) - counts)[codes], h)
     col = np.where(run > 0, (np.cumsum(extra) - extra + n_ind - 1)[codes] + run, codes)
     owner = np.concatenate([owner, np.repeat(owner, extra)])
     return h, row * owner.size + col, owner
@@ -473,25 +472,10 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     )
 
 
-def _draws_text(beta: np.ndarray, sigma2: np.ndarray, first: int) -> str:
-    """The draws CSV lines `iteration,parameter,value` of the kept draws
-    `beta` (n, 3) and `sigma2` (n,), numbered from `first`. The columns are
-    built as Python lists in one numpy call each, so no row costs a numpy
-    call."""
-    names = ("beta0", "beta1", "beta2", "sigma2")
-    values = np.column_stack([beta, sigma2]).ravel().tolist()
-    iterations = np.repeat(np.arange(first, first + sigma2.size), len(names)).tolist()
-    return csv_text(zip(iterations, itertools.cycle(names), values), 3)
-
-
-def draws_to_csv(samples: PosteriorSamples, path: str, pool=None) -> None:
+def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
     """Write kept draws as long-form rows `iteration,parameter,value`, four
-    per draw. Given a pool (see `workers.worker_pool`), the lines of draws
-    ceil(n/2)+1..n are formatted in it while this process formats the first
-    half; without one the halves are formatted in turn. The file is the same
-    either way."""
-    half = (samples.n_kept + 1) // 2
-    later = (pool or InParent()).submit(_draws_text, samples.beta[half:],
-                                        samples.sigma2[half:], half + 1)
-    first = _draws_text(samples.beta[:half], samples.sigma2[:half], 1)
-    write_csv(path, ["iteration", "parameter", "value"], first, later.result())
+    per draw, each draw's four through one template."""
+    row = "{0},beta0,{1}\n{0},beta1,{2}\n{0},beta2,{3}\n{0},sigma2,{4}\n".format
+    text = "".join(map(row, range(1, samples.n_kept + 1), *samples.beta.T.tolist(),
+                       samples.sigma2.tolist()))
+    write_csv(path, ["iteration", "parameter", "value"], text)

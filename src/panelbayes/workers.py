@@ -4,9 +4,9 @@ independent segments of one chain, at once.
 The CLI opens one `worker_pool` per command, which also makes SIGTERM exit
 143, and passes it to the library functions; given no pool, they run their
 tasks in this process. `study` maps its replicates through it (see
-`experiment.run_study`). `fit` runs the second sampling segment of its
-chain in one worker (see `sampler.run_chain`), and then has that worker
-format the second half of its draws CSV (see `sampler.draws_to_csv`).
+`experiment.run_study`). `fit` runs only the second sampling segment of
+its chain in one worker (see `sampler.run_chain`), and writes every output
+in the parent.
 `spindex` has one worker fit its diffuse-prior stage-2 chain and then run
 the second sampling segment of its carried-over chain, while the parent
 fits stage 1 and the rest of the carried-over chain (see

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import hashlib
@@ -14,13 +15,15 @@ import numpy as np
 import pytest
 
 import panelbayes
-from panelbayes import cli
+from panelbayes import cli, sampler
 from panelbayes.cli import main
 from panelbayes.datagen import SimConfig
 from panelbayes.errors import ConfigError
 from panelbayes.experiment import PARAMETERS, run_study
 from panelbayes.model import PANEL_CSV_HEADER, PanelDataset, concat_panels
 from panelbayes.sampler import ChainConfig, PosteriorSamples, SummaryStats
+from panelbayes.spindex import surrogate_path
+from panelbayes.workers import InParent
 
 FIT_FLAGS = ["--burn-in", "200", "--samples", "400", "--seed", "7"]
 
@@ -162,6 +165,19 @@ class TestGen:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "p.csv.truth"]
         assert list(truth.iterdir()) == []
 
+    def test_out_naming_the_config_rejected_before_anything_is_generated(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.datagen.gen_panel", no_chain)
+        cfg = write_gen_config(tmp_path / "gen.kv")
+        assert main(["gen", "--config", cfg, "--out", cfg]) == 1
+        assert capsys.readouterr().err == f"error: --out: {cfg!r} is the same file as --config\n"
+        truth = write_gen_config(tmp_path / "p.csv.truth")
+        assert main(["gen", "--config", truth, "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == (f"error: --out: {truth!r} is the same file "
+                                           f"as --config\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "p.csv.truth"]
+        assert (tmp_path / "gen.kv").read_text() == (tmp_path / "p.csv.truth").read_text()
+
     def test_negative_replicate_rejected(self, tmp_path, capsys):
         cfg = write_gen_config(tmp_path / "gen.kv")
         out = tmp_path / "p.csv"
@@ -204,6 +220,22 @@ class TestFit:
             written.append((out.read_bytes(), draws.read_bytes()))
         assert pools == [0, 1]
         assert written[0] == written[1]
+
+    def test_pool_runs_only_the_second_segment(self, tmp_path, panel_csv, monkeypatch):
+        # the parent writes every output, the draws CSV included
+        class RecordingPool(InParent):
+            def __init__(self):
+                self.submitted = []
+
+            def submit(self, fn, *args):
+                self.submitted.append(fn)
+                return super().submit(fn, *args)
+        pool = RecordingPool()
+        monkeypatch.setattr(cli, "worker_pool", lambda workers: contextlib.nullcontext(pool))
+        assert main(["fit", "--data", str(panel_csv), "--out", str(tmp_path / "s.csv"),
+                     "--priors-out", str(tmp_path / "p.kv"),
+                     "--draws-out", str(tmp_path / "d.csv")] + FIT_FLAGS) == 0
+        assert pool.submitted == [sampler._sample]
 
     @needs_a_worker
     def test_sigterm_stops_the_worker(self, panel_csv):
@@ -391,6 +423,41 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {flag}: {str(tmp_path)!r} is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "panel.csv",
                                                               "panel.csv.truth"]
+
+    def test_output_naming_an_input_or_another_output_rejected_before_any_chain(
+            self, tmp_path, panel_csv, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        config, priors = tmp_path / "chain.kv", tmp_path / "priors.kv"
+        config.write_text("burn_in = 200\n")
+        priors.write_text(priors_text())
+        (tmp_path / "link.csv").symlink_to(panel_csv)
+        (tmp_path / "sub").mkdir()
+        data = str(panel_csv)
+        for outs, flags in [
+                (["--out", data], ("--out", "--data")),
+                (["--draws-out", str(tmp_path / "link.csv")], ("--draws-out", "--data")),
+                (["--out", str(tmp_path / "same.csv"),
+                  "--draws-out", str(tmp_path / "sub" / ".." / "same.csv")],
+                 ("--draws-out", "--out")),
+                (["--priors-out", str(tmp_path / "s.csv"), "--out", str(tmp_path / "s.csv")],
+                 ("--priors-out", "--out")),
+                (["--priors-out", str(priors)], ("--priors-out", "--priors-in")),
+                (["--out", str(config)], ("--out", "--config"))]:
+            assert main(["fit", "--data", data, "--config", str(config),
+                         "--priors-in", str(priors)] + outs + FIT_FLAGS) == 1
+            flag, other = flags
+            err = capsys.readouterr().err
+            assert re.fullmatch(f"error: {flag}: '.*' is the same file as {other}\n", err), err
+        assert panel_csv.read_text().startswith("individual,time,y,x1,x2\n")
+        assert (config.read_text(), priors.read_text()) == ("burn_in = 200\n", priors_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chain.kv", "gen.kv", "link.csv", "panel.csv", "panel.csv.truth", "priors.kv", "sub"]
+
+    def test_uninformative_priors_are_no_input_file(self, tmp_path, panel_csv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--data", str(panel_csv), "--priors-in", "uninformative",
+                     "--out", "uninformative"] + FIT_FLAGS) == 0
+        assert read_csv(tmp_path / "uninformative")[0][0] == "parameter"
 
     def test_bad_cell_is_config_error_before_any_chain(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
@@ -785,6 +852,28 @@ class TestSpindex:
         assert main(["spindex", "--out", str(tmp_path)] + FIT_FLAGS) == 1
         assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_an_input_rejected_before_any_chain(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.two_stage_fit", no_chain)
+        data, config = tmp_path / "returns.csv", tmp_path / "chain.kv"
+        data.write_text("year,return\n2000,0.1\n")
+        config.write_text("burn_in = 200\n")
+        for flag, path in (("--data", data), ("--config", config)):
+            assert main(["spindex", "--data", str(data), "--config", str(config),
+                         "--out", str(path)] + FIT_FLAGS) == 1
+            assert capsys.readouterr().err == (f"error: --out: {str(path)!r} is the same file "
+                                               f"as {flag}\n")
+        assert (data.read_text(), config.read_text()) == ("year,return\n2000,0.1\n",
+                                                          "burn_in = 200\n")
+        # without --data, spindex reads the bundled series, which --out must not replace
+        bundled = tmp_path / "bundled.csv"
+        bundled.write_bytes(Path(surrogate_path()).read_bytes())
+        monkeypatch.setattr(cli, "surrogate_path", lambda: str(bundled))
+        assert main(["spindex", "--out", str(bundled)] + FIT_FLAGS) == 1
+        assert capsys.readouterr().err == (f"error: --out: {str(bundled)!r} is the same file "
+                                           f"as --data\n")
+        assert bundled.read_bytes() == Path(surrogate_path()).read_bytes()
 
     def test_stdout_mode(self, tmp_path, capsys):
         assert main(["spindex"] + FIT_FLAGS) == 0

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import warnings
 
@@ -765,16 +767,20 @@ def test_draws_csv_layout(tmp_path):
 
 
 @pytest.mark.parametrize("n_kept", [2, 7, 10000])
-def test_draws_csv_split_in_a_worker_writes_the_same_bytes(tmp_path, n_kept):
+def test_draws_csv_matches_the_csv_module(tmp_path, n_kept):
     rng = np.random.default_rng(n_kept)
-    s = PosteriorSamples(beta=rng.normal(0.0, 1.0, (n_kept, 3)),
-                         sigma2=rng.gamma(2.0, 1.0, n_kept), accept_beta=0.3,
+    beta, sigma2 = rng.normal(0.0, 1.0, (n_kept, 3)), rng.gamma(2.0, 1.0, n_kept)
+    # floats whose repr is signed, subnormal, huge or in exponent form
+    beta[0], sigma2[0] = [-0.0, 1e308, 1.0 / np.finfo(np.float64).tiny], 5e-324
+    beta[-1, 0] = 1e-300
+    s = PosteriorSamples(beta=beta, sigma2=sigma2, accept_beta=0.3,
                          accept_epsilon=np.zeros(1))
-    draws_to_csv(s, str(tmp_path / "alone.csv"))
-    with worker_pool(1) as pool:
-        draws_to_csv(s, str(tmp_path / "split.csv"), pool)
-    written = (tmp_path / "split.csv").read_bytes()
-    assert written == (tmp_path / "alone.csv").read_bytes()
-    lines = written.decode().split("\n")
-    assert len(lines) == 1 + 4 * n_kept + 1 and lines[-1] == ""
-    assert [line.split(",")[0] for line in lines[1:-1:4]] == [str(k) for k in range(1, n_kept + 1)]
+    draws_to_csv(s, str(tmp_path / "draws.csv"))
+    expect = io.StringIO()
+    csv.writer(expect, lineterminator="\n").writerows(
+        [["iteration", "parameter", "value"]]
+        + [[k + 1, name, float(x)] for k, draw in enumerate(np.column_stack([beta, sigma2]))
+           for name, x in zip(("beta0", "beta1", "beta2", "sigma2"), draw)])
+    written = (tmp_path / "draws.csv").read_bytes()
+    assert written == expect.getvalue().encode("utf-8")
+    assert len(written.decode().split("\n")) == 1 + 4 * n_kept + 1

@@ -18,7 +18,6 @@ PARENT = os.getpid()
 real_log_posterior = sampler.log_posterior
 real_sweep = sampler._Chain.sweep
 real_sample = sampler._sample
-real_draws_text = sampler._draws_text
 
 
 def finish_in_reverse(k):
@@ -37,12 +36,6 @@ def sweep_fails_in_a_worker(chain, rng, n=1):
     if os.getpid() != PARENT:
         raise FloatingPointError("the worker's segment failed")
     return real_sweep(chain, rng, n)
-
-
-def draws_text_fails_in_a_worker(beta, sigma2, first):
-    if os.getpid() != PARENT:
-        raise OSError("the worker's draws failed")
-    return real_draws_text(beta, sigma2, first)
 
 
 def fails_in_a_worker(data, state, priors):
@@ -196,17 +189,18 @@ class TestFitFailures:
         assert "runtime failure: the worker's segment failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched formatter must reach the worker")
-    def test_worker_draws_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the worker also formats the second half of the draws CSV
+    def test_draws_failure_in_the_parent_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the parent writes the draws CSV while the pool is still open
+        def cannot_write(*args):
+            raise OSError("cannot write the draws")
         panel = tmp_path / "panel.csv"
         (tmp_path / "gen.kv").write_text("individuals = 4\nperiods = 4\nsigma = 1.0\nseed = 99\n")
         assert main(["gen", "--config", str(tmp_path / "gen.kv"), "--out", str(panel)]) == 0
-        monkeypatch.setattr(sampler, "_draws_text", draws_text_fails_in_a_worker)
+        monkeypatch.setattr(sampler, "write_csv", cannot_write)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "summary.csv"),
                      "--draws-out", str(tmp_path / "draws.csv"),
                      "--burn-in", "50", "--samples", "200"]) == 2
-        assert "runtime failure: the worker's draws failed" in capsys.readouterr().err
+        assert "runtime failure: cannot write the draws" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+        assert not (tmp_path / "draws.csv").exists()

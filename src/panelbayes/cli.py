@@ -13,7 +13,7 @@ import sys
 
 from .datagen import DEFAULT_BETA, SimConfig, replicate_panel
 from .errors import ConfigError
-from .experiment import RUNS, run_study, write_tables
+from .experiment import RUNS, TABLE_FILES, run_study, write_tables
 from .kvconfig import KVFile, finite, integer, write_kv_file
 from .model import PanelDataset, write_csv
 from .priors import default_uninformative, load_priors, posterior_to_priorset, save_priors
@@ -129,11 +129,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _write_summary(stats, out_path) -> None:
-    write_csv(out_path, ["parameter", "mean", "sd", "lcl", "ucl", "ess"],
-              ([name, s.mean, s.sd, s.lower, s.upper, s.ess] for name, s in stats.items()))
-
-
 def _chain_config(args) -> ChainConfig:
     """The chain settings of `fit` and `spindex`, whose config files hold only those."""
     cfg = KVFile(args.config)
@@ -182,11 +177,14 @@ def cmd_fit(args) -> int:
     chain = _chain_config(args)
     with worker_pool(1 if usable_cpus() > 1 else 0) as pool:
         samples = run_chain(data, priors, chain, pool)
+        # every result is computed before the first file is written
+        carried = None if args.priors_out is None else posterior_to_priorset(samples)
         stats = summarize(samples)
         warn_unmixed("fit", stats, samples.n_kept)
-        _write_summary(stats, args.out)
-        if args.priors_out is not None:
-            save_priors(posterior_to_priorset(samples), args.priors_out)
+        write_csv(args.out, ["parameter", "mean", "sd", "lcl", "ucl", "ess"],
+                  ([name, s.mean, s.sd, s.lower, s.upper, s.ess] for name, s in stats.items()))
+        if carried is not None:
+            save_priors(carried, args.priors_out)
         if args.draws_out is not None:
             draws_to_csv(samples, args.draws_out)
     return 0
@@ -205,9 +203,19 @@ def cmd_study(args) -> int:
         raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")
     if not outdir:
         raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
-    if os.path.exists(outdir) and not os.path.isdir(outdir):
-        raise ConfigError(f"{_source(cfg, 'out', args.out)}: output directory {outdir!r} "
-                          f"exists and is not a directory")
+    # the directory is made only once the tables are ready, but its nearest
+    # existing ancestor must be a directory, and no table a directory or the config
+    where, folder = _source(cfg, "out", args.out), outdir
+    while not os.path.lexists(folder) and os.path.dirname(folder) not in ("", folder):
+        folder = os.path.dirname(folder)
+    if os.path.lexists(folder) and not os.path.isdir(folder):
+        what = "exists and is" if folder == outdir else f"is under {folder!r}, which is"
+        raise ConfigError(f"{where}: output directory {outdir!r} {what} not a directory")
+    for path in (os.path.join(outdir, name) for name in TABLE_FILES):
+        if os.path.isdir(path):
+            raise ConfigError(f"{where}: {path!r} is a directory")
+        if os.path.realpath(path) == os.path.realpath(cfg.path):
+            raise ConfigError(f"{where}: {path!r} is the same file as --config")
     with worker_pool(jobs if jobs > 1 else 0) as pool:
         try:
             result = run_study(sim, run_ids, chain, pool)

@@ -54,6 +54,9 @@ RUNS: dict[str, RunSpec] = {
     "R6": RunSpec(None, "late"),
 }
 
+# the files `write_tables` writes, in this order
+TABLE_FILES = (*(f"table_{param}.csv" for param in PARAMETERS), "estimates.csv")
+
 _SELECTORS = {"m11": ("m11",), "m22": ("m22",), "top": ("m11", "m12"),
               "bottom": ("m21", "m22"), "early": ("m11", "m21"), "late": ("m12", "m22")}
 
@@ -212,17 +215,14 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
 
 
 def write_tables(result: StudyResult, outdir: str) -> list[str]:
-    """One CSV per parameter (rows in the study's run order) plus the raw estimates."""
+    """One CSV per parameter (rows in the study's run order) plus the raw
+    estimates, at the TABLE_FILES paths in `outdir`, which it returns."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
+    paths = [os.path.join(outdir, name) for name in TABLE_FILES]
     n_ind = result.sim_config.individuals
-    for param in PARAMETERS:
-        path = os.path.join(outdir, f"table_{param}.csv")
+    for param, path in zip(PARAMETERS, paths):
         rows = (r for r in result.rows if r.parameter == param)
         write_csv(path, ["run", "N", "mean", "sd", "lcl", "ucl", "mse"],
                   ([r.run_id, n_ind, r.mean, r.sd, r.lcl, r.ucl, r.mse] for r in rows))
-        written.append(path)
-    est_path = os.path.join(outdir, "estimates.csv")
-    write_csv(est_path, ["replicate", "run", "parameter", "estimate"], result.estimates)
-    written.append(est_path)
-    return written
+    write_csv(paths[-1], ["replicate", "run", "parameter", "estimate"], result.estimates)
+    return paths

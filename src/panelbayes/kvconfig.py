@@ -139,10 +139,8 @@ class KVFile:
             raise ConfigError(f"{self.path}: unknown key {unread[0]!r}")
 
 
-def write_kv_file(path: str, entries: dict[str, object], header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
+def write_kv_file(path: str, entries: dict[str, object], header: str) -> None:
+    lines = [f"# {header}"]
     for key, value in entries.items():
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

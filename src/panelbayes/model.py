@@ -33,11 +33,10 @@ PANEL_COLUMNS = [("individual", int64), ("time", int64), ("y", binary),
 PANEL_CSV_HEADER = [name for name, _ in PANEL_COLUMNS]
 
 
-def write_csv(path: str | None, header: Sequence[str],
-              *parts: Iterable[Sequence] | str) -> None:
-    """Write `header`, then each of `parts` in order, as UTF-8 CSV with "\\n"
-    line ends; None means stdout. A part is rows, each of len(header) cells,
-    or text already in this form, such as `sampler.draws_to_csv` builds.
+def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence] | str) -> None:
+    """Write `header`, then `rows`, as UTF-8 CSV with "\\n" line ends; None
+    means stdout. `rows` holds rows of len(header) cells each, or is text
+    already in this form, such as `sampler.draws_to_csv` builds.
 
     Every row goes through one `str.format` template, so each cell is written
     with str(): Python floats come out as their shortest round-trip repr
@@ -49,8 +48,7 @@ def write_csv(path: str | None, header: Sequence[str],
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="")) as fh:
         fh.write(row(*header))
-        for part in parts:
-            fh.write(part if isinstance(part, str) else "".join([row(*cells) for cells in part]))
+        fh.write(rows if isinstance(rows, str) else "".join([row(*cells) for cells in rows]))
 
 
 def read_csv(path: str, columns: Sequence[tuple[str, Callable[[str], object]]]) -> list[list]:
@@ -157,8 +155,6 @@ class PanelDataset:
 
     def is_rectangular(self) -> bool:
         """True when every individual is observed at the same time points."""
-        if self.n_obs == 0:
-            return True
         t = self.times()
         if self.n_obs != t.size * self.n_individuals:
             return False

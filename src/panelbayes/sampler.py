@@ -23,15 +23,15 @@ each further run of up to H in an overflow column that i owns. Padding
 cells hold X = 0 and mu = -inf, whose softplus is exactly 0; every move
 keeps them at -inf. The state is eps, the mu = X beta + eps cells and S,
 each column's sum of softplus(mu): `mus` and `sums` hold the state's at
-[cur] and a spare at [1 - cur]. A block builds its proposal in the spare
-cells with ufunc `out=` and sums its softplus down the columns into the
-spare S row with one gemv; its y*dmu terms are Xty . d and y_count * d.
-The beta block totals both S rows and flips `cur` when it accepts. The eps
-block proposes mu + d, d a row over the columns. Only a grid with overflow
-columns folds their S changes into their owners' with a bincount and
-gathers d and the accept mask through `owner`. It adds d * accepted to eps
-and mu, the proposal's bits or the state's plus 0, and copies the accepted
-columns of S with one np.copyto.
+[0] and the proposal's at [1]. A block builds its proposal in [1] with
+ufunc `out=` and sums its softplus down the columns into its S with one
+gemv; its y*dmu terms are Xty . d and y_count * d. The beta block totals
+both S rows and, when it accepts, copies the proposal's cells and S into
+the state. The eps block proposes mu + d, d a row over the columns. Only
+a grid with overflow columns folds their S changes into their owners'
+with a bincount and gathers d and the accept mask through `owner`. It
+adds d * accepted to eps and mu, the proposal's bits or the state's plus
+0, and copies the accepted columns of S with one np.copyto.
 
 A sweep is bound by its numpy calls at the sizes the study and `spindex`
 fit. The proposal is fixed within a window of up to _ADAPT_WINDOW sweeps, so
@@ -250,23 +250,19 @@ class _Chain:
         # X' on the grid, and the chain's own eps, mu cells and column sums
         self.X = np.zeros((3, h * c))
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
-        self.mus, self.sums, self.cur = np.empty((2, *shape)), np.empty((2, c)), 0
-        mu = self.mus[0].reshape(-1)
+        self.mus, self.sums = np.empty((2, *shape)), np.empty((2, c))
+        self.mu, mu = self.mus[0], self.mus[0].reshape(-1)
         if h * c > cells.size:
             mu[:] = -math.inf
         for dest, values in zip((*self.X, mu), (*X.T, X @ self.beta + self.eps[data.codes])):
             dest[cells] = values
         self.ones = np.ones(h)  # for the column sums' gemv
-        np.dot(self.ones, softplus(self.mus[0].reshape(self.grid)), out=self.sums[0])
+        np.dot(self.ones, softplus(self.mu.reshape(self.grid)), out=self.sums[0])
         self.cell_tmp, self.col_tmp, self.ind_tmp = np.empty(shape), np.empty(c), np.empty(n_ind)
         self.chol = _EYE if chol is None else chol
         self.log_scale, self.eps_scales = log_scale, eps_scales
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(n_ind)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.mus[self.cur]
 
     def sweep(self, rng: np.random.Generator, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """n <= _ADAPT_WINDOW sweeps at the current proposal, adding their
@@ -297,8 +293,8 @@ class _Chain:
 
         (m0, v0), (m1, v1), (m2, v2) = self.beta_prior
         b0, b1, b2 = self.beta.tolist()
-        eps, sums, cur = self.eps, self.sums, self.cur
-        mu, mu_p, s, s_p = self.mus[cur], self.mus[1 - cur], sums[cur], sums[1 - cur]
+        eps, sums = self.eps, self.sums
+        (mu, mu_p), (s, s_p) = self.mus, sums
         sp, col_tmp, ind_tmp, sigma2 = self.cell_tmp, self.col_tmp, self.ind_tmp, self.sigma2
         ones = self.ones
         betas, sigma2s = [], []
@@ -310,7 +306,7 @@ class _Chain:
             if tall:
                 np.dot(ones, sp, out=s_p)
             totals = np.add.reduce(sums, 1).tolist()
-            dll = xty_dt - (totals[1 - cur] - totals[cur])
+            dll = xty_dt - (totals[1] - totals[0])
             p0, p1, p2 = b0 + s0, b1 + s1, b2 + s2
             # the prior delta in Python floats
             dpr = (((b0 - m0) * (b0 - m0) - (p0 - m0) * (p0 - m0)) / v0
@@ -318,8 +314,8 @@ class _Chain:
                    + ((b2 - m2) * (b2 - m2) - (p2 - m2) * (p2 - m2)) / v2)
             if lu_beta < dll + dpr:
                 b0, b1, b2 = p0, p1, p2
-                cur = 1 - cur
-                mu, mu_p, s, s_p = mu_p, mu, s_p, s
+                np.copyto(mu, mu_p)
+                np.copyto(s, s_p)
                 self.acc_b += 1
 
             np.add(mu, d_col, out=mu_p)
@@ -344,7 +340,7 @@ class _Chain:
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
 
-        self.beta, self.sigma2, self.cur = np.array([b0, b1, b2]), sigma2, cur
+        self.beta, self.sigma2 = np.array([b0, b1, b2]), sigma2
         self.acc_e += accepted.sum(axis=0)
         return np.array(betas), np.array(sigma2s)
 

@@ -302,6 +302,21 @@ class TestFit:
         assert rows[0] == ["iteration", "parameter", "value"]
         assert len(rows) - 1 == 400 * 4
 
+    def test_priors_failure_writes_nothing(self, tmp_path, panel_csv, capsys, monkeypatch):
+        # every result is computed before the first file is written
+        def cannot_carry(samples):
+            raise ValueError("cannot carry beta0 forward: degenerate sample: all values identical")
+        monkeypatch.setattr("panelbayes.cli.posterior_to_priorset", cannot_carry)
+        outs = ["--priors-out", str(tmp_path / "pr.kv"), "--draws-out", str(tmp_path / "d.csv")]
+        for args in (["--out", str(tmp_path / "s.csv")] + outs, outs):
+            assert main(["fit", "--data", str(panel_csv)] + args + FIT_FLAGS) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("runtime failure: cannot carry beta0 forward: "
+                                    "degenerate sample: all values identical\n")
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "panel.csv",
+                                                                  "panel.csv.truth"]
+
     def test_stdout_matches_out_file(self, tmp_path, panel_csv, capsys):
         out = tmp_path / "s.csv"
         assert main(["fit", "--data", str(panel_csv), "--out", str(out)] + FIT_FLAGS) == 0
@@ -759,6 +774,59 @@ class TestStudy:
                                            f"exists and is not a directory\n")
         assert out.read_text() == "not a directory\n"
 
+    def test_out_under_a_file_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        afile = tmp_path / "afile"
+        afile.write_text("a file\n")
+        out = str(afile / "sub" / "deeper")
+        cfg = write_study_config(tmp_path / "study.kv", out)
+        for flags, where in [([], cfg), (["--out", out], "--out")]:
+            assert main(["study", "--config", cfg, "--jobs", "1"] + flags) == 1
+            assert capsys.readouterr().err == (f"error: {where}: output directory {out!r} is "
+                                               f"under {str(afile)!r}, which is not a directory\n")
+        assert afile.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "study.kv"]
+
+    def test_table_that_is_a_directory_rejected_before_any_chain(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        out = tmp_path / "o3"
+        (out / "table_sigma.csv").mkdir(parents=True)
+        cfg = write_study_config(tmp_path / "study.kv", str(out))
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: {str(out / 'table_sigma.csv')!r} is a directory\n")
+        assert [p.name for p in out.iterdir()] == ["table_sigma.csv"]
+
+    def test_table_naming_the_config_rejected_before_any_chain(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        out = tmp_path / "o2"
+        out.mkdir()
+        cfg = write_study_config(out / "estimates.csv", str(tmp_path / "elsewhere"))
+        text = Path(cfg).read_text()
+        assert main(["study", "--config", cfg, "--jobs", "1", "--out", str(out)]) == 1
+        assert (capsys.readouterr().err == f"error: --out: {str(out / 'estimates.csv')!r} "
+                                           f"is the same file as --config\n")
+        # through a link, and with the directory named in the config itself
+        (tmp_path / "link").symlink_to(out)
+        cfg = write_study_config(out / "table_beta2.csv", str(tmp_path / "link"))
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert (capsys.readouterr().err == f"error: {cfg}: "
+                                           f"{str(tmp_path / 'link' / 'table_beta2.csv')!r} "
+                                           f"is the same file as --config\n")
+        assert Path(out / "estimates.csv").read_text() == text
+        assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "table_beta2.csv"]
+
+    def test_no_output_directory_rejected_before_any_chain(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        cfg = write_study_config(tmp_path / "study.kv", "unused")
+        Path(cfg).write_text(Path(cfg).read_text().replace("out = unused\n", ""))
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: no output directory (set 'out' or pass --out)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study.kv"]
+
     def test_runtime_failure_in_the_study_exits_2(self, tmp_path, capsys, monkeypatch):
         def fails(*args, **kwargs):
             raise RuntimeError("replicate 0 failed: boom")
@@ -976,6 +1044,36 @@ class TestInputFiles:
                 == f"error: {path}: not UTF-8 text (byte 26: invalid start byte)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.kv", "latin1.txt", "panel.csv",
                                                               "panel.csv.truth"]
+
+    def test_empty_or_duplicated_config_key_is_config_error(self, tmp_path, panel_csv, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        cfg = tmp_path / "chain.kv"
+        for text, message in [(" = 200\n", "1: empty key"),
+                              ("burn_in = 200\nsamples = 400\nburn_in = 300\n",
+                               "3: duplicate key 'burn_in'")]:
+            cfg.write_text(text)
+            assert main(["fit", "--data", str(panel_csv), "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+
+    def test_duplicated_panel_row_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("panelbayes.cli.run_chain", no_chain)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("individual,time,y,x1,x2\n1,1,1,0.5,0.2\n2,1,0,0.1,0.2\n"
+                         "1,1,0,0.3,0.2\n")
+        assert main(["fit", "--data", str(panel), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == (f"error: {panel}: time indices must be strictly "
+                                           f"increasing within an individual\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+    def test_blank_panel_line_is_skipped(self, tmp_path, panel_csv):
+        lines = panel_csv.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines[:5] + ["\n"] + lines[5:] + ["\n"]))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["fit", "--data", str(panel_csv), "--out", str(a)] + FIT_FLAGS) == 0
+        assert main(["fit", "--data", str(blank), "--out", str(b)] + FIT_FLAGS) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestOutputBytes:

@@ -72,7 +72,7 @@ def check_sums(chain, data, form):
     state and the spare; each individual's S is the sum of `model.softplus`
     over its observations; and sum(S) - y.mu = -log_likelihood."""
     h, c = chain.grid
-    S = chain.sums[chain.cur]
+    S = chain.sums[0]
     assert np.all(np.isfinite(S))
     assert np.array_equal(S, np.dot(np.ones(h), form(chain.mu.reshape(h, c))))
     mu, pad = observed(chain, data)

@@ -145,11 +145,11 @@ def execute_run(run_id: str, quadrants: Quadrants,
     run_index = list(RUNS).index(run_id)
     priors = default_uninformative()
     if spec.stage1 is not None:
-        cfg1 = replace(chain_config, seed=derive_seed(chain_config.seed, run_index, 1))
-        stage1 = run_chain(stage_dataset(spec.stage1, quadrants), priors, cfg1)
+        stage1 = run_chain(stage_dataset(spec.stage1, quadrants), priors,
+                           chain_config.derive(run_index, 1))
         priors = posterior_to_priorset(stage1)
-    cfg2 = replace(chain_config, seed=derive_seed(chain_config.seed, run_index, 2))
-    return summarize(run_chain(stage_dataset(spec.stage2, quadrants), priors, cfg2))
+    return summarize(run_chain(stage_dataset(spec.stage2, quadrants), priors,
+                               chain_config.derive(run_index, 2)))
 
 
 def _replicate_worker(args) -> list[float]:

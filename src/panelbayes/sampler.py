@@ -12,9 +12,9 @@ One sweep updates, in order:
   (c) sigma2 exactly, from its inverse-gamma full conditional
       IG(shape + I/2, scale + sum(eps^2)/2).
 
-`metropolis_sweep` builds one `_Chain` and calls its `sweep`. `run_chain`
-builds one for the burn-in, which tunes the proposal (`_Chain.adapt`), then
-one per sampling segment, each on its own seed, with the proposal frozen.
+`metropolis_sweep` sweeps a `_Chain` once at fixed scales. `run_chain`
+tunes one chain's proposal over the burn-in (`_Chain.adapt`), then runs a
+copy of it per sampling segment, each on its own seed, the proposal frozen.
 Identical seeds give bit-identical output, wherever the segments run.
 
 A `_Chain` lays the observations on a time-major grid (`_grid`): each
@@ -48,9 +48,10 @@ above. Both blocks accept when log u < delta, so u = 0 accepts.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,8 +69,6 @@ _COV_JITTER = 1e-6
 _SEGMENTS = 2                 # sampling-phase segments; a constant, never the CPU
                               # count, so a seed gives the same draws on any machine
 _TINY = np.finfo(np.float64).tiny
-_EYE = np.eye(3)              # the first beta proposal factor, shared read-only
-_EYE.flags.writeable = False
 _CHAIN_BYTES = 2 ** 30
 _EXP_SAFE = 700.0             # below log(largest float64) = 709.78, where exp overflows
 ESS_FLOOR = 100               # fewer effective draws than this and a fit is reported as unmixed
@@ -100,6 +99,10 @@ class ChainConfig:
             if getattr(self, name) > _CHAIN_BYTES // size:
                 raise ValueError(f"{name} must be <= {_CHAIN_BYTES // size} "
                                  f"({size} bytes each, at most 1 GiB)")
+
+    def derive(self, *indices: int) -> ChainConfig:
+        """This config on the seed `derive_seed(seed, *indices)`."""
+        return replace(self, seed=derive_seed(self.seed, *indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +232,12 @@ def _grid(codes: np.ndarray, n_ind: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 class _Chain:
-    """One chain: its fixed arrays, grid state, proposal and tallies."""
+    """One chain for its whole life: its fixed arrays, grid state, proposal
+    and tallies, from the burn-in proposal (beta log scale log 0.1, identity
+    factor, absolute eps sd 2.4) on. It keeps no view of its own arrays: a
+    copy or a pickle of it would not keep one."""
 
-    def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState,
-                 log_scale: float, eps_scales: float | np.ndarray,
-                 chol: np.ndarray | None = None):
+    def __init__(self, data: PanelDataset, priors: PriorSet, state: ParameterState):
         self.n_ind = n_ind = data.n_individuals
         X = np.empty((data.n_obs, 3))
         X[:, 0], X[:, 1], X[:, 2] = 1.0, data.x1, data.x2
@@ -251,16 +255,15 @@ class _Chain:
         self.X = np.zeros((3, h * c))
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
         self.mus, self.sums = np.empty((2, *shape)), np.empty((2, c))
-        self.mu, mu = self.mus[0], self.mus[0].reshape(-1)
+        mu = self.mus[0].reshape(-1)
         if h * c > cells.size:
             mu[:] = -math.inf
         for dest, values in zip((*self.X, mu), (*X.T, X @ self.beta + self.eps[data.codes])):
             dest[cells] = values
         self.ones = np.ones(h)  # for the column sums' gemv
-        np.dot(self.ones, softplus(self.mu.reshape(self.grid)), out=self.sums[0])
+        np.dot(self.ones, softplus(mu.reshape(self.grid)), out=self.sums[0])
         self.cell_tmp, self.col_tmp, self.ind_tmp = np.empty(shape), np.empty(c), np.empty(n_ind)
-        self.chol = _EYE if chol is None else chol
-        self.log_scale, self.eps_scales = log_scale, eps_scales
+        self.log_scale, self.chol, self.eps_scales = math.log(0.1), np.eye(3), 2.4
         self.eps_log_mult = math.log(2.4)  # 2.4: the 1-d optimal-scaling multiple
         self.acc_b, self.acc_e = 0, np.zeros(n_ind)
 
@@ -287,7 +290,7 @@ class _Chain:
         half_d2 *= 0.5
         accepted = np.empty((n, n_ind), dtype=bool)
         # no mu this window proposes exceeds this bound
-        bound = (self.mu.max(initial=-math.inf) + float(np.abs(d_beta).dot(self.x_max).sum())
+        bound = (self.mus[0].max(initial=-math.inf) + float(np.abs(d_beta).dot(self.x_max).sum())
                  + float(d_eps.max(axis=1, initial=0.0).sum()))
         sp_of = _log1p_exp if bound < _EXP_SAFE else softplus
 
@@ -366,7 +369,7 @@ class _Chain:
             if n == _COV_START:
                 self.log_scale = math.log(2.38 / math.sqrt(3.0))
         self.eps_log_mult += step * (self.acc_e / _ADAPT_WINDOW - _TARGET_ACCEPT_SCALAR)
-        p = expit(self.mu).reshape(self.grid)
+        p = expit(self.mus[0]).reshape(self.grid)
         p *= 1.0 - p  # summed down each individual's cells in time order
         fisher = np.bincount(np.repeat(self.owner, self.grid[0]), p.T.ravel(), self.n_ind)
         self.eps_scales = np.exp(self.eps_log_mult) * (1.0 / np.sqrt(1.0 / self.sigma2 + fisher))
@@ -382,8 +385,9 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     leaves the posterior invariant -- the building block for kernel
     validation harnesses.
     """
-    scales = 1.0 if eps_scales is None else np.asarray(eps_scales, dtype=np.float64)
-    chain = _Chain(data, priors, state, beta_log_scale, scales)
+    chain = _Chain(data, priors, state)
+    chain.log_scale = beta_log_scale
+    chain.eps_scales = 1.0 if eps_scales is None else np.asarray(eps_scales, dtype=np.float64)
     chain.sweep(rng)
     return ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
 
@@ -401,36 +405,14 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
     return ParameterState(beta=beta, epsilon=np.zeros(data.n_individuals), sigma2=sigma2)
 
 
-def _burn_in(data: PanelDataset, priors: PriorSet,
-             config: ChainConfig) -> tuple[ParameterState, tuple]:
-    """Run the burn_in sweeps from `initial_state`, tuning the proposal after
-    every full window of _ADAPT_WINDOW sweeps (a last partial window is not
-    tuned). Returns the end state and the tuned proposal
-    (log_scale, eps_scales, chol)."""
-    rng = np.random.default_rng(derive_seed(config.seed))
-    state = initial_state(data, priors)
-    with np.errstate(invalid="ignore"):
-        if not math.isfinite(log_posterior(data, state, priors)):
-            raise FloatingPointError("log posterior is not finite at the initial state")
-    # burn-in starts at a beta log scale of log 0.1 and an absolute eps sd of 2.4
-    chain = _Chain(data, priors, state, math.log(0.1), 2.4)
-    beta_hist = np.empty((config.burn_in, 3))
-    for start in range(0, config.burn_in, _ADAPT_WINDOW):
-        stop = min(start + _ADAPT_WINDOW, config.burn_in)
-        beta_hist[start:stop] = chain.sweep(rng, stop - start)[0]
-        if stop % _ADAPT_WINDOW == 0:
-            chain.adapt(beta_hist[:stop])
-    end = ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
-    return end, (chain.log_scale, chain.eps_scales, chain.chol)
-
-
-def _sample(data: PanelDataset, priors: PriorSet, state: ParameterState, proposal: tuple,
-            seed: int, samples: int, thin: int):
-    """One sampling segment: a fresh chain at `state` with the frozen
-    `proposal` runs samples*thin sweeps on `seed`, keeping sweeps thin-1,
-    2*thin-1, ...; returns the kept beta and sigma2 and the tallies."""
+def _sample(chain: _Chain, seed: int, samples: int, thin: int):
+    """One sampling segment: a copy of the burned-in `chain`, tallies
+    cleared, runs samples*thin sweeps on `seed`, keeping sweeps thin-1,
+    2*thin-1, ...; returns the kept beta and sigma2 and the tallies.
+    `chain` stays as it was, for the other segments and a pool's pickle."""
+    chain = copy.deepcopy(chain)
+    chain.acc_b, chain.acc_e = 0, np.zeros(chain.n_ind)
     rng = np.random.default_rng(seed)
-    chain = _Chain(data, priors, state, *proposal)
     n_post = samples * thin
     kept_beta, kept_sigma2 = [], []
     for start in range(0, n_post, _ADAPT_WINDOW):
@@ -447,13 +429,26 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     """Adapt the proposals over burn_in sweeps, then freeze them and run
     samples*thin, keeping every thin-th draw, from a fixed Markov kernel.
 
-    Segment k of the _SEGMENTS runs on seed `derive_seed(config.seed, k)`
-    and keeps samples/_SEGMENTS draws, rounded up for the first ones; the
-    kept draws are in segment order. Given a pool (`workers.worker_pool`),
-    every segment but the first runs in it while this process runs the
-    first; they share no state, so the pool never changes a draw."""
-    end, proposal = _burn_in(data, priors, config)
-    tasks = [(data, priors, end, proposal, derive_seed(config.seed, k),
+    One `_Chain` runs the burn-in, tuned after each full _ADAPT_WINDOW
+    sweeps. Segment k of the _SEGMENTS runs a copy of it on seed
+    `derive_seed(config.seed, k)` and keeps samples/_SEGMENTS draws, rounded
+    up for the first ones; the kept draws are in segment order. Given a pool
+    (`workers.worker_pool`), every segment but the first runs in it while
+    this process runs the first; they share no state, so the pool never
+    changes a draw."""
+    state = initial_state(data, priors)
+    with np.errstate(invalid="ignore"):
+        if not math.isfinite(log_posterior(data, state, priors)):
+            raise FloatingPointError("log posterior is not finite at the initial state")
+    chain, rng = _Chain(data, priors, state), np.random.default_rng(derive_seed(config.seed))
+    beta_hist = np.empty((config.burn_in, 3))
+    for start in range(0, config.burn_in, _ADAPT_WINDOW):
+        stop = min(start + _ADAPT_WINDOW, config.burn_in)
+        beta_hist[start:stop] = chain.sweep(rng, stop - start)[0]
+        if stop % _ADAPT_WINDOW == 0:
+            chain.adapt(beta_hist[:stop])
+    del beta_hist  # ChainConfig bounds it and the kept draws each, not their sum
+    tasks = [(chain, derive_seed(config.seed, k),
               (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)
              for k in range(_SEGMENTS)]
     pool = pool or InParent()

@@ -16,9 +16,10 @@ estimate (means from 12 to 12 590 across chain seeds; ROADMAP.md item 2).
 
 `two_stage_fit` runs three chains: stage 1, then the later window under
 diffuse and under carried-over priors. Only the last needs stage 1, so a
-pool's worker (see `workers`) runs the diffuse-prior chain and then the
-second sampling segment of the carried-over chain (see `sampler.run_chain`),
-while this process runs stage 1 and the rest of the carried-over chain.
+pool's worker (see `workers`) runs the diffuse-prior chain and then, sent
+the carried-over chain after its burn-in, that chain's second sampling
+segment (see `sampler.run_chain`), while this process runs stage 1 and the
+rest of the carried-over chain.
 Every chain and segment keeps its own seed, so the pool never changes the
 output.
 
@@ -32,7 +33,6 @@ instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -42,7 +42,6 @@ from .kvconfig import finite, int64
 from .model import PanelDataset, read_csv, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
-from .seeding import derive_seed
 from .workers import InParent
 
 log = logging.getLogger(__name__)
@@ -102,11 +101,11 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     uninformative, informative.
 
     Only the informative fit needs stage 1. Given a one-worker pool (see
-    `workers.worker_pool`), the worker runs the uninformative fit and then
-    the informative fit's second sampling segment, while this process runs
-    stage 1 and the rest of the informative fit. Stage 1 gets no pool: its
-    segment would wait behind the uninformative fit. Without a pool all
-    three run here. Each fit and segment has its own seed, so the pool never
+    `workers.worker_pool`), the worker runs the uninformative fit and then,
+    on the burned-in chain this process sends it, the informative fit's
+    second sampling segment, while this process runs stage 1 and the rest
+    of the informative fit. Stage 1 gets no pool: its segment would wait
+    behind the uninformative fit. Without a pool all three run here. Each fit and segment has its own seed, so the pool never
     changes the result, and when more than one fit fails the error raised is
     that of the first in the order above.
     """
@@ -124,14 +123,13 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
             log.warning("%s responses are all %d after thresholding at %s; "
                         "the prior keeps the posterior proper", name, panel.y[0], threshold)
 
-    def seeded(k: int) -> ChainConfig:
-        return replace(chain_config, seed=derive_seed(chain_config.seed, k))
-
     pool = pool or InParent()
-    uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(), seeded(2))
-    stage1 = run_chain(panels["stage 1"], default_uninformative(), seeded(1))
+    uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(),
+                                chain_config.derive(2))
+    stage1 = run_chain(panels["stage 1"], default_uninformative(), chain_config.derive(1))
     try:
-        informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1), seeded(3), pool)
+        informative = run_chain(panels["stage 2"], posterior_to_priorset(stage1),
+                                chain_config.derive(3), pool)
     except Exception:
         uninformative.result()  # a failure of the earlier fit comes first
         raise

@@ -6,7 +6,8 @@ The CLI opens one `worker_pool` per command, which also makes SIGTERM exit
 tasks in this process. `study` maps its replicates through it (see
 `experiment.run_study`). `fit` runs only the second sampling segment of
 its chain in one worker (see `sampler.run_chain`), and writes every output
-in the parent.
+in the parent. A segment's task carries the burned-in chain itself, which
+the worker receives pickled and runs on the segment's own seed.
 `spindex` has one worker fit its diffuse-prior stage-2 chain and then run
 the second sampling segment of its carried-over chain, while the parent
 fits stage 1 and the rest of the carried-over chain (see

@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import io
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from panelbayes.sampler import (_ADAPT_WINDOW, _COV_JITTER, _COV_START, _TARGET_
                                 _chain_stats, draws_to_csv, effective_sample_size, gibbs_sigma2,
                                 initial_state, metropolis_sweep, run_chain, summarize)
 from panelbayes.spindex import DEFAULT_SPLIT_YEAR, load_returns, series_to_panel, surrogate_path
-from panelbayes.workers import worker_pool
+from panelbayes.workers import InParent, worker_pool
 
 
 def empty_panel():
@@ -61,9 +63,9 @@ def observed(chain, data):
     """The chain's mu cell of each observation, in observation order, and
     the mask of its padding cells, through the grid `_Chain` builds."""
     _, cells, _ = sampler._grid(data.codes, data.n_individuals)
-    pad = np.ones(chain.mu.size, dtype=bool)
+    pad = np.ones(chain.mus[0].size, dtype=bool)
     pad[cells] = False
-    return chain.mu.reshape(-1)[cells], pad
+    return chain.mus[0].reshape(-1)[cells], pad
 
 
 def check_sums(chain, data, form):
@@ -74,7 +76,7 @@ def check_sums(chain, data, form):
     h, c = chain.grid
     S = chain.sums[0]
     assert np.all(np.isfinite(S))
-    assert np.array_equal(S, np.dot(np.ones(h), form(chain.mu.reshape(h, c))))
+    assert np.array_equal(S, np.dot(np.ones(h), form(chain.mus[0].reshape(h, c))))
     mu, pad = observed(chain, data)
     assert np.all(chain.mus.reshape(2, -1)[:, pad] == -np.inf)
     per_ind = np.bincount(chain.owner, S, data.n_individuals)
@@ -83,6 +85,39 @@ def check_sums(chain, data, form):
     state = ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
     assert per_ind.sum() - data.y @ mu == pytest.approx(-log_likelihood(data, state), rel=1e-12)
     return mu
+
+
+def assert_same_chain(a, b):
+    """Every attribute of chain `b` holds what `a`'s does, bit for bit."""
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            other = vars(b)[name]
+            assert (value.shape, value.tobytes()) == (other.shape, other.tobytes()), name
+        else:
+            assert value == vars(b)[name], name
+
+
+class SnapshotPool(InParent):
+    """Runs each submitted segment in this process when its result is asked
+    for, after the parent's own segment, as `worker_pool(0)` does; records
+    each chain it is sent with a copy of it taken at submit."""
+
+    def __init__(self):
+        self.chains = []
+
+    def submit(self, fn, chain, *args):
+        self.chains.append((copy.deepcopy(chain), chain))
+        return super().submit(fn, chain, *args)
+
+
+def burned_in_chain():
+    """The chain `run_chain` sends its pool after 537 burn-in sweeps on a
+    ragged panel, past _COV_START and a last partial window."""
+    pool = SnapshotPool()
+    run_chain(ragged_panel(np.random.default_rng(8)), default_uninformative(),
+              ChainConfig(burn_in=537, samples=20, seed=4), pool)
+    return pool.chains[0][1]
 
 
 def sha256(*arrays):
@@ -101,9 +136,16 @@ def three_individual_panel():
                         [1.0, 1.0, 0.0, 0.0, 0.5, 0.5], [0.2, -0.3, 0.4, 0.1, 0.0, 0.6])
 
 
+def fixed_scale_chain(data, priors, state, log_scale, eps_scales):
+    """A `_Chain` at `state` whose proposal has these scales."""
+    chain = _Chain(data, priors, state)
+    chain.log_scale, chain.eps_scales = log_scale, eps_scales
+    return chain
+
+
 def three_individual_chain(log_scale=0.0):
     data, priors = three_individual_panel(), default_uninformative()
-    return _Chain(data, priors, initial_state(data, priors), log_scale, np.ones(3))
+    return fixed_scale_chain(data, priors, initial_state(data, priors), log_scale, np.ones(3))
 
 
 def adapted(acc_b, acc_e, windows=1, log_scale=0.7):
@@ -446,6 +488,57 @@ class TestRunChain:
         assert here.accept_beta == there.accept_beta
         assert np.array_equal(here.accept_epsilon, there.accept_epsilon)
 
+    def test_builds_one_chain(self, monkeypatch):
+        # the burn-in and both sampling segments run on the chain built once
+        init, built = _Chain.__init__, []
+
+        def counted(chain, *args):
+            built.append(chain)
+            init(chain, *args)
+
+        monkeypatch.setattr(_Chain, "__init__", counted)
+        run_chain(tiny_panel(), default_uninformative(),
+                  ChainConfig(burn_in=120, samples=30, seed=2))
+        assert len(built) == 1
+
+    def test_parent_segment_leaves_the_submitted_chain_unchanged(self):
+        # a process pool pickles the chain after submit returns, and the
+        # in-parent pool runs the segment after the parent's: neither may
+        # see a chain the parent's segment has moved, nor may the segments
+        # the pool runs move it
+        pool = SnapshotPool()
+        data, priors = ragged_panel(np.random.default_rng(8)), default_uninformative()
+        cfg = ChainConfig(burn_in=120, samples=151, thin=3, seed=4)
+        s = run_chain(data, priors, cfg, pool)
+        (at_submit, chain), = pool.chains
+        assert at_submit.acc_b > 0  # the burn-in's last partial window left tallies
+        assert_same_chain(at_submit, chain)
+        here = run_chain(data, priors, cfg)
+        assert np.array_equal(s.beta, here.beta) and s.accept_beta == here.accept_beta
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda chain: pickle.loads(pickle.dumps(chain))],
+                             ids=["deepcopy", "pickle"])
+    def test_burned_in_chain_copies_whole(self, duplicate):
+        # a copy shares no memory with its chain and, on the same seed, runs
+        # a window, adapts from the cells it holds and runs another exactly
+        # as the chain does
+        chain = burned_in_chain()
+        twin = duplicate(chain)
+        assert_same_chain(chain, twin)
+        ours, its = ([v for v in vars(c).values() if isinstance(v, np.ndarray)]
+                     for c in (chain, twin))
+        assert not any(np.shares_memory(a, b) for a in ours for b in its)
+        draws = []
+        for c in (chain, twin):
+            rng = np.random.default_rng(9)
+            hist = np.zeros((_COV_START, 3))
+            hist[-_ADAPT_WINDOW:] = c.sweep(rng, _ADAPT_WINDOW)[0]
+            c.adapt(hist)
+            draws.append(np.column_stack(c.sweep(rng, _ADAPT_WINDOW)))
+        assert np.array_equal(*draws)
+        assert_same_chain(chain, twin)
+
     def test_seed_changes_output(self):
         a = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=1))
         b = run_chain(tiny_panel(), default_uninformative(), ChainConfig(burn_in=300, samples=400, seed=2))
@@ -646,8 +739,8 @@ class TestKernelCache:
         data = ragged_panel(rng)
         state = ParameterState(beta=rng.normal(0.0, 1.0, 3), epsilon=rng.normal(0.0, 1.5, 40),
                                sigma2=2.0)
-        chain = _Chain(data, default_uninformative(), state, math.log(0.3),
-                       rng.uniform(0.5, 2.0, 40))
+        chain = fixed_scale_chain(data, default_uninformative(), state, math.log(0.3),
+                                  rng.uniform(0.5, 2.0, 40))
         chain.chol = np.linalg.cholesky([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]])
         for _ in range(200):
             chain.sweep(rng)
@@ -674,9 +767,9 @@ class TestKernelCache:
         priors = PriorSet(beta_priors=tuple(NormalPrior(0.0, 100.0) for _ in range(3)),
                           sigma2_prior=InverseGammaPrior(1e4, 1e8))
         state = ParameterState(beta=[0.0, 0.0, 6.9], epsilon=np.zeros(n_ind), sigma2=1e4)
-        chain = _Chain(data, priors, state, math.log(0.01), 10.0)
+        chain = fixed_scale_chain(data, priors, state, math.log(0.01), 10.0)
         chain.sweep(np.random.default_rng(5), _ADAPT_WINDOW)
-        assert chain.mu.max() > 709.78
+        assert chain.mus[0].max() > 709.78
         check_sums(chain, data, softplus)
 
 
@@ -727,7 +820,7 @@ class TestGrid:
         data = GRID_PANELS[name](rng)
         state = ParameterState(beta=rng.normal(0.0, 1.0, 3),
                                epsilon=rng.normal(0.0, 1.0, data.n_individuals), sigma2=1.5)
-        chain = _Chain(data, default_uninformative(), state, math.log(0.2), 1.0)
+        chain = fixed_scale_chain(data, default_uninformative(), state, math.log(0.2), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for _ in range(2):
@@ -741,7 +834,7 @@ class TestGrid:
         # a balanced panel's sweep runs without bincount; a ragged one with
         # overflow columns needs it to fold them into their owners
         data, priors = GRID_PANELS[name](np.random.default_rng(1)), default_uninformative()
-        chain = _Chain(data, priors, initial_state(data, priors), 0.0, 1.0)
+        chain = fixed_scale_chain(data, priors, initial_state(data, priors), 0.0, 1.0)
 
         def no_bincount(*args, **kwargs):
             raise AssertionError("bincount called")

@@ -9,10 +9,10 @@ from scipy.special import expit
 
 from panelbayes import sampler
 from panelbayes.errors import ConfigError
-from panelbayes.priors import default_uninformative
+from panelbayes.priors import default_uninformative, posterior_to_priorset
 from panelbayes.sampler import ChainConfig
-from panelbayes.spindex import (load_returns, make_surrogate, series_to_panel, surrogate_path,
-                                two_stage_fit)
+from panelbayes.spindex import (DEFAULT_SPLIT_YEAR, load_returns, make_surrogate,
+                                series_to_panel, surrogate_path, two_stage_fit)
 from panelbayes.workers import InParent, worker_pool
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
@@ -28,13 +28,13 @@ def late_diffuse_fit_fails(data, state, priors):
 
 class RecordingPool(InParent):
     """Runs every task in this process, as `worker_pool(0)` does, and records
-    each submitted task as (function, priors)."""
+    each submitted task as (function, arguments)."""
 
     def __init__(self):
         self.submitted = []
 
     def submit(self, fn, *args):
-        self.submitted.append((fn, args[1]))
+        self.submitted.append((fn, args))
         return super().submit(fn, *args)
 
 
@@ -165,9 +165,16 @@ class TestTwoStageFit:
         in_turn = two_stage_fit(*series, FAST_CHAIN)
         pool = RecordingPool()
         assert two_stage_fit(*series, FAST_CHAIN, pool=pool) == in_turn
-        (first, first_priors), (second, second_priors) = pool.submitted
-        assert (first, first_priors) == (sampler.run_chain, default_uninformative())
-        assert second is sampler._sample and second_priors != default_uninformative()
+        (first, first_args), (second, (chain, *_)) = pool.submitted
+        assert (first, first_args[1]) == (sampler.run_chain, default_uninformative())
+        # the segment's chain has stage 1's posterior as its own prior
+        early = series[0] <= DEFAULT_SPLIT_YEAR
+        stage1 = sampler.run_chain(series_to_panel(series[0][early], series[1][early]),
+                                   default_uninformative(), FAST_CHAIN.derive(1))
+        carried = posterior_to_priorset(stage1)
+        assert second is sampler._sample
+        assert chain.sigma2_scale == carried.sigma2_prior.scale
+        assert chain.beta_prior == [(p.mean, 2.0 * p.variance) for p in carried.beta_priors]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched log_posterior must reach the worker")

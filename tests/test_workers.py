@@ -15,6 +15,7 @@ from panelbayes.priors import default_uninformative
 from panelbayes.workers import worker_pool
 
 PARENT = os.getpid()
+DIFFUSE_SCALE = default_uninformative().sigma2_prior.scale
 real_log_posterior = sampler.log_posterior
 real_sweep = sampler._Chain.sweep
 real_sample = sampler._sample
@@ -44,10 +45,20 @@ def fails_in_a_worker(data, state, priors):
     return real_log_posterior(data, state, priors)
 
 
-def informative_segment_fails_in_a_worker(data, priors, *args):
-    if os.getpid() != PARENT and priors != default_uninformative():
+def informative_segment_fails_in_a_worker(chain, *args):
+    """Fails a sampling segment run in a worker on a chain whose own sigma2
+    prior is not the diffuse one: the carried-over fit's. Each failure first
+    adds that prior's scale as a line to the file $FAILED_SEGMENTS."""
+    if os.getpid() != PARENT and chain.sigma2_scale != DIFFUSE_SCALE:
+        with open(os.environ["FAILED_SEGMENTS"], "a") as failed:
+            failed.write(f"{chain.sigma2_scale!r}\n")
         raise FloatingPointError("the informative fit's worker segment failed")
-    return real_sample(data, priors, *args)
+    return real_sample(chain, *args)
+
+
+def failed_segment_scales(path):
+    """The sigma2 prior scales of the chains whose worker segments failed."""
+    return [float(line) for line in path.read_text().splitlines()] if path.exists() else []
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
@@ -152,19 +163,27 @@ class TestSpindexFailures:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched _sample must reach the worker")
-    def test_worker_segment_failure_exits_2(self, monkeypatch, capsys):
-        # the worker runs the informative fit's second sampling segment
+    def test_worker_segment_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the worker runs the informative fit's second sampling segment, the
+        # one segment that fails: the diffuse fit's segments, which the
+        # worker runs first, succeed
+        failed = tmp_path / "failed"
+        monkeypatch.setenv("FAILED_SEGMENTS", str(failed))
         monkeypatch.setattr("panelbayes.sampler._sample", informative_segment_fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         err = capsys.readouterr().err
         assert "runtime failure: the informative fit's worker segment failed" in err
+        assert len(failed_segment_scales(failed)) == 1
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched functions must reach the worker")
-    def test_worker_chain_failure_wins_over_a_later_segment_failure(self, monkeypatch, capsys):
+    def test_worker_chain_failure_wins_over_a_later_segment_failure(self, tmp_path, monkeypatch,
+                                                                    capsys):
         # both of the worker's tasks fail; the uninformative fit comes first in fit order
+        failed = tmp_path / "failed"
+        monkeypatch.setenv("FAILED_SEGMENTS", str(failed))
         monkeypatch.setattr("panelbayes.sampler.log_posterior", fails_in_a_worker)
         monkeypatch.setattr("panelbayes.sampler._sample", informative_segment_fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -172,6 +191,7 @@ class TestSpindexFailures:
         err = capsys.readouterr().err
         assert "runtime failure: the worker's chain failed" in err
         assert "segment failed" not in err
+        assert len(failed_segment_scales(failed)) == 1  # the later failure did happen
         assert multiprocessing.active_children() == []
 
 

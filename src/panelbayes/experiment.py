@@ -16,16 +16,16 @@ Per replicate the stage-2 posterior means of beta0, beta1, beta2 and sigma
 parameter gets Mean, SD, a t-based confidence interval and
 MSE = (Mean - truth)^2 + Var. Each stage-2 fit whose ESS falls below the
 floor of `sampler.warn_unmixed` logs a warning naming its replicate and run.
-Replicates run on independent RNG streams (see `seeding`), through the
-pool `run_study` is given (see `workers`), so results are identical for any
-worker count.
+Replicate k's panel follows the simulation seed and its chains the chain
+config's seed (see `seeding`); replicates run through the pool `run_study`
+is given (see `workers`), so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from .errors import ConfigError
 from .model import PanelDataset, concat_panels, write_csv
 from .priors import default_uninformative, posterior_to_priorset
 from .sampler import PARAMETERS, ChainConfig, SummaryStats, run_chain, summarize, warn_unmixed
-from .seeding import derive_seed
 from .workers import InParent
 
 
@@ -138,8 +137,7 @@ def execute_run(run_id: str, quadrants: Quadrants,
 
     Stage 1 (when the design has one) fits with diffuse priors and is
     summarized into the stage-2 prior set; individual effects start fresh at
-    stage 2. The two stages use seeds derived from the chain seed, the run
-    index and the stage number.
+    stage 2. Stage t runs on `chain_config.derive(run index, t)`.
     """
     spec = RUNS[run_id]
     run_index = list(RUNS).index(run_id)
@@ -158,7 +156,7 @@ def _replicate_worker(args) -> list[float]:
     sim_config, run_ids, chain_config, rep = args
     try:
         quadrants = partition(replicate_panel(sim_config, rep)[0])
-        cfg = replace(chain_config, seed=derive_seed(sim_config.seed, rep, 1))
+        cfg = chain_config.derive(rep, 1)
         means = []
         for rid in run_ids:
             stats = execute_run(rid, quadrants, cfg)
@@ -180,11 +178,11 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
               pool=None) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
-    The replicates are mapped through `pool` (see `workers.worker_pool`), or
-    run here in turn without one. No run ids, an unknown or repeated run id
-    and fewer than 2 replicates raise ConfigError before any replicate is
-    generated. A failure in any replicate aborts the study (silently dropped
-    replicates would bias the MSE column).
+    Replicate k fits `replicate_panel(sim_config, k)` on the chain config
+    `chain_config.derive(k, 1)`, in `pool` (see `workers.worker_pool`) or
+    here without one. No run ids, an unknown or repeated run id and fewer
+    than 2 replicates raise ConfigError before any replicate is made. A
+    failed replicate aborts the study; dropping it would bias the MSE column.
     """
     run_ids = tuple(run_ids)
     if not run_ids:

@@ -123,7 +123,7 @@ class PanelDataset:
         n = ind.size
         if not (tim.size == y_raw.size == x1.size == x2.size == n):
             raise ValueError("panel columns must have equal length")
-        if n and not ((y_raw == 0) | (y_raw == 1)).all():
+        if not ((y_raw == 0) | (y_raw == 1)).all():
             raise ValueError("responses must be exactly 0 or 1")
         y = y_raw.astype(np.int64)
         order = np.lexsort((tim, ind))
@@ -132,10 +132,9 @@ class PanelDataset:
             raise ValueError("covariates must be finite")
         ids, codes = np.unique(ind, return_inverse=True)
         # strictly increasing times within an individual (catches duplicates)
-        if n:
-            same = codes[1:] == codes[:-1]
-            if np.any(same & (np.diff(tim) <= 0)):
-                raise ValueError("time indices must be strictly increasing within an individual")
+        same = codes[1:] == codes[:-1]
+        if np.any(same & (np.diff(tim) <= 0)):
+            raise ValueError("time indices must be strictly increasing within an individual")
         for name, arr in [("individual", ind), ("time", tim), ("y", y), ("x1", x1), ("x2", x2)]:
             object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "ids", _frozen(ids))

@@ -254,10 +254,8 @@ class _Chain:
         # X' on the grid, and the chain's own eps, mu cells and column sums
         self.X = np.zeros((3, h * c))
         self.beta, self.eps, self.sigma2 = state.beta, state.epsilon.copy(), state.sigma2
-        self.mus, self.sums = np.empty((2, *shape)), np.empty((2, c))
+        self.mus, self.sums = np.full((2, *shape), -math.inf), np.empty((2, c))
         mu = self.mus[0].reshape(-1)
-        if h * c > cells.size:
-            mu[:] = -math.inf
         for dest, values in zip((*self.X, mu), (*X.T, X @ self.beta + self.eps[data.codes])):
             dest[cells] = values
         self.ones = np.ones(h)  # for the column sums' gemv
@@ -394,9 +392,9 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
 
 def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
     """Deterministic start: beta at prior means, eps at 0, sigma2 at the prior
-    mean scale/(shape - 1) when shape > 1, and at 1 otherwise. The prior mode
-    of a diffuse IG(0.001, 0.001) is about 0.001, a corner the sigma2 and eps
-    steps climb out of only slowly."""
+    mean scale/(shape - 1) when shape > 1 and it is finite (not, say, under
+    IG(1 + 2^-52, 1e300)), else 1. A diffuse IG(0.001, 0.001) has its mode
+    near 0.001, a corner the sigma2 and eps steps climb out of only slowly."""
     beta = np.array([p.mean for p in priors.beta_priors])
     ig = priors.sigma2_prior
     sigma2 = ig.scale / (ig.shape - 1.0) if ig.shape > 1.0 else 1.0

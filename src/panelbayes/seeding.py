@@ -1,10 +1,14 @@
 """Deterministic seed derivation for parallel replicates and chain stages.
 
-Every worker (replicate, run, stage, sampling segment) gets its own RNG
-stream derived from a single master seed: each index is XOR-folded into the
-running seed and passed through the splitmix64 finalizer. The mapping is
-pure arithmetic, so results do not depend on scheduling order or worker
-count.
+Each index is XOR-folded into the running seed and passed through the
+splitmix64 finalizer: pure arithmetic, so results do not depend on
+scheduling order or worker count. The seed tree, writing ``s: (k, 0)`` for
+``derive_seed(s, k, 0)``, from the `SimConfig` seed s and the `ChainConfig`
+seed c (the CLI reads both from one ``seed`` key): replicate k's panel is
+on ``s: (k, 0)``; a chain on c burns in on ``c: ()``, segment k on ``c: (k)``;
+`study` runs replicate k's run r (index in `experiment.RUNS`), stage t on
+``c: (k, 1, r, t)``; `spindex` its stage-1, diffuse and carried-over fits
+on ``c: (1)``, ``c: (2)`` and ``c: (3)``.
 """
 
 MASK64 = (1 << 64) - 1

@@ -144,7 +144,7 @@ def test_criterion_4_joint_distribution():
 def test_criterion_5_desk_scale_ordering():
     sim = SimConfig(individuals=100, periods=12, sigma=1.0, replicates=10, seed=202)
     with worker_pool(JOBS if JOBS > 1 else 0) as pool:
-        res = run_study(sim, ("R2", "R6"), ChainConfig(), pool)
+        res = run_study(sim, ("R2", "R6"), ChainConfig(seed=sim.seed), pool)
     m = {(r.run_id, r.parameter): r.mse for r in res.rows}
     ok = (m[("R2", "beta1")] < m[("R6", "beta1")]
           and m[("R2", "beta2")] < m[("R6", "beta2")])
@@ -156,7 +156,7 @@ def test_criterion_5_desk_scale_ordering():
 def test_criterion_6_long_window_contrast():
     sim = SimConfig(individuals=50, periods=100, sigma=1.0, replicates=5, seed=202)
     with worker_pool(JOBS if JOBS > 1 else 0) as pool:
-        res = run_study(sim, ("R2", "R6"), ChainConfig(), pool)
+        res = run_study(sim, ("R2", "R6"), ChainConfig(seed=sim.seed), pool)
     m = {(r.run_id, r.parameter): r.mse for r in res.rows}
     mean = {(r.run_id, r.parameter): r.mean for r in res.rows}
     ok = (m[("R6", "beta2")] > m[("R2", "beta2")]

@@ -89,6 +89,12 @@ class TestGen:
         assert (capsys.readouterr().err
                 == f"error: {cfg}: individuals must be even and >= 2, got 5\n")
 
+    def test_zero_replicates_is_config_error(self, tmp_path, capsys):
+        cfg = write_gen_config(tmp_path / "bad.kv", replicates=0)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: replicates must be >= 1, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.kv"]
+
     def test_non_finite_value_is_config_error(self, tmp_path, capsys):
         for key, value in [("sigma", "inf"), ("beta0", "nan")]:
             cfg = write_gen_config(tmp_path / "bad.kv", **{key: value})

@@ -180,6 +180,14 @@ class TestRunStudy:
         assert not caplog.records
         assert quiet.rows == res.rows
 
+    def test_chain_seed_moves_every_estimate(self):
+        # the panels follow the simulation seed, the chains the chain seed
+        other = run_study(SMOKE_SIM, ("R4",), replace(SMOKE_CHAIN, seed=1))
+        base = run_study(SMOKE_SIM, ("R4",), SMOKE_CHAIN)
+        assert len(base.estimates) == len(other.estimates) == 2 * 4
+        for a, b in zip(base.estimates, other.estimates):
+            assert a[:3] == b[:3] and a[3] != b[3]
+
     def test_parallel_matches_serial(self, smoke_result):
         with worker_pool(2) as pool:
             par = run_study(SMOKE_SIM, tuple(RUNS), SMOKE_CHAIN, pool)
@@ -201,7 +209,7 @@ class TestRunStudy:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched execute_run must reach the workers")
     def test_failed_replicate_ends_the_running_ones(self, monkeypatch):
-        fail_seed = derive_seed(SMOKE_SIM.seed, 0, 1)
+        fail_seed = derive_seed(SMOKE_CHAIN.seed, 0, 1)
 
         def fail_or_hang(run_id, quadrants, cfg):
             if cfg.seed == fail_seed:

@@ -563,6 +563,14 @@ class TestRunChain:
         with pytest.raises(FloatingPointError, match="not finite at the initial state"):
             run_chain(tiny_panel(), bad, ChainConfig(burn_in=10, samples=10, seed=0))
 
+    def test_initial_sigma2_is_the_prior_mean_or_1(self):
+        # the IG mean scale/(shape - 1) when shape > 1 and it is finite, else 1
+        for ig, start in [(InverseGammaPrior(3.0, 4.0), 2.0), (InverseGammaPrior(1.0, 4.0), 1.0),
+                          (InverseGammaPrior(1.0 + 2.0 ** -52, 1e300), 1.0)]:
+            priors = PriorSet(beta_priors=tuple(NormalPrior(0.0, 1.0) for _ in range(3)),
+                              sigma2_prior=ig)
+            assert initial_state(tiny_panel(), priors).sigma2 == start
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(samples=0)

@@ -197,7 +197,8 @@ def cmd_study(args) -> int:
     run_ids = [r.strip() for r in cfg.get("runs", str, ",".join(RUNS)).split(",") if r.strip()]
     outdir = cfg.get("out", str, "", args.out)
     cpus = usable_cpus()
-    jobs = min(cfg.get("jobs", integer, cpus, args.jobs), cpus)  # < 1 only if set < 1
+    # < 1 only if set < 1; a pool starts every worker at once, so one per replicate at most
+    jobs = min(cfg.get("jobs", integer, cpus, args.jobs), cpus, sim.replicates)
     cfg.check_all_read()
     if jobs < 1:
         raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")

@@ -17,21 +17,21 @@ tunes one chain's proposal over the burn-in (`_Chain.adapt`), then runs a
 copy of it per sampling segment, each on its own seed, the proposal frozen.
 Identical seeds give bit-identical output, wherever the segments run.
 
-A `_Chain` lays the observations on a time-major grid (`_grid`): each
-individual's go down a column in time order, the first H in column i and
-each further run of up to H in an overflow column that i owns. Padding
-cells hold X = 0 and mu = -inf, whose softplus is exactly 0; every move
-keeps them at -inf. The state is eps, the mu = X beta + eps cells and S,
-each column's sum of softplus(mu): `mus` and `sums` hold the state's at
-[0] and the proposal's at [1]. A block builds its proposal in [1] with
-ufunc `out=` and sums its softplus down the columns into its S with one
-gemv; its y*dmu terms are Xty . d and y_count * d. The beta block totals
-both S rows and, when it accepts, copies the proposal's cells and S into
-the state. The eps block proposes mu + d, d a row over the columns. Only
-a grid with overflow columns folds their S changes into their owners'
-with a bincount and gathers d and the accept mask through `owner`. It
-adds d * accepted to eps and mu, the proposal's bits or the state's plus
-0, and copies the accepted columns of S with one np.copyto.
+A `_Chain` lays the observations on a time-major grid (`_grid`), by one rule
+for balanced, ragged and one-row panels alike: each individual's go down a
+column in time order, the first H in column i and each further run of up to
+H in an overflow column that i owns. Padding cells hold X = 0 and mu = -inf,
+whose softplus is exactly 0; every move keeps them at -inf. The state is
+eps, the mu = X beta + eps cells and S, each column's sum of softplus(mu):
+`mus` and `sums` hold the state's at [0] and the proposal's at [1]. A block
+builds its proposal in [1] with ufunc `out=` and sums its softplus down the
+columns into its S with one gemv; its y*dmu terms are Xty . d and
+y_count * d. The beta block totals both S rows and, when it accepts, copies
+the proposal's cells and S into the state. The eps block proposes mu + d, d
+a row over the columns. Only a grid with overflow columns folds their S
+changes into their owners' with a bincount and gathers d and the accept mask
+through `owner`. It adds d * accepted to eps and mu, the proposal's bits or
+the state's plus 0, and copies the accepted columns of S with one np.copyto.
 
 A sweep is bound by its numpy calls at the sizes the study and `spindex`
 fit. The proposal is fixed within a window of up to _ADAPT_WINDOW sweeps, so
@@ -208,18 +208,17 @@ def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> Non
 
 
 def _grid(codes: np.ndarray, n_ind: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The time-major grid of a panel sorted by individual, then time: its
-    height h, each observation's cell as the flat index row * width + column,
-    and each column's owner. Column i holds individual i's first h
-    observations, each further run of up to h one overflow column after the
-    first n_ind. h is the individual count giving the fewest cells plus
-    columns, the largest on a tie (a sweep costs about as much per cell as
-    per column); so there are fewer than 2 * n_obs cells."""
+    """The time-major grid, by one rule, of any panel (balanced, ragged or
+    one-row) sorted by individual, then time: its height h, each observation's
+    cell as the flat index row * width + column, and each column's owner.
+    Column i holds individual i's first h observations, each further run of
+    up to h one overflow column after the first n_ind. h is the individual
+    count giving the fewest cells plus columns, the largest on a tie (a sweep
+    costs about as much per cell as per column), so fewer than 2 * n_obs cells."""
     counts = np.bincount(codes, minlength=n_ind)
     n, owner = codes.size, np.arange(n_ind)
-    if not n_ind or counts.min() * n_ind == n:  # balanced
-        h = n // n_ind if n_ind else 0
-        return h, np.arange(n).reshape(h, n_ind).T.ravel(), owner
+    if not n_ind:  # argmin of no costs raises
+        return 0, codes, owner
     m = np.bincount(counts)  # the multiplicity of each distinct count u
     u = np.flatnonzero(m)
     cost = (u + 1) * (-(-u // u[:, None]) @ m[u])
@@ -427,10 +426,10 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     """Adapt the proposals over burn_in sweeps, then freeze them and run
     samples*thin, keeping every thin-th draw, from a fixed Markov kernel.
 
-    One `_Chain` runs the burn-in, tuned after each full _ADAPT_WINDOW
-    sweeps. Segment k of the _SEGMENTS runs a copy of it on seed
-    `derive_seed(config.seed, k)` and keeps samples/_SEGMENTS draws, rounded
-    up for the first ones; the kept draws are in segment order. Given a pool
+    One `_Chain` runs the burn-in on the seed of `config.derive()`, tuned
+    after each full _ADAPT_WINDOW sweeps. Segment k of the _SEGMENTS runs a
+    copy of it on the seed of `config.derive(k)` and keeps samples/_SEGMENTS
+    draws, rounded up for the first ones, in segment order. Given a pool
     (`workers.worker_pool`), every segment but the first runs in it while
     this process runs the first; they share no state, so the pool never
     changes a draw."""
@@ -438,7 +437,7 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
             raise FloatingPointError("log posterior is not finite at the initial state")
-    chain, rng = _Chain(data, priors, state), np.random.default_rng(derive_seed(config.seed))
+    chain, rng = _Chain(data, priors, state), np.random.default_rng(config.derive().seed)
     beta_hist = np.empty((config.burn_in, 3))
     for start in range(0, config.burn_in, _ADAPT_WINDOW):
         stop = min(start + _ADAPT_WINDOW, config.burn_in)
@@ -446,11 +445,10 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
         if stop % _ADAPT_WINDOW == 0:
             chain.adapt(beta_hist[:stop])
     del beta_hist  # ChainConfig bounds it and the kept draws each, not their sum
-    tasks = [(chain, derive_seed(config.seed, k),
+    tasks = [(chain, config.derive(k).seed,
               (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)
              for k in range(_SEGMENTS)]
-    pool = pool or InParent()
-    later = [pool.submit(_sample, *task) for task in tasks[1:]]
+    later = [(pool or InParent()).submit(_sample, *task) for task in tasks[1:]]
     betas, sigma2s, acc_b, acc_e = zip(_sample(*tasks[0]), *(f.result() for f in later))
     n_post = config.samples * config.thin
     return PosteriorSamples(

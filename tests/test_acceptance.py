@@ -12,8 +12,8 @@ from scipy import stats as sps
 from scipy.special import expit
 
 from panelbayes.cli import main
-from panelbayes.datagen import SimConfig
-from panelbayes.experiment import mse, replicate_ci, run_study
+from panelbayes.datagen import SimConfig, gen_panel, partition
+from panelbayes.experiment import mse, replicate_ci, run_study, stage_dataset
 from panelbayes.model import PanelDataset, ParameterState
 from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, fit_invgamma, fit_normal
 from panelbayes.sampler import (ChainConfig, effective_sample_size, gibbs_sigma2, metropolis_sweep,
@@ -21,6 +21,12 @@ from panelbayes.sampler import (ChainConfig, effective_sample_size, gibbs_sigma2
 from panelbayes.workers import worker_pool
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
+
+# criterion 11: a stage-2-like proper prior, and L = 100 ranks from every 20th of 2000 draws
+SBC_PRIORS = PriorSet(beta_priors=(NormalPrior(-1.0, 0.09), NormalPrior(1.0, 0.09),
+                                   NormalPrior(1.0, 0.04)),
+                      sigma2_prior=InverseGammaPrior(20.0, 19.0))
+SBC_FITS, SBC_DRAWS, SBC_THIN = 200, 2000, 20
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -229,3 +235,38 @@ def test_criterion_9_sp_pipeline_shape(tmp_path):
     _report(9, "bundled-surrogate two-stage comparison emits both runs",
             code == 0 and header_ok and layout_ok,
             f"(exit={code}, rows={len(lines) - 1 if lines else 0})")
+
+
+def _sbc_ranks(k: int) -> np.ndarray:
+    """Fit k of criterion 11: draw (beta, sigma2) from SBC_PRIORS and a 100 x 12
+    panel from them on default_rng([7, k]), fit its late window on chain seed
+    k, and return the rank of each true beta0, beta1, beta2 and sigma2 among
+    every SBC_THIN-th kept draw, from 0 to 100."""
+    rng = np.random.default_rng([7, k])
+    beta = rng.normal([p.mean for p in SBC_PRIORS.beta_priors],
+                      [math.sqrt(p.variance) for p in SBC_PRIORS.beta_priors])
+    ig = SBC_PRIORS.sigma2_prior
+    sigma2 = 1.0 / rng.gamma(ig.shape, 1.0 / ig.scale)
+    sim = SimConfig(individuals=100, periods=12, sigma=math.sqrt(sigma2),
+                    beta_true=tuple(beta), replicates=1)
+    late = stage_dataset("late", partition(gen_panel(sim, rng)[0]))
+    s = run_chain(late, SBC_PRIORS, ChainConfig(burn_in=500, samples=SBC_DRAWS, seed=k))
+    draws = np.column_stack([s.beta, s.sigma2])[::SBC_THIN]
+    return (draws < np.append(beta, sigma2)).sum(axis=0)
+
+
+def test_criterion_11_simulation_based_calibration():
+    # Talts et al. 2018 (arXiv:1804.06788): if run_chain samples the
+    # posterior, the rank of a prior draw among the draws fitted to data
+    # simulated from it is uniform on 0..L
+    with worker_pool(JOBS if JOBS > 1 else 0) as pool:
+        ranks = np.array(list(pool.map(_sbc_ranks, range(SBC_FITS))))
+    n_ranks = SBC_DRAWS // SBC_THIN + 1
+    share = np.bincount(np.arange(n_ranks) * 10 // n_ranks) / n_ranks  # 11 ranks in bin 0, 10 after
+    p_values = [sps.chisquare(np.bincount(r * 10 // n_ranks, minlength=10), SBC_FITS * share).pvalue
+                for r in ranks.T]
+    _report(11, "simulation-based calibration: the true parameters' ranks among the "
+            "kept draws are uniform", min(p_values) > 0.0025,
+            "(10-bin chi-square p: " + ", ".join(
+                f"{name}={p:.4f}" for name, p in zip(("beta0", "beta1", "beta2", "sigma2"),
+                                                     p_values)) + ")")

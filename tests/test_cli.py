@@ -663,6 +663,15 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--jobs", "2"]) == 1
         assert pools == [0, 0]  # one CPU: the replicates run in this process
 
+    def test_no_more_workers_than_replicates(self, tmp_path, monkeypatch):
+        # a pool starts every worker on its first task, so a third and fourth would idle
+        pools = record_worker_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "out"), runs="R4",
+                                 replicates=2, jobs=4)
+        assert main(["study", "--config", cfg]) == 0
+        assert pools == [2]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="a 2-worker pool needs 2 usable CPUs")

@@ -25,6 +25,10 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="sigma"):
             SimConfig(individuals=4, periods=4, sigma=0.0)
 
+    def test_rejects_two_betas(self):
+        with pytest.raises(ConfigError, match="beta_true needs 3"):
+            SimConfig(individuals=4, periods=4, sigma=1.0, beta_true=(1.0, 2.0))
+
     def test_default_truth(self):
         cfg = SimConfig(individuals=4, periods=4, sigma=1.0)
         assert cfg.beta_true == (-1.0, 1.0, 1.0)

@@ -126,6 +126,10 @@ class TestRunTopology:
         late = stage_dataset("late", q)
         assert list(late.times()) == [3, 4]
 
+    def test_unknown_selector_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset selector 'middle'"):
+            stage_dataset("middle", self.quads())
+
     def test_shared_stage2_datasets_are_identical(self):
         q = self.quads()
         for a, b in [("R2", "R6"), ("R1", "R5"), ("R3", "R4")]:

@@ -178,6 +178,16 @@ class TestPanelDataset:
         with pytest.raises(ValueError):
             PanelDataset([1, 1], [2, 2], [0, 1], [0.0, 0.0], [0.0, 0.0])
 
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PanelDataset([1, 1], [1, 2], [0, 1], [0.0, 0.0], [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_covariates(self, bad):
+        for x1, x2 in (([bad], [0.0]), ([0.0], [bad])):
+            with pytest.raises(ValueError, match="covariates must be finite"):
+                PanelDataset([1], [1], [0], x1, x2)
+
     def test_canonical_order(self):
         data = PanelDataset([2, 1, 1], [1, 2, 1], [0, 1, 0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
         assert list(data.individual) == [1, 1, 2]
@@ -301,3 +311,18 @@ class TestPanelDataset:
         a = small_panel()
         with pytest.raises(ValueError):
             concat_panels(a, a)
+
+    def test_concat_needs_a_panel(self):
+        with pytest.raises(ValueError, match="at least one panel"):
+            concat_panels()
+
+
+class TestParameterState:
+    def test_rejects_two_betas(self):
+        with pytest.raises(ValueError, match="exactly 3"):
+            ParameterState(beta=[0.0, 1.0], epsilon=[0.0], sigma2=1.0)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
+    def test_rejects_non_positive_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[0.0], sigma2=sigma2)

@@ -86,6 +86,10 @@ class TestFitInvGamma:
         assert p.shape == pytest.approx(6.0, abs=1e-12)
         assert p.scale == pytest.approx(10.0, abs=1e-12)
 
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fit_invgamma([1.0])
+
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             fit_invgamma([1.0, -0.5])
@@ -132,6 +136,10 @@ class TestPosteriorToPriorset:
     def test_missing_chain_rejected(self):
         with pytest.raises(ValueError):
             posterior_to_priorset(fake_samples(np.zeros((10, 2)), np.ones(10)))
+
+    def test_empty_sigma2_chain_rejected(self):
+        with pytest.raises(ValueError, match="a sigma2 chain"):
+            posterior_to_priorset(fake_samples(np.zeros((0, 3)), []))
 
     @pytest.mark.parametrize("name", ["beta0", "beta1", "beta2", "sigma2"])
     def test_degenerate_chain_is_named(self, name):

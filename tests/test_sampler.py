@@ -306,6 +306,20 @@ class TestSummaries:
         with pytest.raises(ValueError):
             _chain_stats(np.array([1.0]))
 
+    def test_ess_of_one_draw_is_one(self):
+        assert effective_sample_size([2.5]) == 1.0
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
+    def test_samples_reject_non_positive_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 draws must be positive"):
+            PosteriorSamples(beta=np.zeros((2, 3)), sigma2=np.array([1.0, sigma2]),
+                             accept_beta=0.3, accept_epsilon=np.zeros(1))
+
+    def test_samples_reject_chains_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PosteriorSamples(beta=np.zeros((3, 3)), sigma2=np.ones(2),
+                             accept_beta=0.3, accept_epsilon=np.zeros(1))
+
     def test_ess_of_correlated_chain_smaller(self):
         rng = np.random.default_rng(9)
         n = 20000

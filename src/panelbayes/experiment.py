@@ -175,14 +175,14 @@ class StudyResult:
 
 
 def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: ChainConfig,
-              pool=None) -> StudyResult:
+              pool=InParent()) -> StudyResult:
     """Generate, partition and fit every replicate, then aggregate.
 
     Replicate k fits `replicate_panel(sim_config, k)` on the chain config
-    `chain_config.derive(k, 1)`, in `pool` (see `workers.worker_pool`) or
-    here without one. No run ids, an unknown or repeated run id and fewer
-    than 2 replicates raise ConfigError before any replicate is made. A
-    failed replicate aborts the study; dropping it would bias the MSE column.
+    `chain_config.derive(k, 1)`, in `pool` (`workers.worker_pool`; by default
+    in turn, here). No run ids, an unknown or repeated run id and fewer than
+    2 replicates raise ConfigError before any replicate is made. A failed
+    replicate aborts the study; dropping it would bias the MSE column.
     """
     run_ids = tuple(run_ids)
     if not run_ids:
@@ -196,7 +196,7 @@ def run_study(sim_config: SimConfig, run_ids: Sequence[str], chain_config: Chain
         raise ConfigError(f"replicates must be >= 2 for the across-replicate table, "
                           f"got {sim_config.replicates}")
     tasks = [(sim_config, run_ids, chain_config, rep) for rep in range(sim_config.replicates)]
-    results = list((pool or InParent()).map(_replicate_worker, tasks))
+    results = list(pool.map(_replicate_worker, tasks))
 
     # results[rep][j] is replicate rep's estimate of cells[j]
     cells = [(rid, param) for rid in run_ids for param in PARAMETERS]

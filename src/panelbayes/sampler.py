@@ -14,8 +14,9 @@ One sweep updates, in order:
 
 `metropolis_sweep` sweeps a `_Chain` once at fixed scales. `run_chain`
 tunes one chain's proposal over the burn-in (`_Chain.adapt`), then runs a
-copy of it per sampling segment, each on its own seed, the proposal frozen.
-Identical seeds give bit-identical output, wherever the segments run.
+copy of it in each of two sampling segments, on the seeds of its config's
+`derive(0)` and `derive(1)`, the proposal frozen. Identical seeds give
+bit-identical output, wherever the segments run.
 
 A `_Chain` lays the observations on a time-major grid (`_grid`), by one rule
 for balanced, ragged and one-row panels alike: each individual's go down a
@@ -66,8 +67,6 @@ _TARGET_ACCEPT_SCALAR = 0.44  # & Gilks 1997; Roberts & Rosenthal 2001)
 _COV_START = 500              # burn-in iterations before the empirical-covariance
                               # proposal; a multiple of _ADAPT_WINDOW
 _COV_JITTER = 1e-6
-_SEGMENTS = 2                 # sampling-phase segments; a constant, never the CPU
-                              # count, so a seed gives the same draws on any machine
 _TINY = np.finfo(np.float64).tiny
 _CHAIN_BYTES = 2 ** 30
 _EXP_SAFE = 700.0             # below log(largest float64) = 709.78, where exp overflows
@@ -141,10 +140,11 @@ class SummaryStats:
     ess: float
 
 
-def _inverse_gamma(scale: float, g: float) -> float:
-    """The IG(shape, scale) draw from a standard-gamma variate g of that shape,
-    bit for bit 1/gamma(shape, 1/scale); the floor keeps it finite at g = 0."""
-    return 1.0 / max((1.0 / scale) * g, _TINY)
+def _draw_sigma2(scale: float, eps: np.ndarray, g: float) -> float:
+    """sigma2's full-conditional draw from a standard-gamma variate g of its
+    shape, bit for bit 1/gamma(shape, 1/(scale + sum(eps^2)/2)); the floor
+    keeps it finite at g = 0."""
+    return 1.0 / max((1.0 / (scale + 0.5 * float(eps.dot(eps)))) * g, _TINY)
 
 
 def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,9 +156,7 @@ def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
     """Exact draw from IG(shape + I/2, scale + sum(eps^2)/2)."""
     eps = np.asarray(epsilon, dtype=np.float64)
-    shape = prior.shape + 0.5 * eps.size
-    scale = prior.scale + 0.5 * float(eps.dot(eps))
-    return _inverse_gamma(scale, float(rng.standard_gamma(shape)))
+    return _draw_sigma2(prior.scale, eps, float(rng.standard_gamma(prior.shape + 0.5 * eps.size)))
 
 
 def effective_sample_size(chain) -> float:
@@ -336,7 +334,7 @@ class _Chain:
             eps += ind_tmp
             mu += ind_tmp[owner] if fold else ind_tmp
             np.copyto(s, s_p, where=acc[owner] if fold else acc)
-            sigma2 = _inverse_gamma(sigma2_scale + 0.5 * float(eps.dot(eps)), g)
+            sigma2 = _draw_sigma2(sigma2_scale, eps, g)
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
 
@@ -375,7 +373,7 @@ class _Chain:
 
 def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet,
                      rng: np.random.Generator, *, beta_log_scale: float = 0.0,
-                     eps_scales=None) -> ParameterState:
+                     eps_scales=1.0) -> ParameterState:
     """One fixed-scale sweep (beta block, eps scalars, sigma2 Gibbs).
 
     No adaptation happens here, so the sweep is a fixed Markov kernel that
@@ -384,7 +382,7 @@ def metropolis_sweep(data: PanelDataset, state: ParameterState, priors: PriorSet
     """
     chain = _Chain(data, priors, state)
     chain.log_scale = beta_log_scale
-    chain.eps_scales = 1.0 if eps_scales is None else np.asarray(eps_scales, dtype=np.float64)
+    chain.eps_scales = np.asarray(eps_scales, dtype=np.float64)
     chain.sweep(rng)
     return ParameterState(beta=chain.beta, epsilon=chain.eps, sigma2=chain.sigma2)
 
@@ -403,10 +401,11 @@ def initial_state(data: PanelDataset, priors: PriorSet) -> ParameterState:
 
 
 def _sample(chain: _Chain, seed: int, samples: int, thin: int):
-    """One sampling segment: a copy of the burned-in `chain`, tallies
-    cleared, runs samples*thin sweeps on `seed`, keeping sweeps thin-1,
-    2*thin-1, ...; returns the kept beta and sigma2 and the tallies.
-    `chain` stays as it was, for the other segments and a pool's pickle."""
+    """One of `run_chain`'s two sampling segments, on the seed of its config's
+    `derive(0)` or `derive(1)`: a copy of the burned-in `chain`, tallies
+    cleared, runs samples*thin sweeps, keeping sweeps thin-1, 2*thin-1, ...;
+    returns the kept beta and sigma2 and the tallies. `chain` stays as it
+    was, for the other segment and a pool's pickle."""
     chain = copy.deepcopy(chain)
     chain.acc_b, chain.acc_e = 0, np.zeros(chain.n_ind)
     rng = np.random.default_rng(seed)
@@ -422,17 +421,17 @@ def _sample(chain: _Chain, seed: int, samples: int, thin: int):
 
 
 def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
-              pool=None) -> PosteriorSamples:
+              pool=InParent()) -> PosteriorSamples:
     """Adapt the proposals over burn_in sweeps, then freeze them and run
     samples*thin, keeping every thin-th draw, from a fixed Markov kernel.
 
     One `_Chain` runs the burn-in on the seed of `config.derive()`, tuned
-    after each full _ADAPT_WINDOW sweeps. Segment k of the _SEGMENTS runs a
-    copy of it on the seed of `config.derive(k)` and keeps samples/_SEGMENTS
-    draws, rounded up for the first ones, in segment order. Given a pool
-    (`workers.worker_pool`), every segment but the first runs in it while
-    this process runs the first; they share no state, so the pool never
-    changes a draw."""
+    after each full _ADAPT_WINDOW sweeps. This process then runs a copy of
+    it for ceil(samples/2) draws on the seed of `config.derive(0)`, and
+    `pool` (`workers.worker_pool`; by default this process) another for the
+    rest, kept after them, on that of `config.derive(1)`. Two segments, not
+    the CPU count, so a seed gives the same draws on any machine; they
+    share no state, so the pool never changes a draw."""
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
         if not math.isfinite(log_posterior(data, state, priors)):
@@ -445,11 +444,10 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
         if stop % _ADAPT_WINDOW == 0:
             chain.adapt(beta_hist[:stop])
     del beta_hist  # ChainConfig bounds it and the kept draws each, not their sum
-    tasks = [(chain, config.derive(k).seed,
-              (config.samples + _SEGMENTS - 1 - k) // _SEGMENTS, config.thin)
-             for k in range(_SEGMENTS)]
-    later = [(pool or InParent()).submit(_sample, *task) for task in tasks[1:]]
-    betas, sigma2s, acc_b, acc_e = zip(_sample(*tasks[0]), *(f.result() for f in later))
+    first = (config.samples + 1) // 2
+    second = pool.submit(_sample, chain, config.derive(1).seed, config.samples - first, config.thin)
+    betas, sigma2s, acc_b, acc_e = zip(_sample(chain, config.derive(0).seed, first, config.thin),
+                                       second.result())
     n_post = config.samples * config.thin
     return PosteriorSamples(
         beta=np.concatenate(betas),

@@ -90,7 +90,7 @@ def make_surrogate(seed: int = 20180614) -> tuple[np.ndarray, np.ndarray]:
 def two_stage_fit(years, returns, chain_config: ChainConfig,
                   split_year: int = DEFAULT_SPLIT_YEAR,
                   threshold: float = DEFAULT_THRESHOLD,
-                  pool=None) -> dict[str, dict[str, SummaryStats]]:
+                  pool=InParent()) -> dict[str, dict[str, SummaryStats]]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
     The later window is fitted twice -- once with diffuse priors, once with
@@ -105,7 +105,8 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     on the burned-in chain this process sends it, the informative fit's
     second sampling segment, while this process runs stage 1 and the rest
     of the informative fit. Stage 1 gets no pool: its segment would wait
-    behind the uninformative fit. Without a pool all three run here. Each fit and segment has its own seed, so the pool never
+    behind the uninformative fit. With the default in-process pool all three
+    run here. Each fit and segment has its own seed, so the pool never
     changes the result, and when more than one fit fails the error raised is
     that of the first in the order above.
     """
@@ -123,7 +124,6 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
             log.warning("%s responses are all %d after thresholding at %s; "
                         "the prior keeps the posterior proper", name, panel.y[0], threshold)
 
-    pool = pool or InParent()
     uninformative = pool.submit(run_chain, panels["stage 2"], default_uninformative(),
                                 chain_config.derive(2))
     stage1 = run_chain(panels["stage 1"], default_uninformative(), chain_config.derive(1))

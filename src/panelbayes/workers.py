@@ -2,8 +2,8 @@
 independent segments of one chain, at once.
 
 The CLI opens one `worker_pool` per command, which also makes SIGTERM exit
-143, and passes it to the library functions; given no pool, they run their
-tasks in this process. `study` maps its replicates through it (see
+143, and passes it to the library functions, whose `pool` defaults to
+`InParent()`, in this process. `study` maps its replicates through it (see
 `experiment.run_study`). `fit` runs only the second sampling segment of
 its chain in one worker (see `sampler.run_chain`), and writes every output
 in the parent. A segment's task carries the burned-in chain itself, which
@@ -43,8 +43,8 @@ def _leave_stopping_to_parent() -> None:
 
 
 class InParent:
-    """The pool of `worker_pool(0)`: `map` runs its tasks in turn, and a
-    submitted task runs when its result is asked for."""
+    """The stateless pool of `worker_pool(0)` and the library's default: `map`
+    runs its tasks in turn, a submitted task when its result is asked for."""
 
     map = staticmethod(map)
 

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The two replicated-study
-criteria take a few minutes between them; everything else is seconds.
+criteria and criteria 10 and 11 take most of the time; their fits run in a
+worker pool. Criterion 10's oracle is `posterior_oracle`, next to this file.
 """
 
 import math
@@ -12,15 +13,22 @@ from scipy import stats as sps
 from scipy.special import expit
 
 from panelbayes.cli import main
-from panelbayes.datagen import SimConfig, gen_panel, partition
+from panelbayes.datagen import SimConfig, gen_panel, partition, replicate_panel
 from panelbayes.experiment import mse, replicate_ci, run_study, stage_dataset
-from panelbayes.model import PanelDataset, ParameterState
-from panelbayes.priors import InverseGammaPrior, NormalPrior, PriorSet, fit_invgamma, fit_normal
+from panelbayes.model import PanelDataset, ParameterState, concat_panels
+from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, default_uninformative,
+                               fit_invgamma, fit_normal)
 from panelbayes.sampler import (ChainConfig, effective_sample_size, gibbs_sigma2, metropolis_sweep,
                                 run_chain)
 from panelbayes.workers import worker_pool
+from posterior_oracle import panel as oracle_panel
+from posterior_oracle import posterior_moments
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
+
+# criterion 10: I = 1000 panels whose seeds were fixed before any run
+I1000_SIMS = tuple(SimConfig(individuals=1000, periods=12, sigma=1.0, seed=seed)
+                   for seed in (5001, 5002, 5003))
 
 # criterion 11: a stage-2-like proper prior, and L = 100 ranks from every 20th of 2000 draws
 SBC_PRIORS = PriorSet(beta_priors=(NormalPrior(-1.0, 0.09), NormalPrior(1.0, 0.09),
@@ -60,8 +68,23 @@ def test_criterion_2_conjugate_gibbs():
     prior = InverseGammaPrior(0.001, 0.001)
     draws = np.array([gibbs_sigma2(np.zeros(10), prior, rng) for _ in range(5000)])
     ks = sps.kstest(draws, sps.invgamma(5.001, scale=0.001).cdf)
-    _report(2, "conjugate variance draws match the analytic inverse gamma",
-            ks.pvalue > 0.01, f"(KS p={ks.pvalue:.4f})")
+
+    # the chain's own sigma2 step, at a fixed eps != 0: with no beta and no
+    # eps steps, each sweep from one state is one exact full-conditional draw
+    rng = np.random.default_rng(124)
+    panel = PanelDataset(np.repeat(np.arange(10), 2), np.tile([1, 2], 10), rng.integers(0, 2, 20),
+                         rng.normal(size=20), rng.normal(size=20))
+    eps = rng.standard_normal(10)
+    state = ParameterState(beta=np.zeros(3), epsilon=eps, sigma2=1.0)
+    priors = default_uninformative()
+    draws = np.array([metropolis_sweep(panel, state, priors, rng, beta_log_scale=-math.inf,
+                                       eps_scales=np.zeros(10)).sigma2 for _ in range(5000)])
+    half_ss = 0.5 * float(eps @ eps)
+    ks_chain = sps.kstest(draws, sps.invgamma(0.001 + 5, scale=0.001 + half_ss).cdf)
+    _report(2, "conjugate variance draws match the analytic inverse gamma, at eps = 0 and in "
+            "the chain's sweep at a fixed eps", ks.pvalue > 0.01 and ks_chain.pvalue > 0.01,
+            f"(KS p={ks.pvalue:.3g} at eps = 0; p={ks_chain.pvalue:.3g} in the sweep, "
+            f"sum eps^2={2 * half_ss:.2f})")
 
 
 def test_criterion_3_quadrature_oracle():
@@ -235,6 +258,36 @@ def test_criterion_9_sp_pipeline_shape(tmp_path):
     _report(9, "bundled-surrogate two-stage comparison emits both runs",
             code == 0 and header_ok and layout_ok,
             f"(exit={code}, rows={len(lines) - 1 if lines else 0})")
+
+
+def _i1000_fit(sim: SimConfig):
+    """Criterion 10's fit of the late window of `sim`'s replicate 0 with the
+    default chain, and the oracle's: the chain's posterior mean, SD and ESS of
+    beta0, beta1, beta2 and sigma, and the oracle's `Moments`."""
+    q = partition(replicate_panel(sim, 0)[0])
+    late = concat_panels(q.m12, q.m22)
+    s = run_chain(late, default_uninformative(), ChainConfig(seed=sim.seed))
+    draws = np.column_stack([s.beta, s.sigma])
+    oracle = posterior_moments(oracle_panel(late.y, late.x1, late.x2, late.codes), seed=sim.seed)
+    return (draws.mean(axis=0), draws.std(axis=0, ddof=1),
+            np.array([effective_sample_size(d) for d in draws.T]), oracle)
+
+
+def test_criterion_10_i1000_late_window():
+    with worker_pool(JOBS if JOBS > 1 else 0) as pool:
+        fits = list(pool.map(_i1000_fit, I1000_SIMS))
+    ok, details = True, []
+    for sim, (mean, sd, ess, oracle) in zip(I1000_SIMS, fits):
+        mcse = sd / np.sqrt(ess)
+        to_truth = np.abs(mean - np.array([*sim.beta_true, sim.sigma])) / (3 * mcse + 2 * sd)
+        to_oracle = np.abs(mean - oracle.mean) / (3 * np.sqrt(mcse ** 2 + oracle.se ** 2))
+        ok = ok and to_truth.max() <= 1.0 and to_oracle.max() <= 1.0 and ess.min() >= 100
+        details.append(f"seed {sim.seed}: min ESS={ess.min():.0f}, "
+                       f"max |mean - truth|/(3 mcse + 2 sd)={to_truth.max():.2f}, "
+                       f"max |mean - oracle|/(3 sqrt(mcse^2 + se_is^2))={to_oracle.max():.2f}, "
+                       f"oracle Kish ESS={oracle.kish_ess:.0f}")
+    _report(10, "I = 1000 late-window fits match the truth and the AGHQ importance-sampling "
+            "oracle, with min ESS >= 100", ok, "(" + "; ".join(details) + ")")
 
 
 def _sbc_ranks(k: int) -> np.ndarray:

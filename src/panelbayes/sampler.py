@@ -25,7 +25,7 @@ H in an overflow column that i owns. Padding cells hold X = 0 and mu = -inf,
 whose softplus is exactly 0; every move keeps them at -inf. The state is
 eps, the mu = X beta + eps cells and S, each column's sum of softplus(mu):
 `mus` and `sums` hold the state's at [0] and the proposal's at [1]. A block
-builds its proposal in [1] with ufunc `out=` and sums its softplus down the
+builds its proposal in [1] with ufunc outs and sums its softplus down the
 columns into its S with one gemv; its y*dmu terms are Xty . d and
 y_count * d. The beta block totals both S rows and, when it accepts, copies
 the proposal's cells and S into the state. The eps block proposes mu + d, d
@@ -35,16 +35,22 @@ through `owner`. It adds d * accepted to eps and mu, the proposal's bits or
 the state's plus 0, and copies the accepted columns of S with one np.copyto.
 
 A sweep is bound by its numpy calls at the sizes the study and `spindex`
-fit. The proposal is fixed within a window of up to _ADAPT_WINDOW sweeps, so
-`sweep` first draws the window's randomness (three RNG calls) and every
-state-free term: the beta steps with their X d rows and Xty . d, and the
-eps steps with y_count * d and d^2/2. Each window picks its softplus form
-once: it bounds every mu it can propose by the state's largest mu plus
-every upward step it could accept, |d_beta| . max|X| and max(0, max d_eps)
-summed over its sweeps. Below _EXP_SAFE = 700 (exp overflows at 709.78) a
-softplus pass is log1p(exp(mu)), two calls, else the overflow-safe
-`model.softplus`; the two agree bit for bit at mu <= 0 and within 2 ulp
-above. Both blocks accept when log u < delta, so u = 0 accepts.
+fit, so its loop skips the dispatch layers it can, each 0.06-0.3 us a call
+at these sizes: the column sums' gemv is the ndarray method `ones.dot`, not
+`np.dot` behind its array-function dispatcher; the beta block's accepted
+copies are slice assignments, not np.copyto; and the ufuncs are bound to
+locals and take a positional out. The beta block's two S totals and the eps
+block's delta go into buffers made once per window. The proposal is fixed
+within a window of up to _ADAPT_WINDOW sweeps, so `sweep` first draws the
+window's randomness (three RNG calls) and every state-free term: the beta
+steps with their X d rows and Xty . d, and the eps steps with y_count * d
+and d^2/2. Each window picks its softplus form once: it bounds every mu it
+can propose by the state's largest mu plus every upward step it could
+accept, |d_beta| . max|X| and max(0, max d_eps) summed over its sweeps.
+Below _EXP_SAFE = 700 (exp overflows at 709.78) a softplus pass is
+log1p(exp(mu)), two calls, else the overflow-safe `model.softplus`; the two
+agree bit for bit at mu <= 0 and within 2 ulp above. Both blocks accept when
+log u < delta, so u = 0 accepts.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ def _draw_sigma2(scale: float, eps: np.ndarray, g: float) -> float:
 def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """softplus as log1p(exp(x)), in place in `out`; exp overflows above
     709.78, so a window takes it only below _EXP_SAFE."""
-    return np.log1p(np.exp(x, out=out), out=out)
+    return np.log1p(np.exp(x, out), out)
 
 
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
@@ -294,17 +300,22 @@ class _Chain:
         eps, sums = self.eps, self.sums
         (mu, mu_p), (s, s_p) = self.mus, sums
         sp, col_tmp, ind_tmp, sigma2 = self.cell_tmp, self.col_tmp, self.ind_tmp, self.sigma2
-        ones = self.ones
+        sp_out = sp if tall else s_p
+        totals, dll_eps = np.empty(2), np.empty(n_ind)
+        # the ndarray method and bound ufuncs with a positional out skip
+        # numpy's dispatch layers (see the module docstring)
+        gemv, add, subtract, multiply = self.ones.dot, np.add, np.subtract, np.multiply
+        less, add_reduce, copyto, bincount = np.less, np.add.reduce, np.copyto, np.bincount
         betas, sigma2s = [], []
         for (s0, s1, s2), xty_dt, lu_beta, dmu, d, d_col, y_dt, half_d2t, lu_eps, acc, g in zip(
                 d_beta.tolist(), xty_d, log_u[:, 0].tolist(), dmu_beta, d_eps, d_cols, y_d,
                 half_d2, log_u[:, 1:], accepted, gammas):
-            np.add(mu, dmu, out=mu_p)
-            sp_of(mu_p, out=sp if tall else s_p)
+            add(mu, dmu, mu_p)
+            sp_of(mu_p, sp_out)
             if tall:
-                np.dot(ones, sp, out=s_p)
-            totals = np.add.reduce(sums, 1).tolist()
-            dll = xty_dt - (totals[1] - totals[0])
+                gemv(sp, s_p)
+            total, total_p = add_reduce(sums, 1, None, totals).tolist()
+            dll = xty_dt - (total_p - total)
             p0, p1, p2 = b0 + s0, b1 + s1, b2 + s2
             # the prior delta in Python floats
             dpr = (((b0 - m0) * (b0 - m0) - (p0 - m0) * (p0 - m0)) / v0
@@ -312,28 +323,28 @@ class _Chain:
                    + ((b2 - m2) * (b2 - m2) - (p2 - m2) * (p2 - m2)) / v2)
             if lu_beta < dll + dpr:
                 b0, b1, b2 = p0, p1, p2
-                np.copyto(mu, mu_p)
-                np.copyto(s, s_p)
+                mu[...] = mu_p
+                s[...] = s_p
                 self.acc_b += 1
 
-            np.add(mu, d_col, out=mu_p)
-            sp_of(mu_p, out=sp if tall else s_p)
+            add(mu, d_col, mu_p)
+            sp_of(mu_p, sp_out)
             if tall:
-                np.dot(ones, sp, out=s_p)
-            np.subtract(s_p, s, out=col_tmp)
+                gemv(sp, s_p)
+            subtract(s_p, s, col_tmp)
             # an overflow column's change adds to its owner's
-            dll = y_dt - (np.bincount(owner, col_tmp, n_ind) if fold else col_tmp)
+            subtract(y_dt, bincount(owner, col_tmp, n_ind) if fold else col_tmp, dll_eps)
             # (eps^2 - eps_p^2) / (2 sigma2) = -(eps*d + d^2/2) / sigma2
-            np.multiply(eps, d, out=ind_tmp)
-            ind_tmp += half_d2t
-            ind_tmp *= 1.0 / sigma2
-            dll -= ind_tmp
-            np.less(lu_eps, dll, out=acc)
+            multiply(eps, d, ind_tmp)
+            add(ind_tmp, half_d2t, ind_tmp)
+            multiply(ind_tmp, 1.0 / sigma2, ind_tmp)
+            subtract(dll_eps, ind_tmp, dll_eps)
+            less(lu_eps, dll_eps, acc)
             # an accepted step adds d, a rejected one 0, which leaves every bit
-            np.multiply(d, acc, out=ind_tmp)
-            eps += ind_tmp
-            mu += ind_tmp[owner] if fold else ind_tmp
-            np.copyto(s, s_p, where=acc[owner] if fold else acc)
+            multiply(d, acc, ind_tmp)
+            add(eps, ind_tmp, eps)
+            add(mu, ind_tmp[owner] if fold else ind_tmp, mu)
+            copyto(s, s_p, where=acc[owner] if fold else acc)
             sigma2 = _draw_sigma2(sigma2_scale, eps, g)
             betas.append([b0, b1, b2])
             sigma2s.append(sigma2)
@@ -459,8 +470,18 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
 
 def draws_to_csv(samples: PosteriorSamples, path: str) -> None:
     """Write kept draws as long-form rows `iteration,parameter,value`, four
-    per draw, each draw's four through one template."""
+    per draw, each draw's four through one template.
+
+    A rejected beta proposal repeats the row before it bit for bit, so each
+    run of repeated beta rows is formatted once: a row is fresh when its
+    int64 bits differ from the previous row's (as floats, -0.0 == 0.0 would
+    print the wrong zero), and only fresh rows go through repr."""
+    beta = np.ascontiguousarray(samples.beta, dtype=np.float64)
+    bits = beta.view(np.int64)
+    fresh = np.ones(len(beta), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=fresh[1:])
+    reprs = np.array(list(map(repr, beta[fresh].ravel().tolist())), dtype=object).reshape(-1, 3)
     row = "{0},beta0,{1}\n{0},beta1,{2}\n{0},beta2,{3}\n{0},sigma2,{4}\n".format
-    text = "".join(map(row, range(1, samples.n_kept + 1), *samples.beta.T.tolist(),
+    text = "".join(map(row, range(1, samples.n_kept + 1), *reprs[np.cumsum(fresh) - 1].T.tolist(),
                        samples.sigma2.tolist()))
     write_csv(path, ["iteration", "parameter", "value"], text)

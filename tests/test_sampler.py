@@ -422,6 +422,36 @@ class TestRunChain:
         assert sha256(s.accept_epsilon) == accepts
         assert s.accept_beta == 0.33
 
+    def test_pinned_digest_ragged_with_overflow_safe_windows(self, monkeypatch):
+        # the staggered panel with x2 scaled by 100: the first burn-in
+        # windows could propose a mu past _EXP_SAFE, so on this grid with
+        # overflow columns they take the overflow-safe `model.softplus`,
+        # and the later windows the two-call form
+        d = staggered_panel(np.random.default_rng(15))
+        data = PanelDataset(d.individual, d.time, d.y, d.x1, 100.0 * d.x2)
+        softplus_of, sweep, calls, windows = sampler.softplus, _Chain.sweep, [], []
+
+        def counted_softplus(x, out=None):
+            calls.append(1)
+            return softplus_of(x, out)
+
+        def counted_sweep(chain, rng, n=1):
+            before = len(calls)
+            out = sweep(chain, rng, n)
+            windows.append(len(calls) > before)
+            return out
+
+        monkeypatch.setattr(sampler, "softplus", counted_softplus)
+        monkeypatch.setattr(_Chain, "sweep", counted_sweep)
+        s = run_chain(data, default_uninformative(), ChainConfig(burn_in=600, samples=400, seed=15))
+        assert data.n_individuals < sampler._grid(data.codes, data.n_individuals)[2].size
+        assert 0 < sum(windows) < len(windows)
+        assert sha256(s.beta, s.sigma2) == (
+            "f1c074fdb490f600116f18c780fb1a54a73bbb410dc0393a0160fde04f62dc1f")
+        assert sha256(s.accept_epsilon) == (
+            "0da8f085140c00e821849c58f1dc46db7fa89cb8b12081f605ffaf0304ff8850")
+        assert s.accept_beta == 0.315
+
     @pytest.mark.parametrize("thin", [2, 3])
     def test_windows_count_sweeps_not_kept_draws(self, thin):
         # the sampling phase runs in windows of sweeps, so thinning keeps
@@ -899,3 +929,42 @@ def test_draws_csv_matches_the_csv_module(tmp_path, n_kept):
     written = (tmp_path / "draws.csv").read_bytes()
     assert written == expect.getvalue().encode("utf-8")
     assert len(written.decode().split("\n")) == 1 + 4 * n_kept + 1
+
+
+def per_value_csv(samples):
+    """The draws CSV by its per-value formula: one repr per value."""
+    draws = np.column_stack([samples.beta, samples.sigma2]).tolist()
+    return "iteration,parameter,value\n" + "".join(
+        f"{i},beta0,{b0!r}\n{i},beta1,{b1!r}\n{i},beta2,{b2!r}\n{i},sigma2,{s2!r}\n"
+        for i, (b0, b1, b2, s2) in enumerate(draws, 1))
+
+
+def hand_built(*rows):
+    beta = np.array(rows, dtype=np.float64)
+    return PosteriorSamples(beta=beta, sigma2=np.linspace(0.5, 3.0, len(rows)),
+                            accept_beta=0.3, accept_epsilon=np.zeros(1))
+
+
+DRAWS_CSV_SAMPLES = {
+    "repeated_runs": lambda: hand_built(*[[1.5, -2.0, 0.1]] * 3, *[[0.25, -2.0, 0.1]] * 4,
+                                        [1e-300, 3.0, -7e22], *[[0.25, -2.0, 0.1]] * 2),
+    # each row differs from the one before only in the sign of a zero
+    "zero_sign": lambda: hand_built([0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
+                                    [0.0, 1.0, -0.0], [0.0, 1.0, 0.0]),
+    "all_fresh": lambda: hand_built(*np.random.default_rng(4).normal(0.0, 1.0, (50, 3))),
+    "two_repeated": lambda: hand_built([0.5, -0.5, 5e-324], [0.5, -0.5, 5e-324]),
+    "run_chain_thin_3": lambda: run_chain(ragged_panel(np.random.default_rng(8)),
+                                          default_uninformative(),
+                                          ChainConfig(burn_in=600, samples=60, thin=3, seed=5)),
+}
+
+
+@pytest.mark.parametrize("name", DRAWS_CSV_SAMPLES)
+def test_draws_csv_matches_the_per_value_formula(tmp_path, name):
+    # draws_to_csv formats each run of repeated beta rows once; every byte
+    # must still be what formatting each value on its own writes
+    s = DRAWS_CSV_SAMPLES[name]()
+    if name == "run_chain_thin_3":  # the chain kept some rejected proposals
+        assert np.any(np.all(s.beta[1:] == s.beta[:-1], axis=1))
+    draws_to_csv(s, str(tmp_path / "draws.csv"))
+    assert (tmp_path / "draws.csv").read_bytes() == per_value_csv(s).encode("utf-8")

@@ -203,7 +203,8 @@ def cmd_study(args) -> int:
     if jobs < 1:
         raise ConfigError(f"{_source(cfg, 'jobs', args.jobs)}: jobs must be >= 1")
     if not outdir:
-        raise ConfigError(f"{cfg.path}: no output directory (set 'out' or pass --out)")
+        raise ConfigError("--out: empty path" if args.out is not None
+                          else f"{cfg.path}: no output directory (set 'out' or pass --out)")
     # the directory is made only once the tables are ready, but its nearest
     # existing ancestor must be a directory, and no table a directory or the config
     where, folder = _source(cfg, "out", args.out), outdir

@@ -38,19 +38,15 @@ from .sampler import PARAMETERS, ChainConfig, SummaryStats, run_chain, summarize
 from .workers import InParent
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    stage1: str | None  # dataset selector for the prior-building fit, None for single-stage runs
-    stage2: str
-
-
-RUNS: dict[str, RunSpec] = {
-    "R1": RunSpec("top", "bottom"),
-    "R2": RunSpec("early", "late"),
-    "R3": RunSpec("m11", "m22"),
-    "R4": RunSpec(None, "m22"),
-    "R5": RunSpec(None, "bottom"),
-    "R6": RunSpec(None, "late"),
+# run id -> (stage1, stage2) dataset selectors; stage1 is the prior-building
+# fit, None for single-stage runs
+RUNS: dict[str, tuple[str | None, str]] = {
+    "R1": ("top", "bottom"),
+    "R2": ("early", "late"),
+    "R3": ("m11", "m22"),
+    "R4": (None, "m22"),
+    "R5": (None, "bottom"),
+    "R6": (None, "late"),
 }
 
 # the files `write_tables` writes, in this order
@@ -139,14 +135,14 @@ def execute_run(run_id: str, quadrants: Quadrants,
     summarized into the stage-2 prior set; individual effects start fresh at
     stage 2. Stage t runs on `chain_config.derive(run index, t)`.
     """
-    spec = RUNS[run_id]
+    stage1, stage2 = RUNS[run_id]
     run_index = list(RUNS).index(run_id)
     priors = default_uninformative()
-    if spec.stage1 is not None:
-        stage1 = run_chain(stage_dataset(spec.stage1, quadrants), priors,
-                           chain_config.derive(run_index, 1))
-        priors = posterior_to_priorset(stage1)
-    return summarize(run_chain(stage_dataset(spec.stage2, quadrants), priors,
+    if stage1 is not None:
+        samples = run_chain(stage_dataset(stage1, quadrants), priors,
+                            chain_config.derive(run_index, 1))
+        priors = posterior_to_priorset(samples)
+    return summarize(run_chain(stage_dataset(stage2, quadrants), priors,
                                chain_config.derive(run_index, 2)))
 
 

@@ -842,6 +842,14 @@ class TestStudy:
                 == f"error: {cfg}: no output directory (set 'out' or pass --out)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["study.kv"]
 
+    def test_empty_out_flag_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        # the empty flag overrides the config's `out`, as gen, fit and spindex report it
+        monkeypatch.setattr("panelbayes.experiment.run_chain", no_chain)
+        cfg = write_study_config(tmp_path / "study.kv", str(tmp_path / "res"))
+        assert main(["study", "--config", cfg, "--jobs", "1", "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out: empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study.kv"]
+
     def test_runtime_failure_in_the_study_exits_2(self, tmp_path, capsys, monkeypatch):
         def fails(*args, **kwargs):
             raise RuntimeError("replicate 0 failed: boom")

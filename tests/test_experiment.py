@@ -107,11 +107,11 @@ class TestRunTopology:
         return partition(panel)
 
     def test_design_table(self):
-        assert RUNS["R1"].stage1 == "top" and RUNS["R1"].stage2 == "bottom"
-        assert RUNS["R2"].stage1 == "early" and RUNS["R2"].stage2 == "late"
-        assert RUNS["R3"].stage1 == "m11" and RUNS["R3"].stage2 == "m22"
+        assert RUNS["R1"] == ("top", "bottom")
+        assert RUNS["R2"] == ("early", "late")
+        assert RUNS["R3"] == ("m11", "m22")
         for rid in ("R4", "R5", "R6"):
-            assert RUNS[rid].stage1 is None
+            assert RUNS[rid][0] is None
 
     def test_stage_dataset_contents(self):
         q = self.quads()
@@ -133,7 +133,7 @@ class TestRunTopology:
     def test_shared_stage2_datasets_are_identical(self):
         q = self.quads()
         for a, b in [("R2", "R6"), ("R1", "R5"), ("R3", "R4")]:
-            da, db = stage_dataset(RUNS[a].stage2, q), stage_dataset(RUNS[b].stage2, q)
+            da, db = stage_dataset(RUNS[a][1], q), stage_dataset(RUNS[b][1], q)
             for col in PANEL_CSV_HEADER:
                 assert np.array_equal(getattr(da, col), getattr(db, col))
 

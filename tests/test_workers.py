@@ -12,7 +12,7 @@ import panelbayes
 from panelbayes import sampler
 from panelbayes.cli import main
 from panelbayes.priors import default_uninformative
-from panelbayes.workers import worker_pool
+from panelbayes.workers import usable_cpus, worker_pool
 
 PARENT = os.getpid()
 DIFFUSE_SCALE = default_uninformative().sigma2_prior.scale
@@ -59,6 +59,13 @@ def informative_segment_fails_in_a_worker(chain, *args):
 def failed_segment_scales(path):
     """The sigma2 prior scales of the chains whose worker segments failed."""
     return [float(line) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+@pytest.mark.parametrize("cpu_count, expected", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity_falls_back_to_cpu_count(monkeypatch, cpu_count, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert usable_cpus() == expected
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])

@@ -1111,8 +1111,10 @@ class TestOutputBytes:
         "spindex.csv": "70ac65515388db922e0de89749453ed794d57ee6a809d5d6b605f93dcdfb6665",
     }
 
+    CHAIN = ["--burn-in", "537", "--samples", "300", "--seed", "7"]
+
     def test_outputs_are_pinned(self, tmp_path):
-        chain = ["--burn-in", "537", "--samples", "300", "--seed", "7"]
+        chain = self.CHAIN
         cfg = write_gen_config(tmp_path / "gen.kv", individuals=10, periods=6)
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "panel.csv")]) == 0
         assert main(["fit", "--data", str(tmp_path / "panel.csv"),
@@ -1123,6 +1125,17 @@ class TestOutputBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.DIGESTS}
         assert digests == self.DIGESTS
+
+    def test_pinned_spindex_run_takes_both_softplus_forms(self, tmp_path, monkeypatch,
+                                                           safe_windows):
+        # every chain in this process, so each of the 3 chains' 17 windows
+        # is counted: some could propose a mu past _EXP_SAFE and take the
+        # overflow-safe form, so the pinned bytes cover both forms
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        out = tmp_path / "spindex.csv"
+        assert main(["spindex", "--out", str(out)] + self.CHAIN) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS["spindex.csv"]
+        assert len(safe_windows) == 51 and 0 < sum(safe_windows) < 51
 
     STUDY_DIGESTS = {
         "table_beta0.csv": "b92542a8ac83f791cef76b078fcb43a25c2588fe63969a32ab514efb21b350cd",

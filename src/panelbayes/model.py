@@ -223,7 +223,8 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     exp only ever sees a non-positive argument, so the result is finite for
     every finite x and keeps the tail of large negative x. copysign(x, -1)
-    gives -|x| bit for bit in one call.
+    gives -|x| bit for bit in one call. It serves `log_likelihood`, `expit`
+    and a `sampler._Chain`'s first column sums, not the sweep's passes.
     """
     t = np.copysign(x, -1.0, out=out)
     np.exp(t, out=t)

@@ -48,14 +48,16 @@ and d^2/2. Each window picks its softplus form once: it bounds every mu it
 can propose by the state's largest mu plus every upward step it could
 accept, |d_beta| . max|X| and max(0, max d_eps) summed over its sweeps.
 Below _EXP_SAFE = 700 (exp overflows at 709.78) a softplus pass is
-log1p(exp(mu)), two calls, else the overflow-safe `model.softplus`; the two
-agree bit for bit at mu <= 0 and within 2 ulp above. Both blocks accept when
-log u < delta, so u = 0 accepts.
+log1p(exp(mu)), two calls, else the overflow-safe np.logaddexp(0, mu), one
+call, within 3 ulp of it: a pass took 0.6 against 0.6 us at 14 cells, 0.7
+against 1.0 at 45, 1.9 against 7.4 at 600 and 7.1 against 57 at 3000 (2-vCPU
+VM). Both blocks accept when log u < delta, so u = 0 accepts.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -157,6 +159,9 @@ def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """softplus as log1p(exp(x)), in place in `out`; exp overflows above
     709.78, so a window takes it only below _EXP_SAFE."""
     return np.log1p(np.exp(x, out), out)
+
+
+_logaddexp_0 = functools.partial(np.logaddexp, 0.0)  # the overflow-safe softplus(x, out)
 
 
 def gibbs_sigma2(epsilon, prior: InverseGammaPrior, rng: np.random.Generator) -> float:
@@ -293,7 +298,7 @@ class _Chain:
         # no mu this window proposes exceeds this bound
         bound = (self.mus[0].max(initial=-math.inf) + float(np.abs(d_beta).dot(self.x_max).sum())
                  + float(d_eps.max(axis=1, initial=0.0).sum()))
-        sp_of = _log1p_exp if bound < _EXP_SAFE else softplus
+        sp_of = _log1p_exp if bound < _EXP_SAFE else _logaddexp_0
 
         (m0, v0), (m1, v1), (m2, v2) = self.beta_prior
         b0, b1, b2 = self.beta.tolist()

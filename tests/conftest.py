@@ -8,7 +8,7 @@ def safe_windows(monkeypatch):
     """One entry per `_Chain.sweep` call this process makes from now on, in
     call order: whether that window took the sweep's overflow-safe softplus
     form. A worker process's windows are not counted."""
-    form, sweep, calls, windows = sampler.softplus, sampler._Chain.sweep, [], []
+    form, sweep, calls, windows = sampler._logaddexp_0, sampler._Chain.sweep, [], []
 
     def counted_form(x, out=None):
         calls.append(1)
@@ -20,6 +20,6 @@ def safe_windows(monkeypatch):
         windows.append(len(calls) > before)
         return out
 
-    monkeypatch.setattr(sampler, "softplus", counted_form)
+    monkeypatch.setattr(sampler, "_logaddexp_0", counted_form)
     monkeypatch.setattr(sampler._Chain, "sweep", counted_sweep)
     return windows

@@ -748,9 +748,20 @@ class TestSoftplus:
             out = softplus(np.array([-1e308, 1e308]))
         assert np.array_equal(out, [0.0, 1e308])
 
+    def test_sweep_safe_form(self):
+        # the one-call form a sweep takes in a window that could overflow
+        # exp, under the suite's RuntimeWarning filter: within 3 ulp of the
+        # two-call form, 0 at a padding cell's -inf, and x past exp's range
+        x = np.linspace(-745.0, 700.0, 1_000_001)
+        safe, ref = sampler._logaddexp_0(x, np.empty_like(x)), np.log1p(np.exp(x))
+        assert np.all(np.abs(safe - ref) <= 3 * np.spacing(ref))
+        out = sampler._logaddexp_0(np.array([-np.inf, 800.0, 1e308]), None)
+        assert np.array_equal(out, [0.0, 800.0, 1e308])
+
     def test_two_call_form_below_the_sweep_bound(self):
-        # the form a sweep uses in a window that cannot overflow exp: the same
-        # bits for x <= 0, within 2 ulp above
+        # the form a sweep uses in a window that cannot overflow exp against
+        # `model.softplus`, which gives a chain its first column sums: the
+        # same bits for x <= 0, within 2 ulp above
         x = np.linspace(-745.0, 700.0, 1_000_001)
         two_call, ref = np.log1p(np.exp(x)), softplus(x)
         assert np.array_equal(two_call[x <= 0.0], ref[x <= 0.0])
@@ -793,11 +804,11 @@ class TestKernelCache:
         X = np.column_stack([np.ones(data.n_obs), data.x1, data.x2])
         np.testing.assert_allclose(mu, X @ chain.beta + chain.eps[data.codes], rtol=0.0, atol=1e-9)
 
-    def test_window_that_could_overflow_uses_softplus(self):
+    def test_window_that_could_overflow_uses_logaddexp(self):
         # mu starts near 690 (x2 = 100, beta2 = 6.9), and eps steps of sd 10
         # under a sigma2 held near 1e4 carry it past 709.78, where exp
-        # overflows: the window must take `model.softplus`, under the suite's
-        # RuntimeWarning filter
+        # overflows: the window must take the one-call np.logaddexp(0, mu),
+        # under the suite's RuntimeWarning filter
         n_ind = 8
         data = PanelDataset(np.repeat(np.arange(n_ind), 2), np.tile([1, 2], n_ind),
                             np.ones(2 * n_ind, dtype=int), np.zeros(2 * n_ind),
@@ -808,7 +819,7 @@ class TestKernelCache:
         chain = fixed_scale_chain(data, priors, state, math.log(0.01), 10.0)
         chain.sweep(np.random.default_rng(5), _ADAPT_WINDOW)
         assert chain.mus[0].max() > 709.78
-        check_sums(chain, data, softplus)
+        check_sums(chain, data, lambda x: np.logaddexp(0.0, x))
 
 
 def one_per_individual(rng, n_ind=45):

@@ -49,9 +49,9 @@ can propose by the state's largest mu plus every upward step it could
 accept, |d_beta| . max|X| and max(0, max d_eps) summed over its sweeps.
 Below _EXP_SAFE = 700 (exp overflows at 709.78) a softplus pass is
 log1p(exp(mu)), two calls, else the overflow-safe np.logaddexp(0, mu), one
-call, within 3 ulp of it: a pass took 0.6 against 0.6 us at 14 cells, 0.7
-against 1.0 at 45, 1.9 against 7.4 at 600 and 7.1 against 57 at 3000 (2-vCPU
-VM). Both blocks accept when log u < delta, so u = 0 accepts.
+call, within 3 ulp of it: a pass took 0.6 against 0.6-0.7 us at 14 cells,
+0.7 against 0.9-1.2 at 45, 1.9 against 7.4-8.3 at 600 and 7.1 against 43-57
+at 3000 (2-vCPU VM). Both blocks accept when log u < delta, so u = 0 accepts.
 """
 
 from __future__ import annotations

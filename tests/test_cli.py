@@ -1114,14 +1114,13 @@ class TestOutputBytes:
     CHAIN = ["--burn-in", "537", "--samples", "300", "--seed", "7"]
 
     def test_outputs_are_pinned(self, tmp_path):
-        chain = self.CHAIN
         cfg = write_gen_config(tmp_path / "gen.kv", individuals=10, periods=6)
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "panel.csv")]) == 0
         assert main(["fit", "--data", str(tmp_path / "panel.csv"),
                      "--out", str(tmp_path / "summary.csv"),
                      "--priors-out", str(tmp_path / "priors.kv"),
-                     "--draws-out", str(tmp_path / "draws.csv")] + chain) == 0
-        assert main(["spindex", "--out", str(tmp_path / "spindex.csv")] + chain) == 0
+                     "--draws-out", str(tmp_path / "draws.csv")] + self.CHAIN) == 0
+        assert main(["spindex", "--out", str(tmp_path / "spindex.csv")] + self.CHAIN) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.DIGESTS}
         assert digests == self.DIGESTS

@@ -96,7 +96,7 @@ def partition(data: PanelDataset) -> Quadrants:
     if not data.is_rectangular():
         raise ValueError("partition requires a rectangular panel")
     ids = data.ids
-    times = data.times()
+    times = np.unique(data.time)
     if ids.size % 2:
         raise ValueError(f"partition needs an even individual count, got {ids.size}")
     if times.size % 2:

@@ -14,8 +14,9 @@ comparison runs R4..R6, fits the second block directly with diffuse priors:
 Per replicate the stage-2 posterior means of beta0, beta1, beta2 and sigma
 (mean of per-draw sqrt(sigma2)) are collected; across replicates each
 parameter gets Mean, SD, a t-based confidence interval and
-MSE = (Mean - truth)^2 + Var. Each stage-2 fit whose ESS falls below the
-floor of `sampler.warn_unmixed` logs a warning naming its replicate and run.
+MSE = (Mean - truth)^2 + Var. Each fit whose ESS falls below the floor of
+`sampler.warn_unmixed` logs a warning naming its replicate, its run and, for
+stage 1, its stage.
 Replicate k's panel follows the simulation seed and its chains the chain
 config's seed (see `seeding`); replicates run through the pool `run_study`
 is given (see `workers`), so results are identical for any worker count.
@@ -127,23 +128,31 @@ def replicate_ci(estimates: Sequence[float]) -> tuple[float, float]:
     return m - half, m + half
 
 
-def execute_run(run_id: str, quadrants: Quadrants,
-                chain_config: ChainConfig) -> dict[str, SummaryStats]:
+def execute_run(run_id: str, quadrants: Quadrants, chain_config: ChainConfig,
+                label: str | None = None) -> dict[str, SummaryStats]:
     """Run one design on one replicate's quadrants; the `summarize` of stage 2.
 
     Stage 1 (when the design has one) fits with diffuse priors and is
     summarized into the stage-2 prior set; individual effects start fresh at
-    stage 2. Stage t runs on `chain_config.derive(run index, t)`.
+    stage 2. Stage t runs on `chain_config.derive(run index, t)`. Each fit
+    whose ESS falls below the floor of `sampler.warn_unmixed` logs a warning
+    labelled `label` (by default the run id), with " stage 1" appended for
+    stage 1.
     """
     stage1, stage2 = RUNS[run_id]
     run_index = list(RUNS).index(run_id)
+    label = run_id if label is None else label
     priors = default_uninformative()
     if stage1 is not None:
         samples = run_chain(stage_dataset(stage1, quadrants), priors,
                             chain_config.derive(run_index, 1))
+        warn_unmixed(f"{label} stage 1", summarize(samples), samples.n_kept)
         priors = posterior_to_priorset(samples)
-    return summarize(run_chain(stage_dataset(stage2, quadrants), priors,
-                               chain_config.derive(run_index, 2)))
+    samples = run_chain(stage_dataset(stage2, quadrants), priors,
+                        chain_config.derive(run_index, 2))
+    stats = summarize(samples)
+    warn_unmixed(label, stats, samples.n_kept)
+    return stats
 
 
 def _replicate_worker(args) -> list[float]:
@@ -155,8 +164,7 @@ def _replicate_worker(args) -> list[float]:
         cfg = chain_config.derive(rep, 1)
         means = []
         for rid in run_ids:
-            stats = execute_run(rid, quadrants, cfg)
-            warn_unmixed(f"replicate {rep} {rid}", stats, cfg.samples)
+            stats = execute_run(rid, quadrants, cfg, f"replicate {rep} {rid}")
             means += [stats[param].mean for param in PARAMETERS]
         return means
     except Exception as exc:

@@ -148,25 +148,17 @@ class PanelDataset:
     def n_individuals(self) -> int:
         return int(self.ids.size)
 
-    def times(self) -> np.ndarray:
-        """Sorted unique time indices present in the panel."""
-        return np.unique(self.time)
-
     def is_rectangular(self) -> bool:
         """True when every individual is observed at the same time points."""
-        t = self.times()
+        t = np.unique(self.time)
         if self.n_obs != t.size * self.n_individuals:
             return False
         expect = np.tile(t, self.n_individuals)
         return bool(np.array_equal(self.time, expect))
 
-    def subset(self, ids=None, times=None) -> "PanelDataset":
-        """Rows restricted to the given individual ids and/or time indices."""
-        mask = np.ones(self.n_obs, dtype=bool)
-        if ids is not None:
-            mask &= np.isin(self.individual, np.asarray(ids))
-        if times is not None:
-            mask &= np.isin(self.time, np.asarray(times))
+    def subset(self, ids, times) -> "PanelDataset":
+        """The rows whose individual id is in `ids` and time index in `times`."""
+        mask = np.isin(self.individual, ids) & np.isin(self.time, times)
         return PanelDataset(self.individual[mask], self.time[mask], self.y[mask],
                             self.x1[mask], self.x2[mask])
 
@@ -216,17 +208,16 @@ class ParameterState:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) elementwise for a float array x, as
-    max(x, 0) + log1p(exp(-|x|)), computed in place in `out` (a new array
-    when None, never x itself), which it returns.
+    max(x, 0) + log1p(exp(-|x|)), in a new array.
 
     exp only ever sees a non-positive argument, so the result is finite for
     every finite x and keeps the tail of large negative x. copysign(x, -1)
     gives -|x| bit for bit in one call. It serves `log_likelihood`, `expit`
     and a `sampler._Chain`'s first column sums, not the sweep's passes.
     """
-    t = np.copysign(x, -1.0, out=out)
+    t = np.copysign(x, -1.0)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     t += np.maximum(x, 0.0)

@@ -155,7 +155,7 @@ def _draw_sigma2(scale: float, eps: np.ndarray, g: float) -> float:
     return 1.0 / max((1.0 / (scale + 0.5 * float(eps.dot(eps)))) * g, _TINY)
 
 
-def _log1p_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """softplus as log1p(exp(x)), in place in `out`; exp overflows above
     709.78, so a window takes it only below _EXP_SAFE."""
     return np.log1p(np.exp(x, out), out)
@@ -177,7 +177,7 @@ def effective_sample_size(chain) -> float:
     if n < 2:
         return float(n)
     xc = x - x.mean()
-    if float(xc @ xc) == 0.0:
+    if not (xc * xc).any():  # no BLAS call, which could wake its threads
         return float(n)
     m = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(xc, m)

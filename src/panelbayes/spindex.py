@@ -12,7 +12,7 @@ tail and the posterior mean of sigma does not exist, so the `sigma` rows of
 the comparison CSV report where the chain sits in the prior's tail, not an
 estimate (means from 12 to 12 590 across chain seeds; ROADMAP.md item 2).
 `load_returns` reads the series as (years, returns) arrays and
-`series_to_panel` makes it one panel.
+`series_to_panel` makes a panel of any of its windows.
 
 `two_stage_fit` runs three chains: stage 1, then the later window under
 diffuse and under carried-over priors. Only the last needs stage 1, so a
@@ -93,9 +93,10 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
                   pool=InParent()) -> dict[str, dict[str, SummaryStats]]:
     """Fit years <= split with diffuse priors, carry the posterior forward.
 
-    The later window is fitted twice -- once with diffuse priors, once with
-    the carried-over priors. Returns {"uninformative": stats, "informative":
-    stats}, each the `summarize` of that fit restricted to TABLE_PARAMETERS.
+    Each window is the `series_to_panel` of its years. The later window is
+    fitted twice -- once with diffuse priors, once with the carried-over
+    priors. Returns {"uninformative": stats, "informative": stats}, each
+    the `summarize` of that fit restricted to TABLE_PARAMETERS.
     Each of the three fits logs a warning for every one of those parameters
     whose ESS falls below the floor of `warn_unmixed`, in the order stage 1,
     uninformative, informative.
@@ -116,9 +117,8 @@ def two_stage_fit(years, returns, chain_config: ChainConfig,
     if early.all():
         raise ConfigError(f"no data after split year {split_year} (empty stage 2)")
 
-    full = series_to_panel(years, returns, threshold)
-    panels = {"stage 1": full.subset(ids=years[early]),
-              "stage 2": full.subset(ids=years[~early])}
+    panels = {"stage 1": series_to_panel(years[early], returns[early], threshold),
+              "stage 2": series_to_panel(years[~early], returns[~early], threshold)}
     for name, panel in panels.items():
         if panel.y.min() == panel.y.max():
             log.warning("%s responses are all %d after thresholding at %s; "

@@ -70,8 +70,8 @@ def worker_pool(workers: int):
     SystemExit -- ends the workers at once instead of waiting for their tasks.
     """
     # A SystemExit raised while numpy.random initialises is lost, and the
-    # command runs on, so the numpy modules a chain and its summary import
-    # on first use are loaded before the handler goes in.
+    # command runs on, so it and numpy.fft, which an ESS imports on first
+    # use, are loaded before the handler goes in.
     import numpy.fft  # noqa: F401
     import numpy.random  # noqa: F401
 

@@ -9,6 +9,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from scipy import stats as sps
 from scipy.special import expit
 
@@ -109,6 +110,7 @@ def test_criterion_3_quadrature_oracle():
             f"(chain={b0.mean():.4f}, oracle={oracle:.4f}, diff={diff:.4f}, 3*mcse={3 * mcse:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_4_joint_distribution():
     # compare E[beta0], E[beta1], E[beta2] and E[log sigma2] under (prior,
     # data) sampled forward against the chain that alternates one
@@ -170,6 +172,7 @@ def test_criterion_4_joint_distribution():
             "and log sigma2 agree", ok, "(" + "; ".join(details) + ")")
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_ordering():
     sim = SimConfig(individuals=100, periods=12, sigma=1.0, replicates=10, seed=202)
     with worker_pool(JOBS if JOBS > 1 else 0) as pool:
@@ -182,6 +185,7 @@ def test_criterion_5_desk_scale_ordering():
             f"beta2: {m[('R2', 'beta2')]:.4f} vs {m[('R6', 'beta2')]:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_6_long_window_contrast():
     sim = SimConfig(individuals=50, periods=100, sigma=1.0, replicates=5, seed=202)
     with worker_pool(JOBS if JOBS > 1 else 0) as pool:
@@ -273,6 +277,7 @@ def _i1000_fit(sim: SimConfig):
             np.array([effective_sample_size(d) for d in draws.T]), oracle)
 
 
+@pytest.mark.slow
 def test_criterion_10_i1000_late_window():
     with worker_pool(JOBS if JOBS > 1 else 0) as pool:
         fits = list(pool.map(_i1000_fit, I1000_SIMS))
@@ -308,6 +313,7 @@ def _sbc_ranks(k: int) -> np.ndarray:
     return (draws < np.append(beta, sigma2)).sum(axis=0)
 
 
+@pytest.mark.slow
 def test_criterion_11_simulation_based_calibration():
     # Talts et al. 2018 (arXiv:1804.06788): if run_chain samples the
     # posterior, the rank of a prior draw among the draws fitted to data

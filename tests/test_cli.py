@@ -141,7 +141,7 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--out", str(out), "--replicate", "1"]) == 0
         fitted = []
 
-        def capture(run_id, quadrants, chain_config):
+        def capture(run_id, quadrants, chain_config, label):
             fitted.append(concat_panels(quadrants.m11, quadrants.m12, quadrants.m21, quadrants.m22))
             return {p: SummaryStats(0.0, 1.0, -1.0, 1.0, 1e9) for p in PARAMETERS}
         monkeypatch.setattr("panelbayes.experiment.execute_run", capture)

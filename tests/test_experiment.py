@@ -117,14 +117,14 @@ class TestRunTopology:
         q = self.quads()
         top = stage_dataset("top", q)
         assert list(top.ids) == [1, 2]
-        assert list(top.times()) == [1, 2, 3, 4]
+        assert list(np.unique(top.time)) == [1, 2, 3, 4]
         early = stage_dataset("early", q)
         assert list(early.ids) == [1, 2, 3, 4]
-        assert list(early.times()) == [1, 2]
+        assert list(np.unique(early.time)) == [1, 2]
         bottom = stage_dataset("bottom", q)  # R1's reported fit: second half of individuals
         assert list(bottom.ids) == [3, 4]
         late = stage_dataset("late", q)
-        assert list(late.times()) == [3, 4]
+        assert list(np.unique(late.time)) == [3, 4]
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset selector 'middle'"):
@@ -184,6 +184,15 @@ class TestRunStudy:
         assert not caplog.records
         assert quiet.rows == res.rows
 
+    def test_unmixed_stage1_fits_warn(self, caplog):
+        # R3's stage-1 fit on the 2x2 m11 window stays below 100 effective
+        # draws as well, and its warning names the stage
+        with caplog.at_level(logging.WARNING, logger="panelbayes.sampler"):
+            run_study(SMOKE_SIM, ("R3",), SMOKE_CHAIN)
+        labels = {re.match(r"(.+): ESS of \w+ is", r.message).group(1) for r in caplog.records}
+        assert labels == {f"replicate {rep} R3{stage}" for rep in (0, 1)
+                          for stage in ("", " stage 1")}
+
     def test_chain_seed_moves_every_estimate(self):
         # the panels follow the simulation seed, the chains the chain seed
         other = run_study(SMOKE_SIM, ("R4",), replace(SMOKE_CHAIN, seed=1))
@@ -215,7 +224,7 @@ class TestRunStudy:
     def test_failed_replicate_ends_the_running_ones(self, monkeypatch):
         fail_seed = derive_seed(SMOKE_CHAIN.seed, 0, 1)
 
-        def fail_or_hang(run_id, quadrants, cfg):
+        def fail_or_hang(run_id, quadrants, cfg, label):
             if cfg.seed == fail_seed:
                 raise ValueError("boom")
             time.sleep(60.0)

@@ -309,6 +309,14 @@ class TestSummaries:
     def test_ess_of_one_draw_is_one(self):
         assert effective_sample_size([2.5]) == 1.0
 
+    def test_ess_of_a_chain_whose_squares_underflow_is_its_length(self):
+        # every squared deviation underflows to 0, so the chain counts as
+        # constant; its autocorrelations would divide 0 by 0
+        x = 1e-170 * np.random.default_rng(4).standard_normal(50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert effective_sample_size(x) == 50.0
+
     @pytest.mark.parametrize("sigma2", [0.0, -1.0])
     def test_samples_reject_non_positive_sigma2(self, sigma2):
         with pytest.raises(ValueError, match="sigma2 draws must be positive"):

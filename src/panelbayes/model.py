@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -26,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .kvconfig import binary, finite, int64, read_input
-from .priors import PriorSet, log_density_invgamma, log_density_normal
 
 PANEL_COLUMNS = [("individual", int64), ("time", int64), ("y", binary),
                  ("x1", finite), ("x2", finite)]
@@ -214,8 +212,9 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
     exp only ever sees a non-positive argument, so the result is finite for
     every finite x and keeps the tail of large negative x. copysign(x, -1)
-    gives -|x| bit for bit in one call. It serves `log_likelihood`, `expit`
-    and a `sampler._Chain`'s first column sums, not the sweep's passes.
+    gives -|x| bit for bit in one call. It serves `log_likelihood`, which
+    `sampler.run_chain` checks at its start, `expit` and a `sampler._Chain`'s
+    first column sums, not the sweep's passes.
     """
     t = np.copysign(x, -1.0)
     np.exp(t, out=t)
@@ -247,20 +246,3 @@ def log_likelihood(data: PanelDataset, state: ParameterState) -> float:
     mu = b[0] + b[1] * data.x1 + b[2] * data.x2 + state.epsilon[data.codes]
     return float(data.y @ mu - softplus(mu).sum())
 
-
-def log_posterior(data: PanelDataset, state: ParameterState, priors: PriorSet) -> float:
-    """Unnormalized-in-data but fully-normalized-in-parameters log density:
-
-    log_likelihood
-      + sum_k log N(beta_k | prior)
-      + sum_i log N(eps_i | 0, sigma2)
-      + log IG(sigma2 | shape, scale)
-    """
-    total = log_likelihood(data, state)
-    for b, p in zip(state.beta, priors.beta_priors):
-        total += log_density_normal(p, float(b))
-    eps = state.epsilon
-    total += float(-0.5 * eps.size * math.log(2.0 * math.pi * state.sigma2)
-                   - (eps @ eps) / (2.0 * state.sigma2))
-    total += log_density_invgamma(priors.sigma2_prior, state.sigma2)
-    return float(total)

@@ -28,22 +28,30 @@ VARIANCE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class NormalPrior:
+    """Normal(mean, variance) on one fixed effect. The variance must be
+    positive and finite; a mean that is not finite is left to
+    `sampler.run_chain`'s start check, whose log likelihood it makes NaN."""
+
     mean: float
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError("variance must be positive and finite")
 
 
 @dataclass(frozen=True)
 class InverseGammaPrior:
+    """Inverse gamma(shape, scale) on sigma2, with density proportional to
+    x^-(shape+1) exp(-scale/x). Both must be positive and finite, as the
+    sigma2 Gibbs draw, IG(shape + I/2, scale + sum(eps^2)/2), needs."""
+
     shape: float
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise ValueError("shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,21 +129,6 @@ def posterior_to_priorset(samples) -> PriorSet:
         except ValueError as exc:
             raise ValueError(f"cannot carry {name} forward: {exc}") from None
     return PriorSet(beta_priors=tuple(fitted[:3]), sigma2_prior=fitted[3])
-
-
-def log_density_normal(p: NormalPrior, x: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * p.variance) - (x - p.mean) ** 2 / (2.0 * p.variance)
-
-
-def log_density_invgamma(p: InverseGammaPrior, x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("inverse gamma density requires x > 0")
-    try:
-        log_gamma = math.lgamma(p.shape)
-    except OverflowError:  # shape above about 2.6e305: the density is not finite
-        log_gamma = math.inf
-    return float(p.shape * math.log(p.scale) - log_gamma
-                 - (p.shape + 1.0) * math.log(x) - p.scale / x)
 
 
 def save_priors(priors: PriorSet, path: str) -> None:

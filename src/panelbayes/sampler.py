@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PanelDataset, ParameterState, expit, log_posterior, softplus, write_csv
+from .model import PanelDataset, ParameterState, expit, log_likelihood, softplus, write_csv
 from .priors import InverseGammaPrior, PriorSet
 from .seeding import derive_seed
 from .workers import InParent
@@ -447,11 +447,16 @@ def run_chain(data: PanelDataset, priors: PriorSet, config: ChainConfig,
     `pool` (`workers.worker_pool`; by default this process) another for the
     rest, kept after them, on that of `config.derive(1)`. Two segments, not
     the CPU count, so a seed gives the same draws on any machine; they
-    share no state, so the pool never changes a draw."""
+    share no state, so the pool never changes a draw.
+
+    The chain starts at `initial_state`; a start whose log likelihood is not
+    finite, as when a prior mean or a covariate overflows mu, raises
+    FloatingPointError before any sweep. No prior density is evaluated: the
+    sweep accepts on differences and draws sigma2 from its conjugate IG."""
     state = initial_state(data, priors)
     with np.errstate(invalid="ignore"):
-        if not math.isfinite(log_posterior(data, state, priors)):
-            raise FloatingPointError("log posterior is not finite at the initial state")
+        if not math.isfinite(log_likelihood(data, state)):
+            raise FloatingPointError("log likelihood is not finite at the initial state")
     chain, rng = _Chain(data, priors, state), np.random.default_rng(config.derive().seed)
     beta_hist = np.empty((config.burn_in, 3))
     for start in range(0, config.burn_in, _ADAPT_WINDOW):

@@ -42,6 +42,33 @@ def test_spindex_records_its_spans_and_probes_run(tmp_path, monkeypatch):
     assert sampler.gibbs_sigma2(state.epsilon, priors.sigma2_prior, rng) > 0.0
 
 
+def test_fit_records_its_spans(tmp_path, monkeypatch):
+    # with two CPUs only the second sampling segment runs in a worker, so the
+    # chain is recorded here at both CPU counts
+    cfg = tmp_path / "gen.kv"
+    cfg.write_text("individuals = 10\nperiods = 6\nsigma = 1.0\nseed = 3\n")
+    panel = tmp_path / "panel.csv"
+    assert main(["gen", "--config", str(cfg), "--out", str(panel)]) == 0
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code = main(["fit", "--data", str(panel), "--out", str(tmp_path / "summary.csv"),
+                         "--priors-out", str(tmp_path / "priors.kv"),
+                         "--draws-out", str(tmp_path / "draws.csv"),
+                         "--burn-in", "50", "--samples", "50", "--seed", "3"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        names = {span["name"] for span in tracer.spans}
+        assert {"model.from_csv", "sampler.run_chain", "sampler.summarize",
+                "priors.posterior_to_priorset", "priors.save_priors",
+                "sampler.draws_to_csv"} <= names
+        assert len(tracer.chains) == 1
+        assert {"data", "priors"} <= tracer.chains[0].keys()
+
+
 def test_study_records_its_spans(tmp_path):
     cfg = tmp_path / "study.kv"
     cfg.write_text("individuals = 4\nperiods = 4\nsigma = 1.0\nreplicates = 2\nseed = 3\n"

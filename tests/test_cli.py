@@ -402,12 +402,25 @@ class TestFit:
         assert main(["fit", "--data", str(panel), "--out", str(out)] + FIT_FLAGS) == 0
         assert [r[0] for r in read_csv(out)[1:]] == ["beta0", "beta1", "beta2", "sigma"]
 
-    def test_numeric_failure_exit_code(self, tmp_path, panel_csv):
-        # finite but extreme IG parameters overflow the starting log posterior
+    # the overflow warns, then the start check refuses the NaN it leaves
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_numeric_failure_exit_code(self, tmp_path, panel_csv, capsys):
+        # a finite but extreme prior mean overflows the starting log likelihood
         huge_priors = tmp_path / "huge.kv"
-        huge_priors.write_text(priors_text(**{"sigma2.shape": 1e308, "sigma2.scale": 1e308}))
+        huge_priors.write_text(priors_text(**{"beta0.mean": 1e308}))
         assert main(["fit", "--data", str(panel_csv),
                      "--priors-in", str(huge_priors)] + FIT_FLAGS) == 2
+        assert "not finite at the initial state" in capsys.readouterr().err
+
+    def test_extreme_inverse_gamma_prior_fits(self, tmp_path, panel_csv):
+        # IG(1e308, 1e308) pins sigma2 at 1: no prior density is evaluated, so
+        # its lgamma(shape), which overflows, never stops the chain
+        pinned = tmp_path / "pinned.kv"
+        pinned.write_text(priors_text(**{"sigma2.shape": 1e308, "sigma2.scale": 1e308}))
+        out = tmp_path / "summary.csv"
+        assert main(["fit", "--data", str(panel_csv), "--priors-in", str(pinned),
+                     "--out", str(out)] + FIT_FLAGS) == 0
+        assert read_csv(out)[-1][:2] == ["sigma", "1.0"]
 
     def test_out_of_range_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         bad = tmp_path / "bad.kv"
@@ -619,6 +632,41 @@ def test_sigterm_on_one_cpu_exits_143(tmp_path, panel_csv, command):
                           env=src_env(), timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (128 + signal.SIGTERM, "", "False\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("module", ["numpy.ma", "numpy.ma.core"])
+def test_sigterm_while_numpy_ma_imports_exits_143(tmp_path, module, cpus):
+    # a summary's first np.quantile imports numpy.ma after the SIGTERM handler
+    # is in; SIGTERM sent as `module` starts to import must not be lost there
+    cfg = write_gen_config(tmp_path / "gen.kv", individuals=10)
+    panel, summary = tmp_path / "panel.csv", tmp_path / "summary.csv"
+    assert main(["gen", "--config", cfg, "--out", str(panel)]) == 0
+    code = ("import os, signal, sys\n"
+            "from panelbayes.cli import main\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    sys.exit('numpy.ma is already loaded')\n"
+            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "parent, tripped = os.getpid(), []\n"
+            "class StopOnImport:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            f"        if name == {module!r} and os.getpid() == parent:\n"
+            "            sys.meta_path.remove(self)\n"
+            "            tripped.append(name)\n"
+            "            os.kill(parent, signal.SIGTERM)\n"
+            "sys.meta_path.insert(0, StopOnImport())\n"
+            "try:\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    print(tripped)\n")
+    done = subprocess.run([sys.executable, "-c", code, "fit", "--data", str(panel),
+                           "--out", str(summary)] + FIT_FLAGS,
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    if done.stderr == "numpy.ma is already loaded\n":
+        pytest.skip("numpy.ma loads with panelbayes, so its import cannot be interrupted")
+    assert (done.returncode, done.stderr, done.stdout) == (128 + signal.SIGTERM, "",
+                                                           f"[{module!r}]\n")
+    assert not summary.exists()
 
 
 class TestStudy:

@@ -7,9 +7,7 @@ import pytest
 
 from panelbayes.errors import ConfigError
 from panelbayes.model import (PANEL_CSV_HEADER, PanelDataset, ParameterState, concat_panels,
-                              log_likelihood, log_posterior, write_csv)
-from panelbayes.priors import (InverseGammaPrior, NormalPrior, PriorSet, log_density_invgamma,
-                               log_density_normal)
+                              log_likelihood, write_csv)
 
 
 def small_panel():
@@ -21,11 +19,6 @@ def small_panel():
         x1=[1.0, 1.0, 1.0, 0.0, 0.0],
         x2=[0.2, -0.4, 1.1, 0.0, 0.3],
     )
-
-
-def diffuse_priors():
-    return PriorSet(beta_priors=tuple(NormalPrior(0.0, 100.0) for _ in range(3)),
-                    sigma2_prior=InverseGammaPrior(2.0, 1.0))
 
 
 class TestLogLikelihood:
@@ -100,71 +93,6 @@ class TestLogLikelihood:
             fd = (log_likelihood(data, ParameterState(bp, eps, 1.0))
                   - log_likelihood(data, ParameterState(bm, eps, 1.0))) / (2 * h)
             assert fd == pytest.approx(analytic[k], rel=1e-6)
-
-
-class TestLogPosterior:
-    def test_empty_dataset_is_prior_only(self):
-        empty = PanelDataset([], [], [], [], [])
-        priors = diffuse_priors()
-        st = ParameterState(beta=[0.0, 0.0, 0.0], epsilon=[], sigma2=1.0)
-        expected = sum(log_density_normal(p, 0.0) for p in priors.beta_priors)
-        expected += log_density_invgamma(priors.sigma2_prior, 1.0)
-        assert log_posterior(empty, st, priors) == pytest.approx(expected, abs=1e-12)
-
-    def test_unimodal_in_beta0(self):
-        data = PanelDataset([1], [1], [1], [0.5], [0.5])
-        priors = diffuse_priors()
-
-        def lp(b0):
-            st = ParameterState(beta=[b0, 0.0, 0.0], epsilon=[0.0], sigma2=1.0)
-            return log_posterior(data, st, priors)
-
-        grid = np.linspace(-6, 6, 241)
-        vals = np.array([lp(b) for b in grid])
-        mode = grid[vals.argmax()]
-        for offset in (0.5, 1.0, 2.0, 4.0):
-            assert lp(mode + offset) < lp(mode)
-            assert lp(mode - offset) < lp(mode)
-
-    def test_term_by_term_oracle(self):
-        data = PanelDataset([1, 2], [1, 1], [1, 0], [0.7, -0.2], [1.3, 0.4])
-        priors = PriorSet(
-            beta_priors=(NormalPrior(-1.0, 2.0), NormalPrior(0.5, 3.0), NormalPrior(0.0, 1.5)),
-            sigma2_prior=InverseGammaPrior(3.0, 2.0),
-        )
-        beta = np.array([-0.8, 0.9, 1.2])
-        eps = np.array([0.3, -0.6])
-        sigma2 = 0.7
-        st = ParameterState(beta=beta, epsilon=eps, sigma2=sigma2)
-
-        # independent summation of each density term, scalar arithmetic only
-        oracle = 0.0
-        rows = list(zip(data.individual, data.y, data.x1, data.x2))
-        eps_by_id = {1: 0.3, 2: -0.6}
-        for i, y, x1, x2 in rows:
-            m = beta[0] + beta[1] * x1 + beta[2] * x2 + eps_by_id[int(i)]
-            pr = math.exp(m) / (1.0 + math.exp(m))
-            oracle += math.log(pr if y == 1 else 1.0 - pr)
-        for b, p in zip(beta, priors.beta_priors):
-            oracle += -0.5 * math.log(2 * math.pi * p.variance) - (b - p.mean) ** 2 / (2 * p.variance)
-        for e in eps:
-            oracle += -0.5 * math.log(2 * math.pi * sigma2) - e ** 2 / (2 * sigma2)
-        a, b = 3.0, 2.0
-        oracle += a * math.log(b) - math.lgamma(a) - (a + 1) * math.log(sigma2) - b / sigma2
-
-        assert log_posterior(data, st, priors) == pytest.approx(oracle, abs=1e-12)
-
-    def test_prior_part_is_data_free(self):
-        priors = diffuse_priors()
-        st = ParameterState(beta=[0.3, -0.4, 1.1], epsilon=[0.2, -0.1], sigma2=0.9)
-        rng = np.random.default_rng(0)
-        diffs = []
-        for _ in range(3):
-            data = PanelDataset([1, 1, 2, 2], [1, 2, 1, 2], rng.integers(0, 2, 4),
-                                rng.normal(size=4), rng.normal(size=4))
-            diffs.append(log_posterior(data, st, priors) - log_likelihood(data, st))
-        assert diffs[0] == pytest.approx(diffs[1], abs=1e-12)
-        assert diffs[1] == pytest.approx(diffs[2], abs=1e-12)
 
 
 class TestPanelDataset:

@@ -16,14 +16,14 @@ from panelbayes.spindex import (DEFAULT_SPLIT_YEAR, load_returns, make_surrogate
 from panelbayes.workers import InParent, worker_pool
 
 FAST_CHAIN = ChainConfig(burn_in=400, samples=800, seed=11)
-real_log_posterior = sampler.log_posterior
+real_initial_state = sampler.initial_state
 
 
-def late_diffuse_fit_fails(data, state, priors):
+def late_diffuse_fit_fails(data, priors):
     """Fails the chain of the 14 late surrogate years under diffuse priors."""
     if data.n_individuals == 14 and priors == default_uninformative():
         raise FloatingPointError("the uninformative fit failed")
-    return real_log_posterior(data, state, priors)
+    return real_initial_state(data, priors)
 
 
 class RecordingPool(InParent):
@@ -177,12 +177,12 @@ class TestTwoStageFit:
         assert chain.beta_prior == [(p.mean, 2.0 * p.variance) for p in carried.beta_priors]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched log_posterior must reach the worker")
+                        reason="the patched initial_state must reach the worker")
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_first_failure_in_fit_order_wins(self, monkeypatch, workers):
         def no_carry_over(samples):
             raise ValueError("cannot carry over")
-        monkeypatch.setattr("panelbayes.sampler.log_posterior", late_diffuse_fit_fails)
+        monkeypatch.setattr("panelbayes.sampler.initial_state", late_diffuse_fit_fails)
         monkeypatch.setattr("panelbayes.spindex.posterior_to_priorset", no_carry_over)
         with pytest.raises(FloatingPointError, match="the uninformative fit failed"):
             with worker_pool(workers) as pool:

@@ -16,7 +16,7 @@ from panelbayes.workers import usable_cpus, worker_pool
 
 PARENT = os.getpid()
 DIFFUSE_SCALE = default_uninformative().sigma2_prior.scale
-real_log_posterior = sampler.log_posterior
+real_initial_state = sampler.initial_state
 real_sweep = sampler._Chain.sweep
 real_sample = sampler._sample
 
@@ -39,10 +39,10 @@ def sweep_fails_in_a_worker(chain, rng, n=1):
     return real_sweep(chain, rng, n)
 
 
-def fails_in_a_worker(data, state, priors):
+def fails_in_a_worker(data, priors):
     if os.getpid() != PARENT:
         raise FloatingPointError("the worker's chain failed")
-    return real_log_posterior(data, state, priors)
+    return real_initial_state(data, priors)
 
 
 def informative_segment_fails_in_a_worker(chain, *args):
@@ -160,9 +160,9 @@ class TestSpindexFailures:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched log_posterior must reach the worker")
+                        reason="the patched initial_state must reach the worker")
     def test_worker_chain_failure_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr("panelbayes.sampler.log_posterior", fails_in_a_worker)
+        monkeypatch.setattr("panelbayes.sampler.initial_state", fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2
         assert "runtime failure: the worker's chain failed" in capsys.readouterr().err
@@ -191,7 +191,7 @@ class TestSpindexFailures:
         # both of the worker's tasks fail; the uninformative fit comes first in fit order
         failed = tmp_path / "failed"
         monkeypatch.setenv("FAILED_SEGMENTS", str(failed))
-        monkeypatch.setattr("panelbayes.sampler.log_posterior", fails_in_a_worker)
+        monkeypatch.setattr("panelbayes.sampler.initial_state", fails_in_a_worker)
         monkeypatch.setattr("panelbayes.sampler._sample", informative_segment_fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert main(["spindex"] + self.FLAGS) == 2

@@ -13,7 +13,9 @@ and y_ij ~ Bernoulli(logistic(beta0 + beta1*x1 + beta2*x2 + eps_i)).
 
 `partition` halves a rectangular panel by individuals and by time into the
 blocks m11 (early times, first half of individuals), m12 (late/first), m21
-(early/second), m22 (late/second). Covariate values and the original time
+(early/second), m22 (late/second). A canonical rectangular panel's rows fill
+an individuals x periods grid in (individual, time) order, so each quadrant is
+one block of that grid of rows. Covariate values and the original time
 indices are carried verbatim -- late-window x2 keeps its trend level.
 """
 
@@ -92,20 +94,22 @@ def replicate_panel(config: SimConfig, replicate: int) -> tuple[PanelDataset, np
 
 
 def partition(data: PanelDataset) -> Quadrants:
-    """Split a rectangular, even-sized panel into its four quadrants."""
-    if not data.is_rectangular():
+    """Split a rectangular, even-sized panel into its four quadrants.
+
+    A canonical panel of I individuals is rectangular when its rows fill an
+    I x T grid, one individual per row, and every row holds the same times.
+    Each quadrant is one block of that grid of row indices; an empty panel
+    gives four empty quadrants."""
+    n_ind = data.n_individuals
+    periods = data.n_obs // max(n_ind, 1)
+    grid = np.arange(n_ind * periods).reshape(n_ind, periods)
+    rows = data.time[grid]
+    if grid.size != data.n_obs or not (rows == rows[:1]).all():
         raise ValueError("partition requires a rectangular panel")
-    ids = data.ids
-    times = np.unique(data.time)
-    if ids.size % 2:
-        raise ValueError(f"partition needs an even individual count, got {ids.size}")
-    if times.size % 2:
-        raise ValueError(f"partition needs an even period count, got {times.size}")
-    first_ids, second_ids = np.split(ids, 2)
-    early, late = np.split(times, 2)
-    return Quadrants(
-        m11=data.subset(ids=first_ids, times=early),
-        m12=data.subset(ids=first_ids, times=late),
-        m21=data.subset(ids=second_ids, times=early),
-        m22=data.subset(ids=second_ids, times=late),
-    )
+    if n_ind % 2:
+        raise ValueError(f"partition needs an even individual count, got {n_ind}")
+    if periods % 2:
+        raise ValueError(f"partition needs an even period count, got {periods}")
+    blocks = [b.ravel() for half in np.vsplit(grid, 2) for b in np.hsplit(half, 2)]
+    return Quadrants(*[PanelDataset(data.individual[b], data.time[b], data.y[b],
+                                    data.x1[b], data.x2[b]) for b in blocks])

@@ -146,20 +146,6 @@ class PanelDataset:
     def n_individuals(self) -> int:
         return int(self.ids.size)
 
-    def is_rectangular(self) -> bool:
-        """True when every individual is observed at the same time points."""
-        t = np.unique(self.time)
-        if self.n_obs != t.size * self.n_individuals:
-            return False
-        expect = np.tile(t, self.n_individuals)
-        return bool(np.array_equal(self.time, expect))
-
-    def subset(self, ids, times) -> "PanelDataset":
-        """The rows whose individual id is in `ids` and time index in `times`."""
-        mask = np.isin(self.individual, ids) & np.isin(self.time, times)
-        return PanelDataset(self.individual[mask], self.time[mask], self.y[mask],
-                            self.x1[mask], self.x2[mask])
-
     def to_csv(self, path: str) -> None:
         write_csv(path, PANEL_CSV_HEADER,
                   zip(self.individual.tolist(), self.time.tolist(), self.y.tolist(),

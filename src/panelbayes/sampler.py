@@ -60,7 +60,7 @@ import copy
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -199,9 +199,15 @@ def _chain_stats(x: np.ndarray) -> SummaryStats:
 
 
 def summarize(samples: PosteriorSamples) -> dict[str, SummaryStats]:
-    """Mean / SD / equal-tailed 95% interval / ESS for each of PARAMETERS."""
-    return {param: _chain_stats(x)
-            for param, x in zip(PARAMETERS, (*samples.beta.T, samples.sigma))}
+    """Mean / SD / equal-tailed 95% interval / ESS for each of PARAMETERS.
+    A statistic that is not finite is a numeric failure, not a result:
+    FloatingPointError names the first parameter with one."""
+    stats = {param: _chain_stats(x)
+             for param, x in zip(PARAMETERS, (*samples.beta.T, samples.sigma))}
+    for param, s in stats.items():
+        if not np.isfinite(astuple(s)).all():
+            raise FloatingPointError(f"the summary of {param} is not finite: {s}")
+    return stats
 
 
 def warn_unmixed(label: str, stats: dict[str, SummaryStats], n_kept: int) -> None:

@@ -422,6 +422,18 @@ class TestFit:
                      "--out", str(out)] + FIT_FLAGS) == 0
         assert read_csv(out)[-1][:2] == ["sigma", "1.0"]
 
+    # the overflow warnings must not fail the test: the exit code is what it checks
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_summary_is_numeric_failure(self, tmp_path, panel_csv, capsys):
+        # IG(1, 1e308) lets sigma2 run off to ~1e307, so the sd of sigma overflows
+        wide = tmp_path / "wide.kv"
+        wide.write_text(priors_text(**{"sigma2.shape": 1.0, "sigma2.scale": 1e308}))
+        out = tmp_path / "summary.csv"
+        assert main(["fit", "--data", str(panel_csv), "--priors-in", str(wide),
+                     "--out", str(out)] + FIT_FLAGS) == 2
+        assert "the summary of sigma is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_prior_is_config_error(self, tmp_path, panel_csv, capsys):
         bad = tmp_path / "bad.kv"
         bad.write_text(priors_text(**{"beta0.variance": -1}))

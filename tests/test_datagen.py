@@ -12,6 +12,13 @@ def same_rows(a, b):
     return all(np.array_equal(getattr(a, col), getattr(b, col)) for col in PANEL_CSV_HEADER)
 
 
+def rows_of(panel, ids, times):
+    """The rows of `panel` whose individual is in `ids` and time in `times`."""
+    mask = np.isin(panel.individual, ids) & np.isin(panel.time, times)
+    return PanelDataset(panel.individual[mask], panel.time[mask], panel.y[mask],
+                        panel.x1[mask], panel.x2[mask])
+
+
 class TestSimConfig:
     def test_rejects_odd_individuals(self):
         with pytest.raises(ConfigError, match="individuals"):
@@ -77,7 +84,9 @@ class TestGenPanel:
         assert panel.n_obs == 24
         assert panel.n_individuals == 6
         assert eps.shape == (6,)
-        assert panel.is_rectangular()
+        q = partition(panel)  # the panel is a rectangular 6 x 4 grid
+        for quad in (q.m11, q.m12, q.m21, q.m22):
+            assert (quad.n_individuals, np.unique(quad.time).size, quad.n_obs) == (3, 2, 6)
         assert set(panel.y.tolist()) <= {0, 1}
 
     def test_x1_time_constant(self):
@@ -156,8 +165,14 @@ class TestPartition:
         assert list(q.m22.ids) == [3, 4]
         assert list(np.unique(q.m22.time)) == [3, 4]
         # covariates carried verbatim from the original rows
-        orig = panel.subset(ids=[3, 4], times=[3, 4])
-        assert same_rows(q.m22, orig)
+        assert same_rows(q.m22, rows_of(panel, [3, 4], [3, 4]))
+
+    def test_quadrants_match_row_filters(self):
+        panel = self.make_panel(6, 8)
+        q = partition(panel)
+        for quad, ids, times in ((q.m11, [1, 2, 3], [1, 2, 3, 4]), (q.m12, [1, 2, 3], [5, 6, 7, 8]),
+                                 (q.m21, [4, 5, 6], [1, 2, 3, 4]), (q.m22, [4, 5, 6], [5, 6, 7, 8])):
+            assert same_rows(quad, rows_of(panel, ids, times))
 
     def test_reassembly_is_lossless(self):
         panel = self.make_panel(6, 8)
@@ -176,6 +191,14 @@ class TestPartition:
                               [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="rectangular"):
             partition(ragged)
+        # equal counts per individual, but not the same times
+        shifted = PanelDataset([1, 1, 2, 2], [1, 2, 1, 3], [0, 1, 0, 1], np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="rectangular"):
+            partition(shifted)
+        # the empty panel is rectangular, and its quadrants are empty
+        empty = PanelDataset([], [], [], [], [])
+        q = partition(empty)
+        assert [quad.n_obs for quad in (q.m11, q.m12, q.m21, q.m22)] == [0, 0, 0, 0]
 
     def test_rejects_odd_counts(self):
         three = PanelDataset([1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2],

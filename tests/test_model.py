@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from panelbayes.datagen import partition
 from panelbayes.errors import ConfigError
 from panelbayes.model import (PANEL_CSV_HEADER, PanelDataset, ParameterState, concat_panels,
                               log_likelihood, write_csv)
@@ -125,7 +126,8 @@ class TestPanelDataset:
         data = small_panel()
         assert data.n_individuals == 2
         assert list(np.bincount(data.codes)) == [3, 2]
-        assert not data.is_rectangular()
+        with pytest.raises(ValueError, match="rectangular"):
+            partition(data)
 
     def test_csv_round_trip(self, tmp_path):
         data = small_panel()

@@ -379,6 +379,15 @@ class TestSummaries:
         assert set(stats) == {"beta0", "beta1", "beta2", "sigma"}
         assert stats["sigma"].mean == pytest.approx(float(np.sqrt(s.sigma2).mean()))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_summarize_refuses_non_finite_statistics(self):
+        # the sd of beta1 and of beta2 overflows; the first of them is named
+        beta = np.zeros((4, 3))
+        beta[:, 1] = beta[:, 2] = [1e308, -1e308, 1e308, -1e308]
+        s = PosteriorSamples(beta, np.ones(4), 0.5, np.zeros(1))
+        with pytest.raises(FloatingPointError, match="the summary of beta1 is not finite"):
+            summarize(s)
+
 
 class TestRunChain:
     def test_deterministic(self):
